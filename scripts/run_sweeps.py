@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every randomized verification sweep across the standard (p, q) pairs.
 
-Thin driver over the library sweeps the CLI exposes one at a time; exits
-nonzero if any case in any sweep fails.
+Thin driver over parabolic_lab.sweeps, the same definitions the CLI's
+`verify` subcommands run one (p, q) at a time; each pair gets a fresh
+Random(seed).  Exits nonzero if any case in any sweep fails.
 """
 
 import argparse
@@ -10,81 +11,28 @@ import sys
 import time
 from random import Random
 
-from parabolic_lab import (
-    check_quasi_invariance,
-    delta_tower,
-    identity,
-    semiconj_check,
-    series,
-    verify_main_lemma,
-)
-from parabolic_lab.samplers import (
-    STANDARD_PAIRS,
-    random_coeff_tuple,
-    random_coordinate_change,
-    random_parabolic_germ,
-    random_reduced_germ,
-    standard_field,
-)
+from parabolic_lab import sweeps
+from parabolic_lab.samplers import STANDARD_PAIRS, standard_field
 
 
-def sweep_main_lemma(seed, cases):
-    bad = 0
-    for p, q in STANDARD_PAIRS:
-        field = standard_field(p, q)
-        rng = Random(seed)
-        for n in (1, 2):
-            for _ in range(cases):
-                rep = verify_main_lemma(p, q, n, random_coeff_tuple(rng, field),
-                                        field=field)
-                bad += not rep.ok
-    return bad
+def main_lemma_levels(rng, field, p, q, cases):
+    # one rng across both levels
+    return [w for n in (1, 2)
+            for w in sweeps.main_lemma(rng, field, p, q, n, cases=cases)]
 
 
-def sweep_delta_tower(seed, cases):
-    bad = 0
-    for p in (2, 3, 5):
-        field = standard_field(p, 1)
-        rng = Random(seed)
-        for _ in range(cases):
-            f = series(field,
-                       {1: field.one(),
-                        **{i: field.from_int(rng.randrange(p))
-                           for i in range(2, 7)}}, 12)
-            d = delta_tower(f, p) - (f.iterate(p) - identity(field, 12))
-            bad += d.order() is not None
-    return bad
-
-
-def sweep_semiconj(seed, cases):
-    bad = 0
-    for p, q in STANDARD_PAIRS:
-        field = standard_field(p, q)
-        rng = Random(seed)
-        for _ in range(cases):
-            g = random_reduced_germ(rng, field, q, N=4 * q + 2)
-            for m in (q, q * p):
-                bad += not semiconj_check(g, m).ok
-    return bad
-
-
-def sweep_quasi_invariance(seed, cases):
-    bad = 0
-    for p, q in STANDARD_PAIRS:
-        field = standard_field(p, q)
-        rng = Random(seed)
-        for _ in range(cases):
-            f = random_parabolic_germ(rng, field, q)
-            h = random_coordinate_change(rng, field, f.n_trunc)
-            bad += not check_quasi_invariance(f, h, 1).ok
-    return bad
-
-
+# (name, (p, q) pairs, sweep(rng, field, p, q, cases) -> failure witnesses)
 SWEEPS = [
-    ("closed-form iterates", sweep_main_lemma),
-    ("difference tower", sweep_delta_tower),
-    ("semiconjugacy", sweep_semiconj),
-    ("quasi-invariance", sweep_quasi_invariance),
+    ("closed-form iterates", STANDARD_PAIRS, main_lemma_levels),
+    ("difference tower", ((2, 1), (3, 1), (5, 1)),
+     lambda rng, field, p, q, cases:
+         sweeps.difference_tower(rng, field, p, cases=cases)),
+    ("semiconjugacy", STANDARD_PAIRS,
+     lambda rng, field, p, q, cases:
+         sweeps.semiconj(rng, field, p, q, N=4 * q + 2, cases=cases)),
+    ("quasi-invariance", STANDARD_PAIRS,
+     lambda rng, field, p, q, cases:
+         sweeps.quasi_invariance(rng, field, q, cases=cases)),
 ]
 
 
@@ -96,9 +44,11 @@ def main() -> int:
     args = ap.parse_args()
 
     failures = 0
-    for name, fn in SWEEPS:
+    for name, pairs, sweep in SWEEPS:
         t0 = time.monotonic()
-        bad = fn(args.seed, args.cases)
+        bad = sum(len(sweep(Random(args.seed), standard_field(p, q), p, q,
+                            args.cases))
+                  for p, q in pairs)
         dt = time.monotonic() - t0
         status = "ok" if bad == 0 else f"{bad} FAILED"
         print(f"{name:24s} {status:12s} ({dt:.1f}s)")

@@ -14,16 +14,16 @@ unusable input (bad literals, missing flags, windows too small to start).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from random import Random
 
+from . import sweeps
 from .closed_forms import (
     chi_xi,
-    delta_tower,
     ell_iterate_quadratic,
     iterate_q_closed,
-    semiconj_check,
     verify_main_lemma,
 )
 from .coeff_rings import (
@@ -38,45 +38,28 @@ from .errors import (
     NotDivisible,
     NotMinimallyRamifiedAtLevelZero,
     ParabolicLabError,
-    ResitUndefined,
-    TruncationTooSmall,
     UnboundedBound,
 )
-from .formal_series import ParabolicGerm, identity
+from .formal_series import ParabolicGerm
 from .literals import (
     index_to_jsonable,
     parse_field,
     parse_scalar,
     parse_series,
     scalar_to_jsonable,
-    series_to_str,
 )
 from .normal_form import mq_evaluate, to_normal_form
 from .ramification import (
-    check_quasi_invariance,
     is_minimally_ramified,
     ramification_profile,
     resit,
 )
-from .samplers import (
-    default_window,
-    random_coeff_tuple,
-    random_coordinate_change,
-    random_parabolic_germ,
-    random_reduced_germ,
-    random_vanishing_series,
-    standard_field,
-)
+from .samplers import standard_field
 from .valuation_geometry import (
     cycle_valuations,
     newton_polygon,
     periodic_valuation_bound,
 )
-
-MAIN_LEMMA_CASES = 50
-SEMICONJ_CASES = 50
-DELTA_TOWER_CASES = 100
-QUASI_CASES = 50
 
 # exit codes
 OK = 0
@@ -106,7 +89,9 @@ def _require(args, **flags):
             raise ParabolicLabError(f"this command needs --{name}")
 
 
-def _coeff_list(text: str, field):
+def _coeff_list(text: str | None, field):
+    if text is None:
+        raise ParabolicLabError("this command needs --coeffs")
     return [parse_scalar(part, field) for part in text.split(",")]
 
 
@@ -198,14 +183,11 @@ def _cmd_closed_form(args):
     raise ParabolicLabError(f"unknown closed-form mode {mode!r}")
 
 
-def _sweep_doc(kind, args, cases, failures, extra=None):
-    doc = {"sweep": kind}
-    if extra:
-        doc.update(extra)
-    doc["cases"] = cases
-    doc["seed"] = args.seed
-    doc["failures"] = sorted(failures, key=lambda c: c["case"])
-    doc["ok"] = not failures
+def _sweep_doc(kind, args, sweep, failures, extra):
+    """The JSON document of a seeded sweep run at its default case count."""
+    cases = inspect.signature(sweep).parameters["cases"].default
+    doc = {"sweep": kind, **extra, "cases": cases, "seed": args.seed,
+           "failures": failures, "ok": not failures}
     return doc, (OK if not failures else VERIFICATION_FAILED)
 
 
@@ -219,18 +201,9 @@ def _cmd_verify_main_lemma(args):
         return rep.to_jsonable(), (OK if rep.ok else VERIFICATION_FAILED)
     if args.seed is None:
         raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
-    field = _field_for(args)
-    rng = Random(args.seed)
-    failures = []
-    for i in range(MAIN_LEMMA_CASES):
-        a = random_coeff_tuple(rng, field)
-        rep = verify_main_lemma(args.p, args.q, args.n, a, N=args.N,
-                                field=field)
-        if not rep.ok:
-            failures.append({"case": i,
-                             "coeffs": [scalar_to_jsonable(c) for c in a],
-                             "mismatch": rep.mismatch})
-    return _sweep_doc("main-lemma", args, MAIN_LEMMA_CASES, failures,
+    failures = sweeps.main_lemma(Random(args.seed), _field_for(args), args.p,
+                                 args.q, args.n, N=args.N)
+    return _sweep_doc("main-lemma", args, sweeps.main_lemma, failures,
                       {"p": args.p, "q": args.q, "n": args.n})
 
 
@@ -238,18 +211,10 @@ def _cmd_verify_semiconj(args):
     if args.seed is None:
         raise ParabolicLabError("verify semiconj needs --seed")
     _require(args, p=args.p, q=args.q)
-    field = standard_field(args.p, args.q)
-    rng = Random(args.seed)
-    failures = []
-    for i in range(SEMICONJ_CASES):
-        g = random_reduced_germ(rng, field, args.q, N=args.N)
-        for m in (args.q, args.q * args.p):
-            rep = semiconj_check(g, m)
-            if not rep.ok:
-                failures.append({"case": i, "m": m,
-                                 "series": series_to_str(g.series),
-                                 "mismatch": rep.mismatch})
-    return _sweep_doc("semiconj", args, SEMICONJ_CASES, failures,
+    failures = sweeps.semiconj(Random(args.seed),
+                               standard_field(args.p, args.q), args.p, args.q,
+                               N=args.N)
+    return _sweep_doc("semiconj", args, sweeps.semiconj, failures,
                       {"p": args.p, "q": args.q})
 
 
@@ -257,40 +222,23 @@ def _cmd_verify_delta_tower(args):
     if args.seed is None:
         raise ParabolicLabError("verify delta-tower needs --seed")
     _require(args, p=args.p)
-    p = args.p
-    field = smallest_field_with_root(p, 1)
     N = args.N or 12
-    rng = Random(args.seed)
-    failures = []
-    for i in range(DELTA_TOWER_CASES):
-        f = random_vanishing_series(rng, field, N)
-        lhs = delta_tower(f, p)
-        rhs = f.iterate(p) - identity(field, N)
-        o = (lhs - rhs).order()
-        if o is not None:
-            failures.append({"case": i, "series": series_to_str(f),
-                             "mismatch": o})
-    return _sweep_doc("delta-tower", args, DELTA_TOWER_CASES, failures,
-                      {"p": p, "N": N})
+    failures = sweeps.difference_tower(Random(args.seed),
+                                       smallest_field_with_root(args.p, 1),
+                                       args.p, N=N)
+    return _sweep_doc("delta-tower", args, sweeps.difference_tower, failures,
+                      {"p": args.p, "N": N})
 
 
 def _cmd_verify_quasi(args):
     if args.seed is None:
         raise ParabolicLabError("verify quasi-invariance needs --seed")
     _require(args, p=args.p, q=args.q)
-    field = standard_field(args.p, args.q)
-    rng = Random(args.seed)
-    failures = []
-    for i in range(QUASI_CASES):
-        f = random_parabolic_germ(rng, field, args.q, N=args.N)
-        h = random_coordinate_change(rng, field, f.n_trunc)
-        rep = check_quasi_invariance(f, h, n_max=args.nmax)
-        if not rep.ok:
-            failures.append({"case": i, "series": series_to_str(f.series),
-                             "change": series_to_str(h),
-                             "rows": rep.to_jsonable()["rows"]})
-    return _sweep_doc("quasi-invariance", args, QUASI_CASES, failures,
-                      {"p": args.p, "q": args.q, "n_max": args.nmax})
+    failures = sweeps.quasi_invariance(Random(args.seed),
+                                       standard_field(args.p, args.q), args.q,
+                                       n_max=args.nmax, N=args.N)
+    return _sweep_doc("quasi-invariance", args, sweeps.quasi_invariance,
+                      failures, {"p": args.p, "q": args.q, "n_max": args.nmax})
 
 
 def _cmd_bounds(args):

@@ -116,7 +116,8 @@ def _is_irreducible(coeffs, p):
 class FiniteField:
     """The field GF(p^d), doubling as the scalar-ring descriptor for series."""
 
-    __slots__ = ("p", "d", "modulus", "order", "_red_rows", "_npred", "_zero", "_one")
+    __slots__ = ("p", "d", "modulus", "order", "int64_len", "_red_rows",
+                 "_npred", "_zero", "_one")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -126,6 +127,11 @@ class FiniteField:
         self.p = p
         self.d = d
         self.order = p ** d
+        # Series products run on int64 arrays only while the shorter factor
+        # has at most this many terms: a coefficient of the product sums
+        # max(len, 2)*d coordinate products below (p-1)^2 before it is
+        # reduced (the 2 covers the 2d-1 terms of the x^k reduction).
+        self.int64_len = (2 ** 63 - 1) // (d * (p - 1) ** 2)
         if modulus is None:
             modulus = self._default_modulus(p, d)
         else:
@@ -602,14 +608,6 @@ class LaurentScalar:
         """Forget everything at or above exponent tprec."""
         tp = tprec if self.tprec is None else min(self.tprec, tprec)
         return _make_laurent(self.ring, self.v0, list(self.coeffs), tp)
-
-    def shift(self, k: int) -> "LaurentScalar":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            tp = None if self.tprec is None else self.tprec + k
-            return LaurentScalar(self.ring, 0, (), tp)
-        tp = None if self.tprec is None else self.tprec + k
-        return LaurentScalar(self.ring, self.v0 + k, self.coeffs, tp)
 
     def _coerce(self, other):
         if isinstance(other, LaurentScalar):

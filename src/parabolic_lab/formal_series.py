@@ -13,10 +13,12 @@ t-precision (this happens to quotients of exact polynomials).
 
 Composition is Horner's rule, multiplication is truncated convolution.  Over a
 finite field both run on int64 numpy arrays: coordinates of GF(p^d) elements
-form an (N, d) matrix, a product of series is d^2 integer convolutions followed
-by one reduction matmul (x^k -> power basis), and every intermediate fits int64
-with room to spare for the sizes this library targets.  Over Laurent rings the
-same algorithms run on scalar objects; those computations are desk scale.
+form an (N, d) matrix, and a product of series is d^2 integer convolutions
+followed by one reduction matmul (x^k -> power basis).  Every intermediate fits
+int64 while the shorter factor has at most `FiniteField.int64_len` terms;
+longer products (large p) run on the scalar kernels instead, which are exact
+for any p.  Over Laurent rings the same algorithms run on scalar objects;
+those computations are desk scale.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def _compose_arr(field, F, G, limit):
 
 
 # ---------------------------------------------------------------------------
-# generic scalar kernels (Laurent coefficients; also the oracle for the array
-# kernels in the test suite)
+# generic scalar kernels (Laurent coefficients and finite-field products too
+# long for int64; also the oracle for the array kernels in the test suite)
 
 def _gconv(ring, A, B, limit):
     if not A or not B:
@@ -130,6 +132,12 @@ def _gcompose(ring, F, G, limit):
 
 def _is_ff(ring):
     return isinstance(ring, FiniteField)
+
+
+def _int64_exact(ring, min_len):
+    """Whether the array kernels are exact for a product whose shorter
+    factor has min_len terms (see FiniteField.int64_len)."""
+    return _is_ff(ring) and max(min_len, 2) <= ring.int64_len
 
 
 class TruncatedSeries:
@@ -241,7 +249,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         self._check_ring(other)
         n = self._meet(other)
-        if _is_ff(self.ring):
+        if _int64_exact(self.ring, min(len(self.coeffs), len(other.coeffs))):
             arr = _conv_arr(self.ring, _pack(self.ring, self.coeffs),
                             _pack(self.ring, other.coeffs), n)
             return TruncatedSeries(self.ring, _unpack(self.ring, arr), n)
@@ -254,7 +262,8 @@ class TruncatedSeries:
         if inner.coeffs and not inner.coeffs[0].is_certified_zero():
             raise NonzeroConstantTerm("inner series has nonzero constant term")
         n = self._meet(inner)
-        if _is_ff(self.ring):
+        # every Horner step multiplies by the inner series
+        if _int64_exact(self.ring, len(inner.coeffs)):
             arr = _compose_arr(self.ring, _pack(self.ring, self.coeffs),
                                _pack(self.ring, inner.coeffs), n)
             return TruncatedSeries(self.ring, _unpack(self.ring, arr), n)

@@ -19,9 +19,7 @@ from parabolic_lab import (
     ParabolicGerm,
     ResitUndefined,
     UnboundedBound,
-    check_quasi_invariance,
     cycle_valuations,
-    delta_tower,
     identity,
     is_minimally_ramified,
     iterate_q_closed,
@@ -34,20 +32,17 @@ from parabolic_lab import (
     reduced_leading_pair,
     resit,
     root_of_unity,
-    semiconj_check,
     series,
     to_normal_form,
     verify_main_lemma,
 )
+from parabolic_lab import sweeps
 from parabolic_lab.cli import main as cli_main
 from parabolic_lab.samplers import (
     STANDARD_PAIRS,
-    random_coeff_tuple,
-    random_coordinate_change,
     random_minimal_polynomial_germ,
     random_parabolic_germ,
     random_polynomial_germ,
-    random_reduced_germ,
     standard_field,
 )
 
@@ -62,11 +57,12 @@ def test_c01_closed_form_iterates_sweep():
         field = standard_field(p, q)
         rng = Random(1000 + 10 * p + q)
         for n in (1, 2):
-            for _ in range(50):
-                a = random_coeff_tuple(rng, field)
-                rep = verify_main_lemma(p, q, n, a, field=field)
-                assert rep.ok, (p, q, n, a, rep.mismatch)
-                assert rep.window == ramification_lower_bound(p, q, n) + 2 * q + 1
+            failures = sweeps.main_lemma(rng, field, p, q, n, cases=50)
+            assert failures == [], (p, q, n)
+            # the window depends on (p, q, n) only, not on the coefficients
+            zero = field.zero()
+            rep = verify_main_lemma(p, q, n, (zero, zero), field=field)
+            assert rep.window == ramification_lower_bound(p, q, n) + 2 * q + 1
     assert time.monotonic() - start < 60.0
 
 
@@ -93,18 +89,13 @@ def test_c02_q_fold_iterate_closed_form():
 
 
 def test_c03_difference_tower_oracle():
-    # the p-step difference tower equals f^p - z, two independent routes
+    # the p-step difference tower equals f^p - z, two independent routes,
+    # on random series vanishing at 0 mod z^12
     for p in (2, 3, 5):
         field = standard_field(p, 1)
-        rng = Random(3000 + p)
-        for _ in range(100):
-            f = series(field,
-                       {1: field.one(),
-                        **{i: field.from_int(rng.randrange(p))
-                           for i in range(2, 7)}}, 12)
-            lhs = delta_tower(f, p)
-            rhs = f.iterate(p) - identity(field, 12)
-            assert (lhs - rhs).order() is None
+        failures = sweeps.difference_tower(Random(3000 + p), field, p, N=12,
+                                           cases=100)
+        assert failures == [], p
 
 
 def test_c04_jump_bound_and_monotonicity():
@@ -167,13 +158,11 @@ def test_c07_profile_quasi_invariance_under_conjugation():
     done = 0
     for p, q in STANDARD_PAIRS:
         field = standard_field(p, q)
-        rng = Random(7000 + 10 * p + q)
-        for _ in range(9 if (p, q) != (2, 1) else 5):
-            f = random_parabolic_germ(rng, field, q)
-            h = random_coordinate_change(rng, field, f.n_trunc)
-            rep = check_quasi_invariance(f, h, 1)
-            assert rep.ok, (p, q, rep.rows)
-            done += 1
+        cases = 9 if (p, q) != (2, 1) else 5
+        failures = sweeps.quasi_invariance(Random(7000 + 10 * p + q), field,
+                                           q, n_max=1, cases=cases)
+        assert failures == [], (p, q)
+        done += cases
     assert done == 50
 
 
@@ -254,12 +243,9 @@ def test_c11_power_map_semiconjugacy():
     # m in {q, q*p}
     for p, q in STANDARD_PAIRS:
         field = standard_field(p, q)
-        rng = Random(11000 + 10 * p + q)
-        for _ in range(50):
-            g = random_reduced_germ(rng, field, q, N=4 * q + 2)
-            for m in (q, q * p):
-                rep = semiconj_check(g, m)
-                assert rep.ok, (p, q, m, rep.mismatch)
+        failures = sweeps.semiconj(Random(11000 + 10 * p + q), field, p, q,
+                                   N=4 * q + 2, cases=50)
+        assert failures == [], (p, q)
 
 
 def test_c12_cli_golden_files(tmp_path):

@@ -1,8 +1,11 @@
 """Exit codes, document shapes, and byte-level determinism of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,6 +100,34 @@ def test_verify_sweeps_small(capsys):
     assert code == 0 and doc["ok"]
 
 
+def test_sweep_failure_reports_witnesses(capsys, monkeypatch):
+    from parabolic_lab import sweeps
+    monkeypatch.setattr(sweeps, "semiconj_check",
+                        lambda g, m: SimpleNamespace(ok=False, mismatch=5))
+    code, doc = run_json(["verify", "semiconj", "--p", "3", "--q", "2",
+                          "--seed", "7"], capsys)
+    assert code == 1
+    assert doc["ok"] is False
+    assert len(doc["failures"]) == 2 * doc["cases"]   # m = q and m = q*p
+    assert [w["case"] for w in doc["failures"][:4]] == [0, 0, 1, 1]
+    assert list(doc["failures"][0]) == ["case", "m", "series", "mismatch"]
+    assert doc["failures"][0]["mismatch"] == 5
+
+
+def test_run_sweeps_script_smoke():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_sweeps.py"),
+         "--cases", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert all(line.split()[-2] == "ok" for line in lines)
+
+
 def test_bounds_document(capsys):
     code, doc = run_json(["bounds", "--field", "Laurent(GF(3))", "--series",
                           "z + t*z^2 + z^3", "--n", "1"], capsys)
@@ -147,6 +178,14 @@ def test_exit_two_on_bad_input(capsys):
 
     code, doc = run_json(["minimal", "--field", "GF(3)"], capsys)
     assert code == 2
+
+    for mode in (["chi-xi", "--q", "1", "--n", "1"], ["iterate-q", "--q", "2"],
+                 ["ell", "--n", "2"]):
+        code, doc = run_json(["closed-form", "--mode", *mode, "--p", "3"],
+                             capsys)
+        assert code == 2
+        assert doc == {"error": "this command needs --coeffs",
+                       "kind": "ParabolicLabError"}
 
 
 def test_json_out_writes_the_same_bytes(tmp_path, capsys):

@@ -6,6 +6,7 @@ several tests below run both on the same data and demand agreement.
 """
 
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from parabolic_lab import (
     series,
     zero_series,
 )
-from parabolic_lab.formal_series import _gconv
+from parabolic_lab.formal_series import TruncatedSeries, _gcompose, _gconv
 
 
 F3 = FiniteField(3)
@@ -80,14 +81,58 @@ def test_composition_is_associative(a, b, c):
     assert (lhs - rhs).order() is None
 
 
-@given(a=rand_series(F3), b=rand_series(F3))
-@settings(max_examples=30, deadline=None)
-def test_generic_convolution_matches_packed_kernel(a, b):
-    n = a.n_trunc
-    fast = (a * b).coeffs
-    slow = _gconv(F3, a.coeffs, b.coeffs, n)
-    assert len(fast) == len(slow)
-    assert all(x == y for x, y in zip(fast, slow))
+# primes on both sides of the int64 limit: at 2^31 - 1 only two-term factors
+# fit, and at 3037000507 > sqrt(2^63) not even a single product does
+KERNEL_FIELDS = ([(p, 1) for p in (2, 3, 5, 65521, 2 ** 31 - 1, 3037000507)]
+                 + [(2, 2), (3, 2), (5, 2)])
+
+
+@lru_cache(maxsize=None)
+def _kernel_field(p, d):
+    return FiniteField(p, d)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(field, a, b, g): a and b to multiply, g vanishing at 0 to compose
+    into a; coordinates lean on 0, 1 and p - 1, the worst case for int64."""
+    F = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    p = F.p
+    n = draw(st.integers(1, 8))
+    n_trunc = draw(st.sampled_from([n, None]))
+    coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    elem = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
+
+    def operand(order_ge):
+        return draw(st.lists(elem, max_size=n).map(
+            lambda cs: series(F, {i: c for i, c in enumerate(cs)
+                                  if i >= order_ge}, n_trunc)))
+
+    return F, operand(0), operand(0), operand(1)
+
+
+@given(ops=kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_generic_convolution_matches_packed_kernel(ops):
+    # mul and compose against the scalar oracle, on both sides of int64_len
+    F, a, b, g = ops
+    n = a._meet(b)
+    assert a * b == TruncatedSeries(F, _gconv(F, a.coeffs, b.coeffs, n), n)
+    n = a._meet(g)
+    assert a.compose(g) == TruncatedSeries(
+        F, _gcompose(F, a.coeffs, g.coeffs, n), n)
+
+
+def test_products_past_the_int64_limit_stay_exact():
+    # (p-1)(1 + z + z^2 + ...) squared is 1 + 2z + 3z^2 + ... mod z^N; at
+    # N = 3 the z^2 coefficient sums 3(p-1)^2 > 2^63 for p = 2^31 - 1
+    for p in (2 ** 31 - 1, 3037000507):
+        F = _kernel_field(p, 1)
+        for N in (3, 4):
+            a = series(F, {i: F.from_int(-1) for i in range(N)}, N)
+            assert [c.coords[0] for c in (a * a).coeffs] == [1, 2, 3, 4][:N]
+    assert _kernel_field(2 ** 31 - 1, 1).int64_len == 2
+    assert _kernel_field(3037000507, 1).int64_len == 0
 
 
 def test_finite_field_and_laurent_kernels_agree():
