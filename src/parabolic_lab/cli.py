@@ -42,6 +42,7 @@ from .errors import (
 )
 from .formal_series import ParabolicGerm
 from .literals import (
+    fraction_to_str,
     index_to_jsonable,
     parse_field,
     parse_scalar,
@@ -222,7 +223,7 @@ def _cmd_verify_delta_tower(args):
     if args.seed is None:
         raise ParabolicLabError("verify delta-tower needs --seed")
     _require(args, p=args.p)
-    N = args.N or 12
+    N = 12 if args.N is None else args.N
     failures = sweeps.difference_tower(Random(args.seed),
                                        smallest_field_with_root(args.p, 1),
                                        args.p, N=N)
@@ -265,7 +266,7 @@ def _cmd_newton(args):
     pg = newton_polygon(poly)
     doc = pg.to_jsonable()
     doc["root_valuations"] = [
-        {"valuation": f"{v.numerator}/{v.denominator}", "count": c}
+        {"valuation": fraction_to_str(v), "count": c}
         for v, c in pg.root_valuations()]
     return doc, OK
 

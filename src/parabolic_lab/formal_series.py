@@ -327,24 +327,6 @@ class TruncatedSeries:
         n = None if self.n_trunc is None else max(self.n_trunc - 1, 1)
         return TruncatedSeries(self.ring, out, n)
 
-    def _recip(self, n: int) -> "TruncatedSeries":
-        """Multiplicative reciprocal modulo z^n (unit constant term)."""
-        u0 = self.coeff(0)
-        if not u0.is_certified_nonzero():
-            raise DivisionByZero("reciprocal of a series with non-unit constant term")
-        u0inv = u0.inverse()
-        w = [u0inv]
-        for k in range(1, n):
-            s = None
-            for j in range(1, k + 1):
-                uj = self.coeff(j)
-                if uj.is_certified_zero():
-                    continue
-                term = uj * w[k - j]
-                s = term if s is None else s + term
-            w.append(self.ring.zero() if s is None else -(u0inv * s))
-        return TruncatedSeries(self.ring, w, n)
-
     def inverse(self, n_trunc: int | None = None) -> "TruncatedSeries":
         """Compositional inverse, by Newton iteration on h -> h - (f(h)-z)/f'(h).
 
@@ -375,8 +357,8 @@ class TruncatedSeries:
             hp = TruncatedSeries(self.ring, h.coeffs, prec)
             err = self.compose(hp) - identity(self.ring, prec)
             dcomp = fprime.compose(hp)
-            rn = prec if dcomp.n_trunc is None else dcomp.n_trunc
-            recip = dcomp._recip(rn)
+            one = series(self.ring, {0: 1}, dcomp.n_trunc)
+            recip, _ = one.divide_exact(dcomp)
             # f' is only known one index short of f, but the correction term
             # err * recip has ord(err) >= 2, so the top coefficient of the
             # reciprocal never reaches indices below prec; pad the claim.
@@ -577,14 +559,7 @@ def reduce_and_wideg(f: TruncatedSeries):
     field = f.ring.field
     red = [c.residue() for c in f.coeffs]
     reduced = TruncatedSeries(field, red, f.n_trunc)
-    wideg = None
-    for i, c in enumerate(red):
-        if not c.is_zero():
-            wideg = i
-            break
-    else:
-        wideg = math.inf if f.n_trunc is None else None
-    return reduced, wideg
+    return reduced, reduced.order()
 
 
 class ParabolicGerm:

@@ -29,6 +29,11 @@ def ramification_lower_bound(p: int, q: int, n: int) -> int:
     return q * (p ** (n + 1) - 1) // (p - 1)
 
 
+def default_window(p: int, q: int, n_max: int = 2) -> int:
+    """A window wide enough to read the profile through level n_max."""
+    return ramification_lower_bound(p, q, n_max) + q + 1
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     """One level of the profile.
@@ -71,6 +76,25 @@ class RamificationProfile:
         }
 
 
+def _levels(s, q: int, p: int):
+    """Yield f^(q*p^n) - z for n = 0, 1, ...; each iterate is p more turns of
+    the one before, so the whole tower costs one iterate per level."""
+    cur = s.iterate(q)
+    while True:
+        yield cur - identity(cur.ring, cur.n_trunc)
+        cur = cur.iterate(p)
+
+
+def _jump(diff):
+    """(i, delta) read off an iterate difference f^m(z) - z: the jump and the
+    coefficient just above it, or (math.inf, None) for the exact zero and
+    (None, None) when the difference vanishes through its window."""
+    o = diff.order()
+    if o is None or o is math.inf:
+        return o, None
+    return o - 1, diff.coeff(o)
+
+
 def ramification_profile(f: ParabolicGerm, n_max: int = 2,
                          N: int | None = None) -> RamificationProfile:
     """Jumps and leading coefficients of f^(q*p^n) for n = 0..n_max.
@@ -87,31 +111,21 @@ def ramification_profile(f: ParabolicGerm, n_max: int = 2,
     q, p = f.q, f.char
     s = f.series
     if N is None:
-        N = s.n_trunc if s.n_trunc is not None else (
-            ramification_lower_bound(p, q, n_max) + q + 1)
+        N = s.n_trunc if s.n_trunc is not None else default_window(p, q, n_max)
     keep_exact = s.is_exact() and s.degree() <= 1
     work = s if keep_exact else s.truncate(N)
-    cur = work.iterate(q)
     entries = []
-    blocked = False
+    levels = _levels(work, q, p)
     for n in range(n_max + 1):
-        if blocked:
-            entries.append(ProfileEntry(n, None, None))
-            continue
-        if n > 0:
-            cur = cur.iterate(p)
-        diff = cur - identity(cur.ring, cur.n_trunc)
-        o = diff.order()
-        if o is None:
-            if n == 0:
-                raise TruncationTooSmall(
-                    f"f^q - z vanishes through the window z^{N}; raise N")
-            blocked = True
-            entries.append(ProfileEntry(n, None, None))
-        elif o is math.inf:
-            entries.append(ProfileEntry(n, math.inf, None))
-        else:
-            entries.append(ProfileEntry(n, o - 1, diff.coeff(o)))
+        i, delta = _jump(next(levels))
+        if i is None and n == 0:
+            raise TruncationTooSmall(
+                f"f^q - z vanishes through the window z^{N}; raise N")
+        entries.append(ProfileEntry(n, i, delta))
+        if i is None:
+            entries += [ProfileEntry(m, None, None)
+                        for m in range(n + 1, n_max + 1)]
+            break
     return RamificationProfile(q=q, N=work.n_trunc, entries=entries)
 
 
@@ -155,7 +169,7 @@ def is_minimally_ramified(f: ParabolicGerm, mode: str = "criterion",
     criterion mode evaluates the scalar test: i_0(f^q) = q, the iterative
     residue nonzero, and in characteristic two also different from one.
     definitional mode compares each jump up to n_max against the least
-    possible value; it needs a window of ramification_lower_bound(n_max)+q+1.
+    possible value; it needs a window of default_window(p, q, n_max).
     """
     if mode == "criterion":
         return _criterion_verdict(f)
@@ -189,7 +203,7 @@ def _criterion_verdict(f: ParabolicGerm) -> Verdict:
 def _definitional_verdict(f: ParabolicGerm, n_max: int,
                           N: int | None) -> Verdict:
     q, p = f.q, f.char
-    needed = ramification_lower_bound(p, q, n_max) + q + 1
+    needed = default_window(p, q, n_max)
     if N is None:
         N = f.n_trunc if f.n_trunc is not None else needed
     if N < needed:
@@ -232,8 +246,7 @@ def check_quasi_invariance(f: ParabolicGerm, h, n_max: int = 1,
     q, p = f.q, f.char
     if N is None:
         met = f.series._meet(h)
-        N = met if met is not None else (
-            ramification_lower_bound(p, q, n_max) + q + 1)
+        N = met if met is not None else default_window(p, q, n_max)
     fhat = f.conjugate(h, n_trunc=N)
     prof_f = ramification_profile(f, n_max, N)
     prof_c = ramification_profile(fhat, n_max, N)

@@ -23,18 +23,13 @@ from .coeff_rings import (
 from .errors import ParabolicLabError
 from .formal_series import ParabolicGerm, TruncatedSeries, series
 from .normal_form import normal_form_criterion, reduced_leading_pair
-from .ramification import ramification_lower_bound
+from .ramification import default_window
 
 STANDARD_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 4))
 
 
 def standard_field(p: int, q: int) -> FiniteField:
     return smallest_field_with_root(p, q)
-
-
-def default_window(p: int, q: int, n_max: int = 2) -> int:
-    """A window wide enough to read the profile through level n_max."""
-    return ramification_lower_bound(p, q, n_max) + q + 1
 
 
 def random_element(rng: Random, field: FiniteField):
@@ -66,6 +61,8 @@ def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
     p = field.p
     if N is None:
         N = default_window(p, q)
+    if N <= 2:
+        raise ParabolicLabError(f"window {N} leaves no room for a tail")
     gamma = root_of_unity(field, q)
     while True:
         entries = {e: random_element(rng, field) for e in range(2, N)}

@@ -15,6 +15,11 @@ valuation attains the bound v(delta_n/delta_(n-1)) / (q p^n), and whether the
 Weierstrass degree of the reduced quotient sits at its minimal possible value
 i_n - i_(n-1) + q p^n.  The two flags agree on every instance we have ever
 sampled; the test suite asserts exactly that.
+
+Both reports read their iterates f^(q p^n)(z) - z and jumps from one tower,
+the one ramification_profile walks: each level is p more turns of the level
+below it, so the level-n pair costs one tower up to n and nothing is iterated
+twice.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .coeff_rings import LaurentRing
 from .errors import (
@@ -40,7 +46,7 @@ from .formal_series import (
     reduce_and_wideg,
 )
 from .literals import fraction_to_str, index_to_jsonable
-from .ramification import ramification_lower_bound, resit
+from .ramification import _jump, _levels, ramification_lower_bound, resit
 
 
 # Largest window the equality-case check will compute for an exact input.
@@ -144,19 +150,17 @@ class BoundCertificate:
 def _level_zero_jump(f: ParabolicGerm):
     """(f^q - z, i_0, delta_0) with i_0 = q enforced."""
     q = f.q
-    s = f.series
-    diff = s.iterate(q) - identity(s.ring, s.n_trunc)
-    o = diff.order()
-    if o is math.inf:
+    diff = next(_levels(f.series, q, f.char))
+    i0, delta0 = _jump(diff)
+    if i0 is math.inf:
         raise ResitUndefined("f^q is the identity; there is no level-zero jump")
-    if o is None:
+    if i0 is None:
         if diff.n_trunc >= q + 2:
             raise ResitUndefined(f"i_0(f^q) exceeds q = {q}")
         raise TruncationTooSmall(f"the window does not reach z^{q + 1}")
-    i0 = o - 1
     if i0 != q:
         raise ResitUndefined(f"i_0(f^q) = {i0}; the bounds need i_0 = q = {q}")
-    return diff, i0, diff.coeff(i0 + 1)
+    return diff, i0, delta0
 
 
 def _wideg_verdict(wideg, expected: int, window: int | None):
@@ -218,14 +222,11 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
                 raise TruncationTooSmall(
                     f"deciding the equality case needs window {W}, "
                     f"over the budget {_EQUALITY_WINDOW_BUDGET}")
-            s = s.truncate(W)
-            num = s.iterate(q * p ** n) - identity(s.ring, W)
-            den = s.iterate(q * p ** (n - 1)) - identity(s.ring, W)
-            i_n, i_prev = num.order(), den.order()
+            den, num = islice(_levels(s.truncate(W), q, p), n - 1, n + 1)
+            i_n, _ = _jump(num)
+            i_prev, _ = _jump(den)
             if not (isinstance(i_n, int) and isinstance(i_prev, int)):
                 raise TruncationTooSmall("a jump index lies beyond the window")
-            i_n -= 1
-            i_prev -= 1
             details["i_n"] = i_n
             details["i_prev"] = i_prev
             expected = i_n - i_prev + q * p ** n
@@ -319,18 +320,16 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
         raise TruncationTooSmall(
             f"the iterate would reach degree {d ** m}, above the cap {N}")
 
-    num = s.iterate(m) - identity(s.ring, None)
     if n == 0:
+        num = next(_levels(s, q, p))
         den = identity(s.ring, None)
         i_prev, v_prev = 0, 0
     else:
-        den = s.iterate(m // p) - identity(s.ring, None)
-        op = den.order()
-        i_prev = op - 1
-        v_prev = den.coeff(op).valuation()
-    on = num.order()
-    i_n = on - 1
-    v_n = num.coeff(on).valuation()
+        den, num = islice(_levels(s, q, p), n - 1, n + 1)
+        i_prev, delta_prev = _jump(den)
+        v_prev = delta_prev.valuation()
+    i_n, delta_n = _jump(num)
+    v_n = delta_n.valuation()
     lemma_bound = Fraction(v_n - v_prev, m)
 
     quot, integral = num.divide_exact(den)

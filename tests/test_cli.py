@@ -187,6 +187,19 @@ def test_exit_two_on_bad_input(capsys):
         assert doc == {"error": "this command needs --coeffs",
                        "kind": "ParabolicLabError"}
 
+    # a window is taken as given: N = 0 is refused, not replaced by 12
+    code, doc = run_json(["verify", "delta-tower", "--p", "3", "--seed", "1",
+                          "--N", "0"], capsys)
+    assert code == 2
+    assert doc["kind"] == "ParabolicLabError"
+
+    # z^2 is the first tail term, so a window of 2 holds no germ to sample
+    code, doc = run_json(["verify", "quasi-invariance", "--p", "3", "--q", "1",
+                          "--seed", "1", "--N", "2"], capsys)
+    assert code == 2
+    assert doc == {"error": "window 2 leaves no room for a tail",
+                   "kind": "ParabolicLabError"}
+
 
 def test_json_out_writes_the_same_bytes(tmp_path, capsys):
     a = tmp_path / "a.json"

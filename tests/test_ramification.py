@@ -14,6 +14,7 @@ from parabolic_lab import (
     IndeterminateValuation,
     NotMinimallyRamifiedAtLevelZero,
     ParabolicGerm,
+    ParabolicLabError,
     check_quasi_invariance,
     identity,
     is_minimally_ramified,
@@ -22,8 +23,14 @@ from parabolic_lab import (
     ramification_lower_bound,
     ramification_profile,
     resit,
+    series,
 )
-from parabolic_lab.samplers import random_parabolic_germ, standard_field
+from parabolic_lab.ramification import _levels
+from parabolic_lab.samplers import (
+    random_integral_scalar,
+    random_parabolic_germ,
+    standard_field,
+)
 
 from conftest import germ
 
@@ -93,6 +100,44 @@ def test_profile_beyond_window_is_open(F3):
 def test_exact_linear_germ_has_infinite_jumps(F3):
     prof = ramification_profile(germ("2*z", F3), 1)
     assert [e.i for e in prof.entries] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (2, 3), (5, 4)])
+def test_levels_are_the_direct_iterates(p, q):
+    # GF(4) carries q = 3 and GF(5) carries q = 4
+    rng = Random(3100 + p * 10 + q)
+    field = standard_field(p, q)
+    for N in (q + 2, 8, 12):
+        f = random_parabolic_germ(rng, field, q, N=N)
+        s = f.series
+        levels = _levels(s, q, p)
+        for n in range(3):
+            assert next(levels) == s.iterate(q * p ** n) - identity(field, N)
+
+
+def test_levels_keep_t_precision(L3):
+    # the tower and binary powering compose in different orders; the
+    # O(t^k) bookkeeping must not depend on it
+    rng = Random(3200)
+    germs = [parse_series(text, L3) for text in (
+        "z + (t + t^2 + O(t^6))*z^2 + (1 + O(t^3))*z^3 mod z^12",
+        "z + t*z^2 + (1 + t^4 + O(t^7))*z^3 mod z^12")]
+    for N in (6, 9):
+        entries = {1: 1}
+        for e in range(2, N):
+            c = random_integral_scalar(rng, L3, 3)
+            entries[e] = c.clip(rng.randrange(2, 6)) if e % 2 else c
+        germs.append(series(L3, entries, N))
+    for s in germs:
+        levels = _levels(s, 1, 3)
+        for n in range(3):
+            assert next(levels) == s.iterate(3 ** n) - identity(L3, s.n_trunc)
+
+
+def test_parabolic_sampler_refuses_a_window_without_a_tail(F3):
+    for N in (1, 2):
+        with pytest.raises(ParabolicLabError, match="no room for a tail"):
+            random_parabolic_germ(Random(1), F3, 1, N=N)
 
 
 def test_resit_values(F3, L3):

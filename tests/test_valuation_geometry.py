@@ -204,6 +204,18 @@ def test_desk_cycle_report_period_three(L3):
     assert doc["cycle_points"] is None
 
 
+def _assert_same_equality_case(f, rep):
+    """The level-1 bound reads its jumps in a window, the cycle report on the
+    full iterates; wherever the window decides, both read the same tower."""
+    try:
+        bound = periodic_valuation_bound(f, 1)
+    except (UnboundedBound, ResitUndefined):
+        return
+    if bound.equality_condition_holds != "indeterminate":
+        assert bound.details["expected_wideg"] == rep.expected_wideg
+        assert bound.equality_condition_holds == rep.equality_condition_holds
+
+
 def test_cycle_soundness_on_sampled_polynomials(L3):
     # every strictly positive root valuation obeys the bound
     rng = Random(21)
@@ -218,6 +230,7 @@ def test_cycle_soundness_on_sampled_polynomials(L3):
             if val > 0:
                 assert val <= bound.bound_valuation
         assert rep.lemma_bound == bound.bound_valuation
+        _assert_same_equality_case(f, rep)
 
 
 def test_cycle_attained_flag_matches_equality_verdict(L3, L2):
@@ -230,6 +243,7 @@ def test_cycle_attained_flag_matches_equality_verdict(L3, L2):
                 rep = cycle_valuations(f, 1)
             except (UnboundedBound, ResitUndefined):
                 continue
+            _assert_same_equality_case(f, rep)
             if rep.equality_condition_holds == "indeterminate":
                 continue
             assert rep.attained == (rep.equality_condition_holds == "yes")
