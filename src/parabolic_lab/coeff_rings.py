@@ -44,14 +44,36 @@ from .errors import (
 DEFAULT_TPREC = 64
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017); larger n are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise ParabolicLabError(
+            f"cannot certify {n} prime: primality is decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
@@ -116,8 +138,8 @@ def _is_irreducible(coeffs, p):
 class FiniteField:
     """The field GF(p^d), doubling as the scalar-ring descriptor for series."""
 
-    __slots__ = ("p", "d", "modulus", "order", "int64_len", "_red_rows",
-                 "_npred", "_zero", "_one")
+    __slots__ = ("p", "d", "modulus", "order", "_red_rows", "_npred",
+                 "_zero", "_one")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -127,11 +149,6 @@ class FiniteField:
         self.p = p
         self.d = d
         self.order = p ** d
-        # Series products run on int64 arrays only while the shorter factor
-        # has at most this many terms: a coefficient of the product sums
-        # max(len, 2)*d coordinate products below (p-1)^2 before it is
-        # reduced (the 2 covers the 2d-1 terms of the x^k reduction).
-        self.int64_len = (2 ** 63 - 1) // (d * (p - 1) ** 2)
         if modulus is None:
             modulus = self._default_modulus(p, d)
         else:

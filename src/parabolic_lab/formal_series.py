@@ -11,14 +11,18 @@ Exactness in z is independent of exactness in t: an exact polynomial over a
 Laurent ring may carry coefficients that are themselves known only to finite
 t-precision (this happens to quotients of exact polynomials).
 
-Composition is Horner's rule, multiplication is truncated convolution.  Over a
-finite field both run on int64 numpy arrays: coordinates of GF(p^d) elements
-form an (N, d) matrix, and a product of series is d^2 integer convolutions
-followed by one reduction matmul (x^k -> power basis).  Every intermediate fits
-int64 while the shorter factor has at most `FiniteField.int64_len` terms;
-longer products (large p) run on the scalar kernels instead, which are exact
-for any p.  Over Laurent rings the same algorithms run on scalar objects;
-those computations are desk scale.
+Composition is Horner's rule, multiplication is truncated convolution, and
+both run on one kernel, `_kron_mul`: a series is packed into an integer
+array of shape (N, W, d) (z-rows, t-slots, coordinates over GF(p)), and a
+product of two arrays is a single Python big-integer multiply by Kronecker
+substitution.  Digits are sized from the operands, so the kernel is exact for
+every p.  Over GF(p^d) the array has one t-slot (W = 1).  Over GF(p^d)((t))
+the coefficients share one lowest exponent and each row carries its own
+t-precision; a product's rows take theirs by a min-plus rule and are clipped
+to it, which gives exactly what scalar LaurentScalar arithmetic would.
+Series still store coefficient objects: arrays are packed once per product
+or composition and unpacked once at its end.  Exact division and evaluation
+stay on the scalar objects.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import math
 
 import numpy as np
 
-from .coeff_rings import FieldElement, FiniteField, LaurentRing, LaurentScalar
+from .coeff_rings import (
+    FieldElement,
+    FiniteField,
+    LaurentRing,
+    LaurentScalar,
+    _make_laurent,
+)
 from .errors import (
     DivisionByZero,
     IndeterminateValuation,
@@ -47,97 +57,273 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# finite-field array kernels
+# the Kronecker kernel
+
+# Packed t-precision of an exact row: far above any t-exponent a series
+# carries, and far enough below the int64 limit that sums of two stay exact.
+# Packing refuses t-exponents and precisions of magnitude _EXPONENT_LIMIT or
+# more, so no sum along a Horner run can come near _EXACT / 2, the
+# threshold that reads as exact.
+_EXACT = 1 << 60
+_EXPONENT_LIMIT = 1 << 32
+
+
+def _coord_dtype(p):
+    """numpy dtype holding coordinates mod p and sums of two of them."""
+    return np.int64 if p < 1 << 62 else object
+
+
+def _digit_bytes(top):
+    """Bytes per digit for digits up to top: a numpy width while one fits."""
+    bits = top.bit_length()
+    return (1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32
+            else 8 if bits <= 64 else (bits + 7) // 8)
+
+
+def _to_int(M, S, X, nbytes):
+    """Pack an (n, W, d) array into one integer: entry (i, w, c) becomes the
+    digit (i*S + w)*X + c, each digit nbytes wide."""
+    n, W, d = M.shape
+    if nbytes > 8:
+        buf = np.zeros((n, S, X), dtype=object)
+        buf[:, :W, :d] = M
+        return int.from_bytes(b"".join(
+            int(v).to_bytes(nbytes, "little") for v in buf.ravel().tolist()),
+            "little")
+    if W == S and d == X:
+        return int.from_bytes(M.astype(f"<u{nbytes}").tobytes(), "little")
+    buf = np.zeros((n, S, X), dtype=f"<u{nbytes}")
+    buf[:, :W, :d] = M
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+def _from_int(field, x, rows, S, nbytes):
+    """The first rows*S slots of 2d - 1 digits of x, reduced to coordinates
+    over GF(p): an array of shape (rows, S, d)."""
+    p, d = field.p, field.d
+    X = 2 * d - 1
+    size = rows * S * X
+    raw = x.to_bytes(max(size * nbytes, (x.bit_length() + 7) // 8), "little")
+    if nbytes > 8:
+        C = np.array([int.from_bytes(raw[i:i + nbytes], "little") % p
+                      for i in range(0, size * nbytes, nbytes)], dtype=object)
+    else:
+        C = np.frombuffer(raw, dtype=f"<u{nbytes}", count=size) % p
+    C = C.astype(_coord_dtype(p)).reshape(rows, S, X)
+    if d == 1:
+        return C
+    # the x^k -> power basis reduction sums X products below p^2
+    red = field._npred
+    if X * (p - 1) ** 2 >= 1 << 63:
+        C, red = C.astype(object), red.astype(object)
+    return ((C @ red) % p).astype(_coord_dtype(p))
+
+
+def _kron_mul(field, A, B, limit):
+    """Product of two coefficient arrays by Kronecker substitution.
+
+    A and B have shape (n, W, d): row i is the coefficient of z^i, slot w of
+    a row its coefficient of t^w (W = 1 over a finite field), and the last
+    axis holds coordinates over GF(p) in [0, p).  Returns the product's rows
+    below `limit` (all of them for None), shape (rows, W_A + W_B - 1, d),
+    reduced mod p.
+
+    Each operand becomes one integer (_to_int) with S = W_A + W_B - 1 slots
+    per row and X = 2d - 1 digits per slot; digit (k*S + w)*X + c of the
+    product then collects exactly the terms x^c t^w z^k.  A digit sums at
+    most min(n_A, n_B)*min(W_A, W_B)*d products below p^2, and the digit
+    width holds that sum, so no digit carries into the next.
+    """
+    p, d = field.p, field.d
+    if limit is not None:
+        A, B = A[:limit], B[:limit]
+    (nA, WA, _), (nB, WB, _) = A.shape, B.shape
+    S, X = WA + WB - 1, 2 * d - 1
+    if nA == 0 or nB == 0:
+        return np.zeros((0, S, d), dtype=_coord_dtype(p))
+    rows = nA + nB - 1 if limit is None else min(nA + nB - 1, limit)
+    nbytes = _digit_bytes(min(nA, nB) * min(WA, WB) * d * (p - 1) ** 2)
+    return _from_int(field, _to_int(A, S, X, nbytes) * _to_int(B, S, X, nbytes),
+                     rows, S, nbytes)
+
+
+# Over a finite field a series packs to an (n, 1, d) array.
 
 def _pack(field, coeffs):
-    if not coeffs:
-        return np.zeros((0, field.d), dtype=np.int64)
-    return np.array([c.coords for c in coeffs], dtype=np.int64)
+    return np.array([c.coords for c in coeffs],
+                    dtype=_coord_dtype(field.p)).reshape(len(coeffs), 1, field.d)
+
 
 def _unpack(field, arr):
-    return tuple(FieldElement(field, tuple(int(v) for v in row)) for row in arr)
+    return tuple(FieldElement(field, tuple(row)) for row in arr[:, 0].tolist())
 
-def _conv_arr(field, A, B, limit):
-    p, d = field.p, field.d
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, d), dtype=np.int64)
-    if d == 1:
-        c = np.convolve(A[:, 0], B[:, 0])
+
+def _compose_ff(field, F, G, limit):
+    """Horner evaluation of F at G (constant term of G zero).
+
+    Each step is _kron_mul's product with the constant term added before the
+    digits are read back: G is packed once, with digits wide enough for every
+    step, and a row of F goes in as a plain integer, since G's zero constant
+    term leaves the digits of the product's row 0 empty.
+    """
+    if limit is not None:
+        G = G[:limit]
+    n, nG = F.shape[0], G.shape[0]
+    if n == 0 or nG == 0:
+        return F[:1]
+    X = 2 * field.d - 1
+    nbytes = _digit_bytes(nG * field.d * (field.p - 1) ** 2)
+    g = _to_int(G, 1, X, nbytes)
+    shift = 8 * nbytes
+    consts = [sum(v << (shift * c) for c, v in enumerate(row[0]))
+              for row in F.tolist()]
+    R = F[-1:]
+    for i in range(n - 2, -1, -1):
+        rows = R.shape[0] + nG - 1
         if limit is not None:
-            c = c[:limit]
-        return (c % p)[:, None]
-    full = A.shape[0] + B.shape[0] - 1
-    out_len = full if limit is None else min(full, limit)
-    big = np.zeros((out_len, 2 * d - 1), dtype=np.int64)
-    for i in range(d):
-        ai = A[:, i]
-        if not ai.any():
-            continue
-        for j in range(d):
-            bj = B[:, j]
-            if not bj.any():
-                continue
-            c = np.convolve(ai, bj)
-            big[:, i + j] += c[:out_len]
-    big %= p
-    return (big @ field._npred) % p
-
-def _compose_arr(field, F, G, limit):
-    """Horner evaluation of F at G (constant term of G must be zero)."""
-    p = field.p
-    if F.shape[0] == 0:
-        return F
-    R = F[-1:].copy()
-    for i in range(F.shape[0] - 2, -1, -1):
-        R = _conv_arr(field, R, G, limit)
-        if R.shape[0] == 0:
-            R = np.zeros((1, field.d), dtype=np.int64)
-        R[0] = (R[0] + F[i]) % p
+            rows = min(rows, limit)
+        R = _from_int(field, _to_int(R, 1, X, nbytes) * g + consts[i],
+                      rows, 1, nbytes)
     return R
 
 
-# ---------------------------------------------------------------------------
-# generic scalar kernels (Laurent coefficients and finite-field products too
-# long for int64; also the oracle for the array kernels in the test suite)
+# Over GF(p^d)((t)) a series packs to (M, base, tp): coefficient i is
+# sum_w M[i, w]*t^(base + w), known below t^tp[i] (_EXACT when exact).  Rows
+# are clipped, so no slot at or above a row's precision is nonzero.
 
-def _gconv(ring, A, B, limit):
-    if not A or not B:
-        return []
-    full = len(A) + len(B) - 1
-    out_len = full if limit is None else min(full, limit)
-    acc = [ring.zero()] * out_len
-    for i, a in enumerate(A):
-        if i >= out_len:
-            break
-        if a.is_certified_zero():
+def _pack_laurent(ring, coeffs):
+    field = ring.field
+    live = [c for c in coeffs if c.coeffs]
+    base = min((c.v0 for c in live), default=0)
+    top = max((c.v0 + len(c.coeffs) for c in live), default=base + 1)
+    precs = [c.tprec for c in coeffs if c.tprec is not None]
+    if max(abs(e) for e in (base, top, *precs)) >= _EXPONENT_LIMIT:
+        raise ParabolicLabError(
+            "t-exponents must stay below 2^32 in magnitude in series "
+            "products and compositions")
+    M = np.zeros((len(coeffs), top - base, field.d),
+                 dtype=_coord_dtype(field.p))
+    for i, c in enumerate(coeffs):
+        if c.coeffs:
+            M[i, c.v0 - base:c.v0 - base + len(c.coeffs)] = [
+                e.coords for e in c.coeffs]
+    tp = np.array([_EXACT if c.tprec is None else c.tprec for c in coeffs],
+                  dtype=np.int64)
+    return M, base, tp
+
+
+def _unpack_laurent(ring, R):
+    M, base, tp = R
+    field = ring.field
+    live = M.any(axis=2)
+    out = []
+    for row, mask, t in zip(M.tolist(), live, tp.tolist()):
+        t = None if t >= _EXACT else t
+        if not mask.any():
+            out.append(LaurentScalar(ring, 0, (), t))
             continue
-        for j, b in enumerate(B):
-            k = i + j
-            if k >= out_len:
-                break
-            acc[k] = acc[k] + a * b
-    return acc
+        lo = int(mask.argmax())
+        hi = len(mask) - int(mask[::-1].argmax())
+        out.append(_make_laurent(ring, base + lo, [
+            FieldElement(field, tuple(c)) for c in row[lo:hi]], t))
+    return out
 
-def _gcompose(ring, F, G, limit):
-    if not F:
-        return []
-    R = [F[-1]]
-    for i in range(len(F) - 2, -1, -1):
-        R = _gconv(ring, R, G, limit)
-        if not R:
-            R = [ring.zero()]
-        R[0] = R[0] + F[i]
+
+def _lowest(R):
+    """Per row: the first nonzero t-exponent, else the row's precision (a
+    zero known to O(t^k) has valuation at least k; an exact zero, _EXACT)."""
+    M, base, tp = R
+    live = M.any(axis=2)
+    return np.where(live.any(axis=1), base + live.argmax(axis=1), tp)
+
+
+# Entries per block of the min-plus matrix in _antidiagonal_min: a Horner
+# step over exact polynomials can pair thousands of rows with thousands.
+_MINPLUS_CELLS = 1 << 18
+
+
+def _antidiagonal_min(tA, vA, tB, vB):
+    """For each k, the least min(tA[i] + vB[j], vA[i] + tB[j]) over
+    i + j = k.  Each block of rows of A becomes a matrix whose row r is
+    shifted right by r (padding _EXACT), so anti-diagonals become columns;
+    blocks of about _MINPLUS_CELLS entries keep the memory linear."""
+    nA, nB = len(tA), len(tB)
+    out = np.full(nA + nB - 1, _EXACT, dtype=np.int64)
+    step = max(1, _MINPLUS_CELLS // (nA + nB))
+    for i in range(0, nA, step):
+        r = min(step, nA - i)
+        Z = np.full((r, nB + r), _EXACT, dtype=np.int64)
+        Z[:, :nB] = np.minimum(tA[i:i + r, None] + vB[None, :],
+                               vA[i:i + r, None] + tB[None, :])
+        L = nB + r - 1
+        np.minimum(out[i:i + L], Z.ravel()[:r * L].reshape(r, L).min(axis=0),
+                   out=out[i:i + L])
+    return out
+
+
+def _mul_laurent(field, A, B, limit):
+    """Packed product of two Laurent series, with per-row t-precision.
+
+    A product of coefficients a*b is known below
+    min(tprec(a) + v(b), tprec(b) + v(a)), v being a valuation lower bound;
+    a sum, below the least precision of its terms.  Exact zero factors add
+    nothing: their _EXACT entries keep the sum at or above _EXACT / 2, which
+    reads as exact again.
+    """
+    (MA, bA, tA), (MB, bB, tB) = A, B
+    if limit is not None:
+        MA, tA, MB, tB = MA[:limit], tA[:limit], MB[:limit], tB[:limit]
+    vA, vB = _lowest((MA, bA, tA)), _lowest((MB, bB, tB))
+    M = _kron_mul(field, MA, MB, limit)
+    rows = M.shape[0]
+    if rows == 0:
+        return M, 0, np.zeros(0, dtype=np.int64)
+    tp = _antidiagonal_min(tA, vA, tB, vB)[:rows]
+    tp[tp >= _EXACT // 2] = _EXACT
+    base = bA + bB
+    M[np.arange(M.shape[1])[None, :] >= (tp - base)[:, None]] = 0
+    live = M.any(axis=(0, 2))
+    if not live.any():
+        return M[:, :1], base, tp
+    lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
+    return M[:, lo:hi], base + lo, tp
+
+
+def _add_to_row0(field, R, F, i):
+    """R with row i of F added to its row 0 (the Horner step's constant)."""
+    (M, base, tp), (MF, bF, tF) = R, F
+    if MF[i].any():
+        W, WF = M.shape[1], MF.shape[1]
+        lo, hi = min(base, bF), max(base + W, bF + WF)
+        if lo < base or hi > base + W:
+            grown = np.zeros((M.shape[0], hi - lo, M.shape[2]), dtype=M.dtype)
+            grown[:, base - lo:base - lo + W] = M
+            M, base = grown, lo
+        M[0, bF - base:bF - base + WF] += MF[i]
+        M[0] %= field.p
+    tp[0] = min(tp[0], tF[i])
+    if tp[0] < _EXACT:
+        M[0, max(tp[0] - base, 0):] = 0
+    return M, base, tp
+
+
+def _compose_laurent(field, F, G, limit):
+    """Horner evaluation of packed F at packed G (constant term of G zero)."""
+    MF, bF, tF = F
+    if MF.shape[0] == 0:
+        return F
+    R = (MF[-1:].copy(), bF, tF[-1:].copy())
+    for i in range(MF.shape[0] - 2, -1, -1):
+        R = _mul_laurent(field, R, G, limit)
+        if R[0].shape[0] == 0:
+            R = (np.zeros((1, 1, field.d), dtype=MF.dtype), 0,
+                 np.array([_EXACT], dtype=np.int64))
+        R = _add_to_row0(field, R, F, i)
     return R
 
 
 def _is_ff(ring):
     return isinstance(ring, FiniteField)
-
-
-def _int64_exact(ring, min_len):
-    """Whether the array kernels are exact for a product whose shorter
-    factor has min_len terms (see FiniteField.int64_len)."""
-    return _is_ff(ring) and max(min_len, 2) <= ring.int64_len
 
 
 class TruncatedSeries:
@@ -249,12 +435,14 @@ class TruncatedSeries:
     def __mul__(self, other):
         self._check_ring(other)
         n = self._meet(other)
-        if _int64_exact(self.ring, min(len(self.coeffs), len(other.coeffs))):
-            arr = _conv_arr(self.ring, _pack(self.ring, self.coeffs),
-                            _pack(self.ring, other.coeffs), n)
-            return TruncatedSeries(self.ring, _unpack(self.ring, arr), n)
-        return TruncatedSeries(
-            self.ring, _gconv(self.ring, self.coeffs, other.coeffs, n), n)
+        ring = self.ring
+        if _is_ff(ring):
+            arr = _kron_mul(ring, _pack(ring, self.coeffs),
+                            _pack(ring, other.coeffs), n)
+            return TruncatedSeries(ring, _unpack(ring, arr), n)
+        R = _mul_laurent(ring.field, _pack_laurent(ring, self.coeffs),
+                         _pack_laurent(ring, other.coeffs), n)
+        return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); the inner series must vanish at 0."""
@@ -262,13 +450,14 @@ class TruncatedSeries:
         if inner.coeffs and not inner.coeffs[0].is_certified_zero():
             raise NonzeroConstantTerm("inner series has nonzero constant term")
         n = self._meet(inner)
-        # every Horner step multiplies by the inner series
-        if _int64_exact(self.ring, len(inner.coeffs)):
-            arr = _compose_arr(self.ring, _pack(self.ring, self.coeffs),
-                               _pack(self.ring, inner.coeffs), n)
-            return TruncatedSeries(self.ring, _unpack(self.ring, arr), n)
-        return TruncatedSeries(
-            self.ring, _gcompose(self.ring, self.coeffs, inner.coeffs, n), n)
+        ring = self.ring
+        if _is_ff(ring):
+            arr = _compose_ff(ring, _pack(ring, self.coeffs),
+                              _pack(ring, inner.coeffs), n)
+            return TruncatedSeries(ring, _unpack(ring, arr), n)
+        R = _compose_laurent(ring.field, _pack_laurent(ring, self.coeffs),
+                             _pack_laurent(ring, inner.coeffs), n)
+        return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
 
     def iterate(self, m: int) -> "TruncatedSeries":
         """m-fold compositional iterate, by binary powering.

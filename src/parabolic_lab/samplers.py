@@ -50,6 +50,8 @@ def random_coeff_tuple(rng: Random, field: FiniteField, k: int = 2):
 def random_vanishing_series(rng: Random, field: FiniteField,
                             N: int) -> TruncatedSeries:
     """Any series with f(0) = 0; the linear term may be zero or non-unit."""
+    if N < 2:
+        raise ParabolicLabError(f"window {N} leaves no room for a nonzero term")
     entries = {e: random_element(rng, field) for e in range(1, N)}
     return series(field, entries, N)
 

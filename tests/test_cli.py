@@ -193,6 +193,19 @@ def test_exit_two_on_bad_input(capsys):
     assert code == 2
     assert doc["kind"] == "ParabolicLabError"
 
+    # modulo z^1 every series vanishing at 0 is zero: nothing to check
+    code, doc = run_json(["verify", "delta-tower", "--p", "3", "--seed", "1",
+                          "--N", "1"], capsys)
+    assert code == 2
+    assert doc == {"error": "window 1 leaves no room for a nonzero term",
+                   "kind": "ParabolicLabError"}
+
+    # primality is certified only below 3.3e24; larger p are refused at once
+    code, doc = run_json(["ramify", "--field", "GF(3317044064679887385961983)",
+                          "--series", "z + z^2"], capsys)
+    assert code == 2
+    assert doc["kind"] == "ParabolicLabError"
+
     # z^2 is the first tail term, so a window of 2 holds no germ to sample
     code, doc = run_json(["verify", "quasi-invariance", "--p", "3", "--q", "1",
                           "--seed", "1", "--N", "2"], capsys)

@@ -1,7 +1,10 @@
 """Field and Laurent-scalar arithmetic, plus the root-of-unity helpers."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import isprime
 
 from parabolic_lab import (
     CompositeP,
@@ -18,6 +21,8 @@ from parabolic_lab import (
     root_of_unity,
     smallest_field_with_root,
 )
+from parabolic_lab.coeff_rings import _MR_LIMIT, _is_prime
+from parabolic_lab.errors import ParabolicLabError
 
 
 FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5),
@@ -35,6 +40,22 @@ def test_construction_rejects_composite_characteristic():
         FiniteField(4)
     with pytest.raises(CompositeP):
         FiniteField(1)
+
+
+def test_primality_matches_sympy():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7 at once
+    rng = Random(5)
+    cases = (list(range(2000)) + [3215031751, 2 ** 31 - 1, 3037000507,
+                                  2 ** 61 - 1, _MR_LIMIT - 2, _MR_LIMIT - 1]
+             + [rng.randrange(2 ** 81) for _ in range(300)]
+             + [rng.randrange(2 ** 40) | 1 for _ in range(300)])
+    for n in cases:
+        assert _is_prime(n) == isprime(n), n
+    assert not _is_prime(3215031751)
+    FiniteField(2 ** 61 - 1)
+    for n in (_MR_LIMIT, _MR_LIMIT + 2, 2 ** 89 - 1):
+        with pytest.raises(ParabolicLabError, match="cannot certify"):
+            FiniteField(n)
 
 
 def test_construction_rejects_reducible_modulus():

@@ -1,12 +1,13 @@
 """Truncated series arithmetic: ring laws, composition, iteration, division.
 
-The multiplication/composition kernels have two implementations (packed
-int64 arrays over finite fields, generic coefficient loops otherwise);
-several tests below run both on the same data and demand agreement.
+Products and compositions run on one packed Kronecker kernel, over finite
+fields and over Laurent rings alike; the tests below run the scalar loops of
+`series_oracle` on the same data and demand identical results.
 """
 
 import math
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,9 @@ from parabolic_lab import (
     NotDivisible,
     NotParabolic,
     ParabolicGerm,
+    ParabolicLabError,
+    coeff_rings,
+    formal_series,
     identity,
     monomial,
     parse_series,
@@ -26,7 +30,8 @@ from parabolic_lab import (
     series,
     zero_series,
 )
-from parabolic_lab.formal_series import TruncatedSeries, _gcompose, _gconv
+from parabolic_lab.formal_series import TruncatedSeries
+from series_oracle import _gcompose, _gconv
 
 
 F3 = FiniteField(3)
@@ -81,10 +86,14 @@ def test_composition_is_associative(a, b, c):
     assert (lhs - rhs).order() is None
 
 
-# primes on both sides of the int64 limit: at 2^31 - 1 only two-term factors
-# fit, and at 3037000507 > sqrt(2^63) not even a single product does
-KERNEL_FIELDS = ([(p, 1) for p in (2, 3, 5, 65521, 2 ** 31 - 1, 3037000507)]
+# primes on both sides of 64-bit digits: from 2^31 - 1 up, a digit of the
+# packed product can pass 2^64, 3037000507 > sqrt(2^63), and coordinates
+# mod 2^64 + 13 no longer fit int64 themselves
+KERNEL_FIELDS = ([(p, 1) for p in (2, 3, 5, 65521, 2 ** 31 - 1, 3037000507,
+                                   2 ** 61 - 1, 2 ** 64 + 13)]
                  + [(2, 2), (3, 2), (5, 2)])
+# residue fields of the Laurent operands: GF(2), GF(3), GF(4), GF(5)
+LAURENT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -93,37 +102,69 @@ def _kernel_field(p, d):
 
 
 @st.composite
+def laurent_scalar(draw, ring):
+    """An exact zero, a zero known to O(t^k), or a few terms from t^v0 up
+    (v0 may be negative), exact or known to a precision that may clip them."""
+    F = ring.field
+    kind = draw(st.sampled_from(["zero", "O(t^k)", "exact", "truncated"]))
+    v0 = draw(st.integers(-3, 4))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "O(t^k)":
+        return ring.element({}, v0)
+    coord = st.integers(0, F.p - 1)
+    cs = draw(st.lists(st.lists(coord, min_size=F.d, max_size=F.d),
+                       min_size=1, max_size=5))
+    pairs = {v0 + i: F.element(c) for i, c in enumerate(cs)}
+    slack = draw(st.integers(-2, 3))
+    return ring.element(pairs, None if kind == "exact" else v0 + len(cs) + slack)
+
+
+@st.composite
 def kernel_operands(draw):
-    """(field, a, b, g): a and b to multiply, g vanishing at 0 to compose
-    into a; coordinates lean on 0, 1 and p - 1, the worst case for int64."""
-    F = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
-    p = F.p
+    """(ring, a, b, g): a and b to multiply, g vanishing at 0 to compose into
+    a.  Over a finite field, coordinates lean on 0, 1 and p - 1, the largest
+    digits; over a Laurent ring, coefficients carry their own t-precision."""
+    if draw(st.booleans()):
+        ring = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+        p = ring.p
+        coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        scalar = st.lists(coord, min_size=ring.d, max_size=ring.d).map(
+            ring.element)
+    else:
+        ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
+        scalar = laurent_scalar(ring)
     n = draw(st.integers(1, 8))
-    n_trunc = draw(st.sampled_from([n, None]))
-    coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
-    elem = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
 
     def operand(order_ge):
-        return draw(st.lists(elem, max_size=n).map(
-            lambda cs: series(F, {i: c for i, c in enumerate(cs)
-                                  if i >= order_ge}, n_trunc)))
+        n_trunc = draw(st.sampled_from([n, None]))
+        return draw(st.lists(scalar, max_size=n).map(
+            lambda cs: series(ring, {i: c for i, c in enumerate(cs)
+                                     if i >= order_ge}, n_trunc)))
 
-    return F, operand(0), operand(0), operand(1)
+    return ring, operand(0), operand(0), operand(1)
 
 
 @given(ops=kernel_operands())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_generic_convolution_matches_packed_kernel(ops):
-    # mul and compose against the scalar oracle, on both sides of int64_len
-    F, a, b, g = ops
-    n = a._meet(b)
-    assert a * b == TruncatedSeries(F, _gconv(F, a.coeffs, b.coeffs, n), n)
-    n = a._meet(g)
-    assert a.compose(g) == TruncatedSeries(
-        F, _gcompose(F, a.coeffs, g.coeffs, n), n)
+    # mul and compose against the scalar oracle, coefficient by coefficient
+    # and precision by precision; Laurent precisions once more with the
+    # min-plus matrix cut into blocks of a single row
+    ring, a, b, g = ops
+    mul_n, comp_n = a._meet(b), a._meet(g)
+    prod = TruncatedSeries(ring, _gconv(ring, a.coeffs, b.coeffs, mul_n), mul_n)
+    comp = TruncatedSeries(
+        ring, _gcompose(ring, a.coeffs, g.coeffs, comp_n), comp_n)
+    assert a * b == prod
+    assert a.compose(g) == comp
+    if isinstance(ring, LaurentRing):
+        with patch.object(formal_series, "_MINPLUS_CELLS", 1):
+            assert a * b == prod
+            assert a.compose(g) == comp
 
 
-def test_products_past_the_int64_limit_stay_exact():
+def test_products_past_the_int64_limit_stay_exact(monkeypatch):
     # (p-1)(1 + z + z^2 + ...) squared is 1 + 2z + 3z^2 + ... mod z^N; at
     # N = 3 the z^2 coefficient sums 3(p-1)^2 > 2^63 for p = 2^31 - 1
     for p in (2 ** 31 - 1, 3037000507):
@@ -131,8 +172,27 @@ def test_products_past_the_int64_limit_stay_exact():
         for N in (3, 4):
             a = series(F, {i: F.from_int(-1) for i in range(N)}, N)
             assert [c.coords[0] for c in (a * a).coeffs] == [1, 2, 3, 4][:N]
-    assert _kernel_field(2 ** 31 - 1, 1).int64_len == 2
-    assert _kernel_field(3037000507, 1).int64_len == 0
+    # over GF(p^2), p = 2^61 - 1, even the x^k reduction passes 2^63.  x^2 - 3
+    # is irreducible (p = 7 mod 12, so 3 is a non-residue); the trial
+    # division that would confirm it takes p steps, so it is skipped here.
+    monkeypatch.setattr(coeff_rings, "_is_irreducible", lambda coeffs, p: True)
+    F = FiniteField(2 ** 61 - 1, 2, modulus=(-3, 0, 1))
+    a = series(F, {i: F.element((-1, -1 - i)) for i in range(4)}, 4)
+    g = series(F, {1: F.element((-1, 0)), 2: F.element((0, -1))}, 4)
+    assert a * a == TruncatedSeries(F, _gconv(F, a.coeffs, a.coeffs, 4), 4)
+    assert a.compose(g) == TruncatedSeries(F, _gcompose(F, a.coeffs, g.coeffs, 4), 4)
+
+
+def test_packed_laurent_precision_never_reads_as_exact():
+    # packed precisions sit far below the "exact" sentinel: an exponent just
+    # inside the packed range keeps its O(t^k), one at 2^32 is refused
+    ring = LaurentRing(F3)
+    b = series(ring, {0: ring.element({0: 1}, 64)}, None)
+    a = series(ring, {0: ring.t(2 ** 32 - 65)}, None)
+    assert (a * b).coeff(0) == ring.element({2 ** 32 - 65: 1}, 2 ** 32 - 1)
+    for c in (ring.t(2 ** 32), ring.t(-2 ** 32), ring.element({}, 10 ** 19)):
+        with pytest.raises(ParabolicLabError, match="2\\^32"):
+            series(ring, {0: c}, None) * b
 
 
 def test_finite_field_and_laurent_kernels_agree():
