@@ -25,7 +25,9 @@ slopes and bounds appear).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -55,6 +57,12 @@ def _is_prime(n: int) -> bool:
     if n >= _MR_LIMIT:
         raise ParabolicLabError(
             f"cannot certify {n} prime: primality is decided below {_MR_LIMIT}")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES: the answer below _MR_LIMIT, and
+    above it a certificate of compositeness whenever False."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -77,19 +85,92 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
+# Rho gives up after _RHO_STEPS steps of one walk; it starts another only
+# when a walk closes modulo every factor at once.  A composite below
+# _MR_LIMIT has a prime factor below 2^41, which takes about 2^21 steps.
+_RHO_STEPS = 1 << 23
+
+
+@functools.cache
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n, ascending.
+
+    Trial division below 1000, then Pollard rho on what is left.  Every
+    factor is certified prime by Miller-Rabin below _MR_LIMIT; a cofactor
+    above it that the bases cannot show composite is refused, never assumed
+    prime.
+    """
+    out = set()
+    for k in range(2, 1000):
+        if n % k == 0:  # a prime: every smaller factor is divided out
+            out.add(k)
             while n % k == 0:
                 n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if not _strong_probable_prime(m):
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+        elif m < _MR_LIMIT:
+            out.add(m)
+        else:
+            raise ParabolicLabError(
+                f"cannot factor {m}: primality is decided below {_MR_LIMIT}")
+    return tuple(sorted(out))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n: Pollard's rho on x -> x^2 + c
+    with Brent's cycle search (Brent, BIT 20, 1980), for c = 1, 2, 3."""
+    for c in (1, 2, 3):
+        x = y = 2
+        for k in range(1, _RHO_STEPS):
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            if g == n:
+                break  # the walk closed modulo every factor at once
+            if g > 1:
+                return g
+            if k & (k - 1) == 0:
+                x = y
+        else:
+            break
+    raise ParabolicLabError(f"Pollard rho did not split the composite {n}")
+
+
+def _square_and_multiply(x, n: int, op, one):
+    """x^n for n >= 0 under an associative op, one standing for x^0.
+
+    The product starts from the first factor itself, never from one, so a
+    power of two costs only its squarings.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else op(result, x)
+        n >>= 1
+        if n:
+            x = op(x, x)
+    return one if result is None else result
+
+
+def _series_quotient(num, den, den0_inv, zero, length: int) -> list:
+    """The first `length` coefficients of the power series num/den, from the
+    bottom: q_k = (num_k - sum_(j<k) q_j*den_(k-j)) * den0_inv.
+
+    num and den are coefficient sequences (missing entries are zero) and
+    den0_inv is the inverse of den[0].
+    """
+    qc = []
+    for k in range(length):
+        acc = num[k] if k < len(num) else zero
+        for j in range(max(0, k - len(den) + 1), k):
+            dk = den[k - j]
+            if not dk.is_certified_zero():
+                acc = acc - qc[j] * dk
+        qc.append(acc * den0_inv)
+    return qc
 
 
 # Polynomials over F_p as little-endian int lists, used only for modulus checks.
@@ -332,14 +413,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, operator.mul, self.field.one())
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -465,8 +539,8 @@ def half_scalar(ring, m: int):
 class LaurentRing:
     """Descriptor for GF(p^d)((t)) as a coefficient ring for series.
 
-    tprec is the default absolute t-precision used when an inversion has to
-    expand a geometric series; individual calls can override it.
+    tprec is the relative t-precision to which an inversion expands a
+    geometric series when the input does not limit it.
     """
 
     __slots__ = ("field", "tprec")
@@ -612,15 +686,6 @@ class LaurentScalar:
             return self.field.zero()
         return self.coeffs[0]
 
-    def coefficient(self, exp: int) -> FieldElement:
-        """Stored coefficient of t^exp (zero when certified)."""
-        if self.tprec is not None and exp >= self.tprec:
-            raise IndeterminateValuation(f"t^{exp} beyond precision O(t^{self.tprec})")
-        i = exp - self.v0
-        if not self.coeffs or i < 0 or i >= len(self.coeffs):
-            return self.field.zero()
-        return self.coeffs[i]
-
     def clip(self, tprec: int) -> "LaurentScalar":
         """Forget everything at or above exponent tprec."""
         tp = tprec if self.tprec is None else min(self.tprec, tprec)
@@ -703,12 +768,12 @@ class LaurentScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self, tprec: int | None = None) -> "LaurentScalar":
+    def inverse(self) -> "LaurentScalar":
         """Multiplicative inverse.
 
         The result is exact only for monomials; otherwise the geometric series
-        is expanded to the best precision supported by the input, capped by the
-        requested absolute precision (default: the ring's working precision).
+        is expanded to the relative precision the input supports, or to the
+        ring's working precision when the input is exact.
         """
         if not self.coeffs:
             if self.tprec is None:
@@ -716,28 +781,12 @@ class LaurentScalar:
             raise IndeterminateValuation(
                 f"inverse of a zero known only to O(t^{self.tprec})")
         v = self.v0
-        if self.tprec is None and len(self.coeffs) == 1 and tprec is None:
+        if self.tprec is None and len(self.coeffs) == 1:
             return LaurentScalar(self.ring, -v, (self.coeffs[0].inverse(),), None)
-        rels = []
-        if self.tprec is not None:
-            rels.append(self.tprec - v)
-        if tprec is not None:
-            rels.append(tprec + v)
-        r = min(rels) if rels else self.ring.tprec
-        if r <= 0:
-            return LaurentScalar(self.ring, 0, (), -v + r)
-        u = list(self.coeffs[:r])
-        u += [self.field.zero()] * (r - len(u))
-        u0inv = u[0].inverse()
-        w = [self.field.zero()] * r
-        w[0] = u0inv
-        for k in range(1, r):
-            s = self.field.zero()
-            for j in range(1, k + 1):
-                if u[j].is_zero():
-                    continue
-                s = s + u[j] * w[k - j]
-            w[k] = -(u0inv * s)
+        r = self.ring.tprec if self.tprec is None else self.tprec - v
+        field = self.field
+        w = _series_quotient((field.one(),), self.coeffs[:r],
+                             self.coeffs[0].inverse(), field.zero(), r)
         return _make_laurent(self.ring, -v, w, -v + r)
 
     def __truediv__(self, other):
@@ -749,14 +798,7 @@ class LaurentScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, operator.mul, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement)):

@@ -21,13 +21,13 @@ the coefficients share one lowest exponent and each row carries its own
 t-precision; a product's rows take theirs by a min-plus rule and are clipped
 to it, which gives exactly what scalar LaurentScalar arithmetic would.
 Series still store coefficient objects: arrays are packed once per product
-or composition and unpacked once at its end.  Exact division and evaluation
-stay on the scalar objects.
+or composition and unpacked once at its end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .coeff_rings import (
     LaurentRing,
     LaurentScalar,
     _make_laurent,
+    _series_quotient,
+    _square_and_multiply,
 )
 from .errors import (
     DivisionByZero,
@@ -425,11 +427,6 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.n_trunc)
 
-    def scale(self, c) -> "TruncatedSeries":
-        if isinstance(c, int):
-            c = self.ring.from_int(c)
-        return TruncatedSeries(self.ring, [c * a for a in self.coeffs], self.n_trunc)
-
     # -- multiplication and composition ------------------------------------
 
     def __mul__(self, other):
@@ -471,28 +468,15 @@ class TruncatedSeries:
             return identity(self.ring, self.n_trunc)
         if self.coeffs and not self.coeffs[0].is_certified_zero():
             raise NonzeroConstantTerm("iteration needs a series fixing 0")
-        result = None
-        base = self
-        while True:
-            if m & 1:
-                result = base if result is None else result.compose(base)
-            m >>= 1
-            if not m:
-                return result
-            base = base.compose(base)
+        return _square_and_multiply(self, m, TruncatedSeries.compose, None)
 
     def power(self, e: int) -> "TruncatedSeries":
         """Multiplicative e-th power (repeated squaring)."""
         if e < 0:
             raise ParabolicLabError(f"power must be >= 0, got {e}")
-        result = TruncatedSeries(self.ring, [self.ring.one()], self.n_trunc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(
+            self, e, operator.mul,
+            TruncatedSeries(self.ring, [self.ring.one()], self.n_trunc))
 
     def stretch(self, q: int) -> "TruncatedSeries":
         """Substitute z -> z^q (indices multiply by q)."""
@@ -586,8 +570,7 @@ class TruncatedSeries:
             raise NotDivisible(f"ord(num) = {a} < ord(den) = {b}")
 
         exact = self.n_trunc is None and den.n_trunc is None
-        dshift = list(den.coeffs[b:])
-        nshift = list(self.coeffs[b:])
+        dshift = den.coeffs[b:]
         lead = dshift[0]
         if exact:
             L = len(self.coeffs) - len(den.coeffs) + 1
@@ -600,16 +583,8 @@ class TruncatedSeries:
             L = int(L)
             if L < 1:
                 raise TruncationTooSmall("no quotient coefficients below truncation")
-        linv = lead.inverse()
-        qc = []
-        for k in range(L):
-            acc = nshift[k] if k < len(nshift) else self.ring.zero()
-            for j in range(max(0, k - len(dshift) + 1), k):
-                dk = dshift[k - j]
-                if dk.is_certified_zero():
-                    continue
-                acc = acc - qc[j] * dk
-            qc.append(acc * linv)
+        qc = _series_quotient(self.coeffs[b:], dshift, lead.inverse(),
+                              self.ring.zero(), L)
         quot = TruncatedSeries(self.ring, qc, None if exact else L)
         if exact:
             lead_exact = isinstance(lead, FieldElement) or (
@@ -622,48 +597,6 @@ class TruncatedSeries:
                     raise NotDivisible("nonzero pseudo-remainder")
         integral = all(c.valuation_lower_bound() >= 0 for c in qc)
         return quot, integral
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, x):
-        """Evaluate at a scalar point.
-
-        Over a Laurent ring, x must have certified positive valuation unless
-        the series is an exact polynomial; the unknown tail of a truncated
-        series is treated as integral, so the value comes back clipped to
-        O(t^(N*v(x))).  Accumulation stops early once remaining terms cannot
-        touch the surviving precision.
-        """
-        if _is_ff(self.ring):
-            x = self.ring(x)
-            acc = self.ring.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        x = self.ring(x)
-        if not self.coeffs:
-            return self.ring.zero()
-        if x.is_certified_zero():
-            return self.coeff(0)
-        vx = x.valuation()
-        if self.n_trunc is not None and vx < 1:
-            raise ParabolicLabError(
-                "evaluation of a truncated series needs v(x) >= 1")
-        suffix = [math.inf] * (len(self.coeffs) + 1)
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            suffix[i] = min(suffix[i + 1], self.coeffs[i].valuation_lower_bound())
-        acc = self.ring.zero()
-        pw = self.ring.one()
-        for i, c in enumerate(self.coeffs):
-            if acc.tprec is not None and i * vx + suffix[i] >= acc.tprec:
-                break
-            if not c.is_certified_zero():
-                acc = acc + c * pw
-            if i + 1 < len(self.coeffs):
-                pw = pw * x
-        if self.n_trunc is not None:
-            acc = acc.clip(self.n_trunc * vx)
-        return acc
 
     # -- misc --------------------------------------------------------------
 

@@ -116,32 +116,45 @@ def reduced_leading_pair(f: ParabolicGerm):
     return nf.a[0], nf.a[1]
 
 
+def resit_numerators(a1, a2, p: int, q: int):
+    """The numerators over a_1^2 of the iterative residue and its complement.
+
+    resit = (q+1)/2 - a_2/a_1^2 is m/a_1^2 with m = (q+1)/2*a_1^2 - a_2.  In
+    characteristic two 1 - resit = m'/a_1^2 with m' = (1 - (q+1)/2)*a_1^2 + a_2
+    matters too; for odd p, m' is None.  Both are built from a_1 and a_2
+    without dividing, so they are exact whenever the pair is, whatever a_1.
+    """
+    ring = ring_of(a1)
+    sq = a1 * a1
+    m = half_scalar(ring, q + 1) * sq - a2
+    if p != 2:
+        return m, None
+    return m, half_scalar(ring, 1 - q) * sq + a2
+
+
 def mq_evaluate(f: ParabolicGerm):
     """The genericity value of f: zero exactly when f is not minimally ramified.
 
-    Evaluated through the reduced form as a_1*((q+1)/2 a_1^2 - a_2) in odd
-    characteristic and a_1*a_2*(a_1^2 - a_2) in characteristic two.  The value
-    itself is the specific representative produced by this clearing algorithm;
-    only its vanishing is meaningful.
+    Evaluated through the reduced form as a_1*m in odd characteristic and
+    a_1*m*m' in characteristic two, m and m' being the resit numerators
+    (there m*m' = a_2*(a_1^2 - a_2)).  The value itself is the specific
+    representative produced by this clearing algorithm; only its vanishing
+    is meaningful.
     """
     a1, a2 = reduced_leading_pair(f)
-    if f.char == 2:
-        return a1 * a2 * (a1 * a1 - a2)
-    half = half_scalar(ring_of(a1), f.q + 1)
-    return a1 * (half * a1 * a1 - a2)
+    m, m1 = resit_numerators(a1, a2, f.char, f.q)
+    return a1 * m if m1 is None else a1 * m * m1
 
 
 def normal_form_criterion(a1, a2, p: int, q: int) -> bool:
     """Minimality read off the reduced coefficients.
 
-    Odd p: a_1 != 0 and a_2 != (q+1)/2 * a_1^2.  p = 2: a_1, a_2 and
-    a_1^2 - a_2 all nonzero.  Scalars that are zero only to stored precision
+    a_1 != 0 and resit != 0, and for p = 2 also resit != 1: the resit
+    numerators are nonzero.  Scalars that are zero only to stored precision
     cannot be decided and raise.
     """
     if not _certified_nonzero(a1, "a1"):
         return False
-    if p == 2:
-        return (_certified_nonzero(a2, "a2")
-                and _certified_nonzero(a1 * a1 - a2, "a1^2 - a2"))
-    half = half_scalar(ring_of(a1), q + 1)
-    return _certified_nonzero(half * a1 * a1 - a2, "(q+1)/2*a1^2 - a2")
+    m, m1 = resit_numerators(a1, a2, p, q)
+    return (_certified_nonzero(m, "the iterative residue")
+            and (m1 is None or _certified_nonzero(m1, "resit - 1")))

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    IndeterminateValuation,
-    NotMinimallyRamifiedAtLevelZero,
-    TruncationTooSmall,
-)
+from .errors import NotMinimallyRamifiedAtLevelZero, TruncationTooSmall
 from .coeff_rings import half_scalar, ring_of
 from .formal_series import ParabolicGerm, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
-from .normal_form import reduced_leading_pair
+from .normal_form import (
+    _certified_nonzero,
+    reduced_leading_pair,
+    resit_numerators,
+)
 
 
 def ramification_lower_bound(p: int, q: int, n: int) -> int:
@@ -129,20 +129,29 @@ def ramification_profile(f: ParabolicGerm, n_max: int = 2,
     return RamificationProfile(q=q, N=work.n_trunc, entries=entries)
 
 
-def resit(f: ParabolicGerm):
-    """The iterative residue (q+1)/2 - a_2/a_1^2 of the reduced form of f.
+def _resit_pair(f: ParabolicGerm):
+    """The reduced pair (a_1, a_2) of f, with a_1 certified nonzero.
 
-    Defined only when i_0(f^q) = q, equivalently when the reduced a_1 is
-    nonzero; otherwise the residue does not exist and asking for it raises.
+    a_1 is nonzero exactly when i_0(f^q) = q; otherwise the iterative residue
+    does not exist and asking for it raises.
     """
     a1, a2 = reduced_leading_pair(f)
-    if a1.is_certified_zero():
+    if not _certified_nonzero(a1, "a1"):
         raise NotMinimallyRamifiedAtLevelZero(
             "i_0(f^q) > q, the iterative residue is undefined")
-    if not a1.is_certified_nonzero():
-        raise IndeterminateValuation("a1 is zero only to stored precision")
-    half = half_scalar(ring_of(a1), f.q + 1)
-    return half - a2 / (a1 * a1)
+    return a1, a2
+
+
+def resit(f: ParabolicGerm):
+    """The iterative residue (q+1)/2 - a_2/a_1^2 of the reduced form of f."""
+    return _resit_value(f.q, *_resit_pair(f))
+
+
+def _resit_value(q: int, a1, a2):
+    """resit from the reduced pair.  Over a Laurent ring 1/a_1^2 is expanded
+    to finite t-precision, so this value is only printed; decisions go
+    through resit_numerators, which does not divide."""
+    return half_scalar(ring_of(a1), q + 1) - a2 / (a1 * a1)
 
 
 @dataclass
@@ -180,23 +189,17 @@ def is_minimally_ramified(f: ParabolicGerm, mode: str = "criterion",
 
 def _criterion_verdict(f: ParabolicGerm) -> Verdict:
     try:
-        r = resit(f)
+        a1, a2 = _resit_pair(f)
     except NotMinimallyRamifiedAtLevelZero:
         return Verdict(False, "criterion",
                        {"failed": "level-zero", "detail": "i_0(f^q) > q"})
-    if r.is_certified_zero():
+    m, m1 = resit_numerators(a1, a2, f.char, f.q)
+    if not _certified_nonzero(m, "the iterative residue"):
         return Verdict(False, "criterion", {"failed": "resit-zero"})
-    if not r.is_certified_nonzero():
-        raise IndeterminateValuation(
-            "the iterative residue is zero only to stored precision")
-    if f.char == 2:
-        d = r - f.series.ring.one()
-        if d.is_certified_zero():
-            return Verdict(False, "criterion",
-                           {"failed": "resit-one", "resit": scalar_to_jsonable(r)})
-        if not d.is_certified_nonzero():
-            raise IndeterminateValuation(
-                "resit - 1 is zero only to stored precision")
+    if m1 is not None and not _certified_nonzero(m1, "resit - 1"):
+        one = scalar_to_jsonable(f.ring.one())
+        return Verdict(False, "criterion", {"failed": "resit-one", "resit": one})
+    r = _resit_value(f.q, a1, a2)
     return Verdict(True, "criterion", {"resit": scalar_to_jsonable(r)})
 
 

@@ -74,16 +74,13 @@ def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
 
 
 def random_reduced_germ(rng: Random, field: FiniteField, q: int,
-                        N: int | None = None,
-                        j_max: int | None = None) -> ParabolicGerm:
+                        N: int | None = None) -> ParabolicGerm:
     """gamma*z*(1 + sum a_j z^(jq)) with random a_j, at least one nonzero."""
     p = field.p
     if N is None:
         N = default_window(p, q)
     gamma = root_of_unity(field, q)
     top = (N - 2) // q
-    if j_max is not None:
-        top = min(top, j_max)
     if top < 1:
         raise ParabolicLabError(f"window {N} leaves no room for a tail")
     while True:

@@ -46,7 +46,13 @@ from .formal_series import (
     reduce_and_wideg,
 )
 from .literals import fraction_to_str, index_to_jsonable
-from .ramification import _jump, _levels, ramification_lower_bound, resit
+from .normal_form import resit_numerators
+from .ramification import (
+    _jump,
+    _levels,
+    _resit_pair,
+    ramification_lower_bound,
+)
 
 
 # Largest window the equality-case check will compute for an exact input.
@@ -186,21 +192,23 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
         branch = "fixed-point"
         bound = Fraction(vd0, q)
     else:
-        r = resit(f)
+        # v(resit) and v(1 - resit) from the numerators over a_1^2
+        a1, a2 = _resit_pair(f)
+        m, m1 = resit_numerators(a1, a2, p, q)
+        v1 = a1.valuation()
         if p == 2 and n >= 2:
             branch = "p2-n-ge2"
-            prod = r * (f.ring.one() - r)
-            if prod.is_certified_zero():
+            if m.is_certified_zero() or m1.is_certified_zero():
                 raise UnboundedBound(
                     "resit in {0, 1} gives no information in characteristic 2")
-            v_term = prod.valuation()
+            v_term = m.valuation() + m1.valuation() - 4 * v1
             details["v_resit_times_complement"] = v_term
             bound = Fraction(vd0, q) + Fraction(v_term, 4 * q)
         else:
             branch = "p-odd" if p != 2 else "p2-n1"
-            if r.is_certified_zero():
+            if m.is_certified_zero():
                 raise UnboundedBound("resit = 0 gives no information")
-            v_term = r.valuation()
+            v_term = m.valuation() - 2 * v1
             details["v_resit"] = v_term
             bound = Fraction(vd0, q) + Fraction(v_term, q * p)
 

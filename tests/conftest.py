@@ -56,5 +56,10 @@ def L3():
     return parse_field("Laurent(GF(3))")
 
 
+@pytest.fixture(scope="session")
+def L5():
+    return parse_field("Laurent(GF(5))")
+
+
 def germ(text, ring):
     return ParabolicGerm(parse_series(text, ring))

@@ -137,10 +137,12 @@ def test_bounds_document(capsys):
 
 
 def test_bounds_degenerate_is_not_an_error(capsys):
-    code, doc = run_json(["bounds", "--field", "Laurent(GF(3))", "--series",
-                          "z + z^2 + z^3", "--n", "1"], capsys)
-    assert code == 0
-    assert doc["bound_valuation"] == "no-information"
+    # resit = 0, the second with a_1 = 1 + t not a monomial in t
+    for series in ("z + z^2 + z^3", "z + (1 + t)*z^2 + (1 + 2*t + t^2)*z^3"):
+        code, doc = run_json(["bounds", "--field", "Laurent(GF(3))",
+                              "--series", series, "--n", "1"], capsys)
+        assert code == 0
+        assert doc["bound_valuation"] == "no-information"
 
 
 def test_newton_document(capsys):
@@ -233,6 +235,14 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["i"] == [1, 3, 15]
+
+    # p - 1 = 2 * (a 62-bit prime): trial division alone would not finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "parabolic_lab.cli", "ramify", "--field",
+         "GF(4611686018427394499)", "--series", "z + z^2", "--N", "6",
+         "--nmax", "0"], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["i"] == [1]
 
 
 def test_printed_series_reparse(capsys):

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import isprime
+from sympy import isprime, primefactors
 
 from parabolic_lab import (
     CompositeP,
@@ -21,7 +21,7 @@ from parabolic_lab import (
     root_of_unity,
     smallest_field_with_root,
 )
-from parabolic_lab.coeff_rings import _MR_LIMIT, _is_prime
+from parabolic_lab.coeff_rings import _MR_LIMIT, _is_prime, _prime_factors
 from parabolic_lab.errors import ParabolicLabError
 
 
@@ -56,6 +56,22 @@ def test_primality_matches_sympy():
     for n in (_MR_LIMIT, _MR_LIMIT + 2, 2 ** 89 - 1):
         with pytest.raises(ParabolicLabError, match="cannot certify"):
             FiniteField(n)
+
+
+def test_prime_factors_match_sympy():
+    # the orders p^d - 1 of the test fields, including a safe prime whose
+    # (p - 1)/2 is a 62-bit prime, and random 40- to 80-bit n
+    rng = Random(6)
+    orders = [p ** d - 1 for p, d in (
+        (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (65521, 1),
+        (2 ** 31 - 1, 1), (3037000507, 1), (2 ** 61 - 1, 1), (2 ** 61 - 1, 2),
+        (2 ** 64 + 13, 1), (4611686018427394499, 1))]
+    cases = orders + [rng.randrange(2 ** 40, 2 ** 80) for _ in range(60)]
+    for n in cases:
+        assert list(_prime_factors(n)) == primefactors(n), n
+    # a cofactor too large to certify is refused, not taken for a prime
+    with pytest.raises(ParabolicLabError, match="cannot factor"):
+        _prime_factors(6 * (2 ** 89 - 1))
 
 
 def test_construction_rejects_reducible_modulus():

@@ -162,7 +162,7 @@ def test_resit_in_reduced_coordinates(F3):
     assert resit(germ("2*z + 2*z^3 mod z^30", F3)) == F3.zero()
 
 
-def test_minimality_modes_and_witnesses(F3):
+def test_minimality_modes_and_witnesses(F3, L2, L3, L5):
     v1 = is_minimally_ramified(germ("z + z^2 + 2*z^3 mod z^30", F3), "criterion")
     v2 = is_minimally_ramified(germ("z + z^2 + 2*z^3 mod z^30", F3), "definitional")
     assert v1.minimal and v2.minimal
@@ -172,6 +172,20 @@ def test_minimality_modes_and_witnesses(F3):
     bad = germ("2*z + 2*z^3 mod z^30", F3)  # resit 0, jump skips level 1
     assert not is_minimally_ramified(bad, "criterion").minimal
     assert not is_minimally_ramified(bad, "definitional").minimal
+
+    # a_2 = a_1^2 with a_1 not a monomial in t: resit is exactly 0, which
+    # 1/a_1^2 expanded to finite t-precision could not show
+    for text, ring in (("z + (1 + t)*z^2 + (1 + 2*t + t^2)*z^3", L3),
+                       ("z + (2 + t)*z^2 + (4 + 4*t + t^2)*z^3", L5),
+                       ("z + (1 + t)*z^2 + (1 + t^2)*z^3", L2)):
+        f = germ(text, ring)
+        crit = is_minimally_ramified(f, "criterion")
+        assert crit.witness == {"failed": "resit-zero"}
+        assert not is_minimally_ramified(f, "definitional").minimal
+
+    # resit = 1 in characteristic 2
+    one = is_minimally_ramified(germ("z + (1 + t)*z^2", L2), "criterion")
+    assert one.witness == {"failed": "resit-one", "resit": "1"}
 
 
 def test_mq_vanishes_exactly_off_the_minimal_locus(F3):

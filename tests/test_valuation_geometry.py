@@ -133,11 +133,25 @@ def test_char_two_bounds_split_by_level(L2):
     assert b2.branch == "p2-n-ge2"
     assert b2.bound_valuation == Fraction(5, 4)
     assert b2.details["v_resit_times_complement"] == 1
+    # a_1 = 1 + t: v(resit) = 70 is read off a_1^2 - a_2 = t^70, beyond the
+    # 64 terms to which 1/a_1^2 would be expanded
+    g = germ("z + (1 + t)*z^2 + (1 + t^2 + t^70)*z^3", L2)
+    assert periodic_valuation_bound(g, 1).details["v_resit"] == 70
+    b2 = periodic_valuation_bound(g, 2)
+    assert b2.details["v_resit_times_complement"] == 70
+    assert b2.bound_valuation == Fraction(35, 2)
 
 
-def test_vanishing_residue_gives_no_bound(L3, L2):
+def test_vanishing_residue_gives_no_bound(L3, L2, L5):
     with pytest.raises(UnboundedBound):
         periodic_valuation_bound(germ("z + z^2 + z^3", L3), 1)
+    # resit = 0 with a_1 not a monomial in t, at both levels
+    for text, ring in (("z + (1 + t)*z^2 + (1 + 2*t + t^2)*z^3", L3),
+                       ("z + (2 + t)*z^2 + (4 + 4*t + t^2)*z^3", L5),
+                       ("z + (1 + t)*z^2 + (1 + t^2)*z^3", L2)):
+        for n in (1, 2):
+            with pytest.raises(UnboundedBound):
+                periodic_valuation_bound(germ(text, ring), n)
     # characteristic 2 at n >= 2 also loses the bound at resit = 1
     with pytest.raises(UnboundedBound):
         periodic_valuation_bound(germ("z + t*z^2", L2), 2)
@@ -165,6 +179,10 @@ def test_bound_is_n_independent_for_odd_p(L3):
     values = {periodic_valuation_bound(f, n).bound_valuation for n in (1, 2, 3)}
     assert len(values) == 1
     assert values.pop() == Fraction(1, 3)
+    # v(resit) = 70 with a_1 = 1 + t, beyond a truncated 1/a_1^2
+    g = germ("z + (1 + t)*z^2 + (1 + 2*t + t^2 + 2*t^70)*z^3", L3)
+    values = {periodic_valuation_bound(g, n).bound_valuation for n in (1, 2, 3)}
+    assert values == {Fraction(70, 3)}
 
 
 def test_bound_json_document(L3):
