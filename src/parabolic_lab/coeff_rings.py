@@ -768,12 +768,12 @@ class LaurentScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "LaurentScalar":
+    def inverse(self, rel: int | None = None) -> "LaurentScalar":
         """Multiplicative inverse.
 
         The result is exact only for monomials; otherwise the geometric series
-        is expanded to the relative precision the input supports, or to the
-        ring's working precision when the input is exact.
+        is expanded to the relative precision the input supports, or, when
+        the input is exact, to rel (default: the ring's working precision).
         """
         if not self.coeffs:
             if self.tprec is None:
@@ -783,7 +783,10 @@ class LaurentScalar:
         v = self.v0
         if self.tprec is None and len(self.coeffs) == 1:
             return LaurentScalar(self.ring, -v, (self.coeffs[0].inverse(),), None)
-        r = self.ring.tprec if self.tprec is None else self.tprec - v
+        if self.tprec is not None:
+            r = self.tprec - v
+        else:
+            r = self.ring.tprec if rel is None else rel
         field = self.field
         w = _series_quotient((field.one(),), self.coeffs[:r],
                              self.coeffs[0].inverse(), field.zero(), r)

@@ -22,6 +22,12 @@ t-precision; a product's rows take theirs by a min-plus rule and are clipped
 to it, which gives exactly what scalar LaurentScalar arithmetic would.
 Series still store coefficient objects: arrays are packed once per product
 or composition and unpacked once at its end.
+
+Division over GF(p^d)((t)) is packed too: a Newton reciprocal built from
+the same products, then one product by the numerator; exact division of
+polynomials there is divisibility in GF(p^d)[t, 1/t][z], certified by one
+more product.  Over GF(p^d) division is the scalar recurrence, which costs
+less than packing at the windows it meets.
 """
 
 from __future__ import annotations
@@ -282,13 +288,57 @@ def _mul_laurent(field, A, B, limit):
         return M, 0, np.zeros(0, dtype=np.int64)
     tp = _antidiagonal_min(tA, vA, tB, vB)[:rows]
     tp[tp >= _EXACT // 2] = _EXACT
-    base = bA + bB
+    return _clip(M, bA + bB, tp)
+
+
+def _clip(M, base, tp):
+    """Zero each row at and above its precision, then drop the empty slots
+    at both ends (one slot is kept when nothing is left)."""
     M[np.arange(M.shape[1])[None, :] >= (tp - base)[:, None]] = 0
     live = M.any(axis=(0, 2))
     if not live.any():
         return M[:, :1], base, tp
     lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
     return M[:, lo:hi], base + lo, tp
+
+
+def _add_laurent(field, A, B, shift=0, sign=1):
+    """Packed A + sign*z^shift*B.  A missing row is an exact zero; a sum is
+    known below the least precision of its terms."""
+    (MA, bA, tA), (MB, bB, tB) = A, B
+    rows = max(len(tA), shift + len(tB))
+    lo = min(bA, bB)
+    W = max(bA + MA.shape[1], bB + MB.shape[1]) - lo
+    M = np.zeros((rows, W, field.d), dtype=MA.dtype)
+    tp = np.full(rows, _EXACT, dtype=np.int64)
+    M[:len(tA), bA - lo:bA - lo + MA.shape[1]] = MA
+    tp[:len(tA)] = tA
+    M[shift:shift + len(tB), bB - lo:bB - lo + MB.shape[1]] += sign * MB
+    np.minimum(tp[shift:shift + len(tB)], tB, out=tp[shift:shift + len(tB)])
+    return _clip(M % field.p, lo, tp)
+
+
+def _quotient_laurent(ring, N, D, lead_inv, L):
+    """N/D modulo z^L for packed N and D, D[0] a unit with inverse lead_inv.
+
+    The reciprocal R = 1/D comes from Newton's iteration (Kung 1974): if R
+    is right modulo z^h, then R - z^h*R*E is right modulo z^2h, E being the
+    rows h .. 2h-1 of D*R.  The rows below h are never recomputed, so they
+    keep their precision.  When D*R has no rows from h on, R is all of 1/D.
+    One more product gives N*R.
+    """
+    field = ring.field
+    R = _pack_laurent(ring, [lead_inv])
+    h = 1
+    while h < L:
+        h2 = min(2 * h, L)
+        M, base, tp = _mul_laurent(field, D, R, h2)
+        if len(tp) <= h:
+            break
+        R = _add_laurent(field, R, _mul_laurent(field, R, (M[h:], base, tp[h:]),
+                                                h2 - h), shift=h, sign=-1)
+        h = h2
+    return _mul_laurent(field, N, R, L)
 
 
 def _add_to_row0(field, R, F, i):
@@ -322,6 +372,54 @@ def _compose_laurent(field, F, G, limit):
                  np.array([_EXACT], dtype=np.int64))
         R = _add_to_row0(field, R, F, i)
     return R
+
+
+def _divide_laurent(ring, num, den, L, exact):
+    """The quotient coefficients num/den below z^L over a Laurent ring, den[0]
+    certified nonzero; for exact polynomials, the certified exact quotient.
+
+    Truncated inputs seed the reciprocal with the scalar inverse of den[0],
+    so every coefficient carries the precision its inputs support.
+
+    Exact inputs with exact coefficients divide in F[t, 1/t][z].  Scaled by
+    powers of t to num', den' in F[t][z] with some coefficient prime to t,
+    a quotient Q' = num'/den' lies in F[t][z] with deg_t Q' = B =
+    deg_t num' - deg_t den' (Gauss's lemma: the t-adic valuation and the
+    t-degree are additive).  So Q' is computed to t-precision B + 1, each
+    coefficient is cut there and made exact, and den*Q == num certifies it.
+    Every iterate quotient of cycle_valuations lies in F[t, 1/t][z]:
+    f^m(z) - z is the sum of h(f^k(z)) over k < m, h = f - id, and
+    h(y) - h(z) is divisible by y - z.
+
+    An exact polynomial with a coefficient known only to O(t^k) divides only
+    by a single term c*z^b, which every candidate numerator is divisible by;
+    any other divisibility cannot be decided and raises.
+    """
+    n = None if exact else L
+    N, D = _pack_laurent(ring, num[:n]), _pack_laurent(ring, den[:n])
+    if not exact or (N[2] < _EXACT).any() or (D[2] < _EXACT).any():
+        if exact and len(den) > 1:
+            raise IndeterminateValuation(
+                "exact division by a polynomial of several terms needs "
+                "coefficients known exactly, not to O(t^k)")
+        return _unpack_laurent(
+            ring, _quotient_laurent(ring, N, D, den[0].inverse(), L))
+    field, lead = ring.field, den[0]
+    B = N[0].shape[1] - D[0].shape[1]
+    if B < 0:
+        raise NotDivisible("t-degree of the numerator below the denominator's")
+    top = N[1] - D[1] + B + 1
+    # With v' = v(lead') and a seed of relative precision r, row m of 1/den'
+    # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
+    # through the Newton steps), so each row of Q' is known below B + 1.
+    r = B + 1 + L * (lead.v0 - D[1])
+    M, base, tp = _quotient_laurent(ring, N, D, lead.inverse(r), L)
+    M, base, _ = _clip(M, base, np.full(len(tp), top, dtype=np.int64))
+    Q = (M, base, np.full(len(tp), _EXACT, dtype=np.int64))
+    rem = _add_laurent(field, N, _mul_laurent(field, D, Q, None), sign=-1)
+    if rem[0].any():
+        raise NotDivisible("nonzero remainder")
+    return _unpack_laurent(ring, Q)
 
 
 def _is_ff(ring):
@@ -546,9 +644,16 @@ class TruncatedSeries:
 
         Returns (quotient, integral) where integral records that every
         quotient coefficient has valuation >= 0 (always true over a finite
-        field).  For exact polynomial inputs the division is certified: a
-        nonzero remainder raises NotDivisible.  For truncated inputs the
-        quotient is computed modulo z^(N - ord(den)).
+        field).  For truncated inputs the quotient is computed modulo
+        z^(N - ord(den)).  For exact polynomial inputs the division is
+        certified: a nonzero remainder raises NotDivisible.
+
+        Over a finite field the quotient comes from the scalar recurrence.
+        Over a Laurent ring it is one packed routine, _divide_laurent: a
+        Newton reciprocal of den times self.  There exact division means
+        divisibility in F[t, 1/t][z]; the quotient is then a polynomial in z
+        and t whose t-degrees the inputs bound, so it is computed to that
+        t-precision, made exact and checked by multiplying back.
         """
         self._check_ring(den)
         b = den.order()
@@ -570,8 +675,6 @@ class TruncatedSeries:
             raise NotDivisible(f"ord(num) = {a} < ord(den) = {b}")
 
         exact = self.n_trunc is None and den.n_trunc is None
-        dshift = den.coeffs[b:]
-        lead = dshift[0]
         if exact:
             L = len(self.coeffs) - len(den.coeffs) + 1
             if L <= 0:
@@ -583,18 +686,16 @@ class TruncatedSeries:
             L = int(L)
             if L < 1:
                 raise TruncationTooSmall("no quotient coefficients below truncation")
-        qc = _series_quotient(self.coeffs[b:], dshift, lead.inverse(),
-                              self.ring.zero(), L)
-        quot = TruncatedSeries(self.ring, qc, None if exact else L)
-        if exact:
-            lead_exact = isinstance(lead, FieldElement) or (
-                lead.is_exact() and len(lead.coeffs) == 1)
-            if lead_exact:
-                if den * quot != self:
-                    raise NotDivisible("nonzero remainder")
-            else:
-                if not _pseudo_divisible(self, den):
-                    raise NotDivisible("nonzero pseudo-remainder")
+        ring = self.ring
+        if _is_ff(ring):
+            qc = _series_quotient(self.coeffs[b:], den.coeffs[b:],
+                                  den.coeffs[b].inverse(), ring.zero(), L)
+            quot = TruncatedSeries(ring, qc, None if exact else L)
+            if exact and den * quot != self:
+                raise NotDivisible("nonzero remainder")
+        else:
+            qc = _divide_laurent(ring, self.coeffs[b:], den.coeffs[b:], L, exact)
+            quot = TruncatedSeries(ring, qc, None if exact else L)
         integral = all(c.valuation_lower_bound() >= 0 for c in qc)
         return quot, integral
 
@@ -637,35 +738,6 @@ def monomial(ring, c, e: int, n_trunc) -> TruncatedSeries:
 
 def zero_series(ring, n_trunc) -> TruncatedSeries:
     return TruncatedSeries(ring, [], n_trunc)
-
-
-def _pseudo_divisible(num: TruncatedSeries, den: TruncatedSeries) -> bool:
-    """Fraction-free divisibility test for exact polynomials over a Laurent ring.
-
-    Works in F[t][z]: repeatedly replaces R by lead(D)*R - lead(R)*z^k*D, which
-    never divides in the coefficient ring.  The remainder vanishes exactly when
-    den divides num over the fraction field, which for series-divisible pairs
-    coincides with divisibility in F((t))[z].
-    """
-    D = [c for c in den.coeffs]
-    while D and D[-1].is_certified_zero():
-        D.pop()
-    R = [c for c in num.coeffs]
-    dD = len(D) - 1
-    leadD = D[-1]
-    while True:
-        while R and R[-1].is_certified_zero():
-            R.pop()
-        if not R or len(R) - 1 < dD:
-            break
-        dR = len(R) - 1
-        lr = R[-1]
-        shift = dR - dD
-        newR = [leadD * R[i] for i in range(dR)]
-        for i in range(dD):
-            newR[shift + i] = newR[shift + i] - lr * D[i]
-        R = newR
-    return all(c.is_certified_zero() for c in R)
 
 
 def reduce_and_wideg(f: TruncatedSeries):

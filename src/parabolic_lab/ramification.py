@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotMinimallyRamifiedAtLevelZero, TruncationTooSmall
-from .coeff_rings import half_scalar, ring_of
+from .coeff_rings import LaurentRing, half_scalar, ring_of
 from .formal_series import ParabolicGerm, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
 from .normal_form import (
@@ -148,10 +148,21 @@ def resit(f: ParabolicGerm):
 
 
 def _resit_value(q: int, a1, a2):
-    """resit from the reduced pair.  Over a Laurent ring 1/a_1^2 is expanded
-    to finite t-precision, so this value is only printed; decisions go
+    """resit from the reduced pair.  Over a Laurent ring 1/a_1^2 is a series
+    in t, expanded far enough that resit = m/a_1^2 (m the resit numerator)
+    is known to relative precision at least the ring's tprec from its
+    valuation v(m) - 2v(a_1).  This value is only printed; decisions go
     through resit_numerators, which does not divide."""
-    return half_scalar(ring_of(a1), q + 1) - a2 / (a1 * a1)
+    ring = ring_of(a1)
+    half = half_scalar(ring, q + 1)
+    if not isinstance(ring, LaurentRing):
+        return half - a2 / (a1 * a1)
+    # a_2 * (1/a_1^2) is known to v(a_2) - 2v(a_1) + rel
+    rel = ring.tprec
+    m, _ = resit_numerators(a1, a2, ring.char, q)
+    if m.is_certified_nonzero() and a2.is_certified_nonzero():
+        rel += max(0, m.v0 - a2.v0)
+    return half - a2 * (a1 * a1).inverse(rel)
 
 
 @dataclass

@@ -160,6 +160,15 @@ def test_cycle_valuations_document(capsys):
     assert doc["cycle_points"] == 1 and doc["attained"] is True
 
 
+def test_cycle_valuations_over_a_non_monomial_lead(capsys):
+    # the quotient by f - z, whose lead 1 + t is not a monomial, is exact
+    code, doc = run_json(["cycle-valuations", "--field", "Laurent(GF(2))",
+                          "--series", "z + (1 + t)*z^2 + (1 + t)*z^3",
+                          "--n", "1"], capsys)
+    assert code == 0
+    assert doc["root_valuations"] == [{"valuation": "1/4", "count": 4}]
+
+
 def test_exit_one_on_verification_failure(capsys):
     code, doc = run_json(["cycle-valuations", "--field", "Laurent(GF(3))",
                           "--series", "z + t^-1*z^2", "--n", "0"], capsys)

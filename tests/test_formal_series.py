@@ -7,6 +7,7 @@ fields and over Laurent rings alike; the tests below run the scalar loops of
 
 import math
 from functools import lru_cache
+from itertools import zip_longest
 from unittest.mock import patch
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from parabolic_lab import (
     FiniteField,
+    IndeterminateValuation,
     LaurentRing,
     NonUnitLinearTerm,
     NonzeroConstantTerm,
@@ -102,11 +104,11 @@ def _kernel_field(p, d):
 
 
 @st.composite
-def laurent_scalar(draw, ring):
+def laurent_scalar(draw, ring, kinds=("zero", "O(t^k)", "exact", "truncated")):
     """An exact zero, a zero known to O(t^k), or a few terms from t^v0 up
     (v0 may be negative), exact or known to a precision that may clip them."""
     F = ring.field
-    kind = draw(st.sampled_from(["zero", "O(t^k)", "exact", "truncated"]))
+    kind = draw(st.sampled_from(kinds))
     v0 = draw(st.integers(-3, 4))
     if kind == "zero":
         return ring.zero()
@@ -150,7 +152,8 @@ def kernel_operands(draw):
 def test_generic_convolution_matches_packed_kernel(ops):
     # mul and compose against the scalar oracle, coefficient by coefficient
     # and precision by precision; Laurent precisions once more with the
-    # min-plus matrix cut into blocks of a single row
+    # min-plus matrix cut into blocks of a single row, and the packed
+    # a - z*b that Newton division uses against scalar sums
     ring, a, b, g = ops
     mul_n, comp_n = a._meet(b), a._meet(g)
     prod = TruncatedSeries(ring, _gconv(ring, a.coeffs, b.coeffs, mul_n), mul_n)
@@ -162,6 +165,12 @@ def test_generic_convolution_matches_packed_kernel(ops):
         with patch.object(formal_series, "_MINPLUS_CELLS", 1):
             assert a * b == prod
             assert a.compose(g) == comp
+        A, B = (formal_series._pack_laurent(ring, s.coeffs) for s in (a, b))
+        diff = formal_series._add_laurent(ring.field, A, B, shift=1, sign=-1)
+        zero = ring.zero()
+        assert formal_series._unpack_laurent(ring, diff) == [
+            x - y for x, y in zip_longest(a.coeffs, (zero, *b.coeffs),
+                                          fillvalue=zero)]
 
 
 def test_products_past_the_int64_limit_stay_exact(monkeypatch):
@@ -311,6 +320,111 @@ def test_divide_exact_of_exact_zero():
     quot, integral = zero_series(F3, None).divide_exact(den)
     assert integral
     assert quot.order() is math.inf
+
+
+def _prec(c):
+    return math.inf if c.tprec is None else c.tprec
+
+
+@st.composite
+def laurent_unit(draw, ring, exact):
+    """A certified nonzero scalar, often not a monomial: up to four terms
+    from t^v0 up (v0 may be negative), the first nonzero, exact or (unless
+    exact is set) known to a precision above v0."""
+    F = ring.field
+    coord = st.integers(0, F.p - 1)
+    v0 = draw(st.integers(-3, 4))
+    cs = draw(st.lists(st.lists(coord, min_size=F.d, max_size=F.d),
+                       min_size=1, max_size=4))
+    cs[0] = [1] + cs[0][1:]
+    tprec = None
+    if not exact and draw(st.booleans()):
+        tprec = v0 + draw(st.integers(1, len(cs) + 3))
+    return ring.element({v0 + i: F.element(c) for i, c in enumerate(cs)},
+                        tprec)
+
+
+@st.composite
+def laurent_division(draw):
+    """(ring, num, den, b): den = z^b*(lead + ...) with a certified nonzero
+    lead, num of order >= b; one of them truncated, coefficients exact or
+    known to O(t^k)."""
+    ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
+    n, b = draw(st.integers(1, 8)), draw(st.integers(0, 2))
+    scalar = laurent_scalar(ring)
+    zeros = [ring.zero()] * b
+    lead = draw(laurent_unit(ring, exact=False))
+    nt_num, nt_den = draw(st.sampled_from(
+        [(n + b, n + b), (n + b, None), (None, n + b), (n + b, n + b + 2)]))
+    den = TruncatedSeries(
+        ring, zeros + [lead] + draw(st.lists(scalar, max_size=n)), nt_den)
+    num = TruncatedSeries(
+        ring, zeros + draw(st.lists(scalar, max_size=n)), nt_num)
+    return ring, num, den, b
+
+
+@given(data=laurent_division())
+@settings(max_examples=200, deadline=None)
+def test_laurent_division_matches_the_scalar_quotient(data):
+    # the packed Newton quotient against the scalar recurrence: the same
+    # coefficients below the oracle's precision, and never less precision
+    ring, num, den, b = data
+    try:
+        quot, _ = num.divide_exact(den)
+    except IndeterminateValuation:  # num meets a zero known to O(t^k) first
+        return
+    if quot.n_trunc is None:  # num is the exact zero polynomial
+        assert quot.order() is math.inf
+        return
+    oracle = coeff_rings._series_quotient(
+        num.coeffs[b:], den.coeffs[b:], den.coeffs[b].inverse(), ring.zero(),
+        quot.n_trunc)
+    for got, want in zip(quot.coeffs, oracle, strict=True):
+        assert _prec(got) >= _prec(want)
+        assert (got if want.tprec is None else got.clip(want.tprec)) == want
+
+
+@st.composite
+def exact_laurent_pair(draw):
+    """(ring, den, quotient): exact polynomials with exact coefficients, den
+    of order b with a lead that is often not a monomial in t."""
+    ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
+    b = draw(st.integers(0, 2))
+    scalar = laurent_scalar(ring, kinds=("zero", "exact"))
+    den = TruncatedSeries(ring, [ring.zero()] * b
+                          + [draw(laurent_unit(ring, exact=True))]
+                          + draw(st.lists(scalar, max_size=4)), None)
+    quot = TruncatedSeries(ring, draw(st.lists(scalar, max_size=6)), None)
+    return ring, den, quot
+
+
+@given(data=exact_laurent_pair(), e=st.integers(0, 12), j=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_exact_laurent_division_is_certified(data, e, j):
+    ring, den, want = data
+    num = den * want
+    quot, _ = num.divide_exact(den)
+    assert quot == want
+    assert den * quot == num
+    # den divides t^j*z^(b+e) in F[t, 1/t][z] only when den is t^k*z^b
+    b = den.order()
+    if len(den.coeffs) == b + 1 and len(den.coeffs[b].coeffs) == 1:
+        return
+    with pytest.raises(NotDivisible):
+        (num + monomial(ring, ring.t(j), b + e, None)).divide_exact(den)
+
+
+def test_exact_division_with_coefficients_known_to_o_t_k():
+    ring = LaurentRing(F3)
+    num = parse_series("(1 + t + O(t^5))*z + (1 + O(t^5))*z^2", ring)
+    # every candidate numerator is divisible by a single term
+    quot, integral = num.divide_exact(parse_series("(1 + t)*z", ring))
+    assert integral and quot.is_exact()
+    assert quot.coeffs == (ring.element({0: 1}, 5),
+                           ring.element({0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 5))
+    # divisibility by several terms cannot be decided from such data
+    with pytest.raises(IndeterminateValuation):
+        num.divide_exact(parse_series("(1 + t)*z + z^2", ring))
 
 
 # -- reduction and Weierstrass degree --------------------------------------

@@ -149,6 +149,21 @@ def test_resit_values(F3, L3):
     assert r.valuation() == -2
 
 
+def test_printed_resit_keeps_its_relative_precision(L3):
+    # resit = m/a_1^2 with m = t^70 and a_1 = 1 + t: 1/a_1^2 is expanded far
+    # enough to print resit to relative precision 64 from v(resit) = 70
+    f = germ("z + (1 + t)*z^2 + (1 + 2*t + t^2 + 2*t^70)*z^3", L3)
+    r = resit(f)
+    assert r.valuation() == 70 and r.tprec == 70 + 64
+    verdict = is_minimally_ramified(f, "criterion")
+    assert verdict.minimal
+    assert verdict.witness["resit"].startswith("t^70 + t^71 + 2*t^73 + ")
+    assert verdict.witness["resit"].endswith(" + O(t^134)")
+    # a monomial a_1 inverts exactly, and a_2 = 0 leaves resit = (q+1)/2
+    assert resit(germ("z + t*z^2 + z^3", L3)).is_exact()
+    assert resit(germ("z + (1 + t)*z^2", L3)) == L3.one()
+
+
 def test_resit_needs_minimal_level_zero(F3, L3):
     with pytest.raises(NotMinimallyRamifiedAtLevelZero):
         resit(germ("z + z^3 mod z^20", F3))  # i_0 = 2 > q = 1

@@ -1,9 +1,11 @@
 """Newton polygons, the periodic-point valuation bound, and cycle reports."""
 
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
+import sympy
 
 from parabolic_lab import (
     IndeterminateValuation,
@@ -20,6 +22,7 @@ from parabolic_lab import (
     parse_series,
     periodic_valuation_bound,
 )
+from parabolic_lab.ramification import _levels
 from parabolic_lab.samplers import random_minimal_polynomial_germ, random_polynomial_germ
 
 from conftest import germ
@@ -220,6 +223,40 @@ def test_desk_cycle_report_period_three(L3):
     assert doc["wideg"] == 24 and doc["expected_wideg"] == 6
     assert doc["equality_condition_holds"] == "no"
     assert doc["cycle_points"] is None
+
+
+def test_cycle_quotient_over_a_non_monomial_lead_is_exact(L2):
+    # f - z has lead 1 + t: the quotient (f^2 - z)/(f - z) is exact in
+    # F_2[t][z], so its polygon is defined; sympy re-multiplies it
+    f = germ("z + (1 + t)*z^2 + (1 + t)*z^3", L2)
+    den, num = islice(_levels(f.series, 1, 2), 2)
+    quot, integral = num.divide_exact(den)
+    assert integral and all(c.is_exact() for c in quot.coeffs)
+    t, z = sympy.symbols("t z")
+
+    def as_poly(s):
+        return sympy.Poly(sum(e.coords[0] * t ** (c.v0 + k) * z ** i
+                              for i, c in enumerate(s.coeffs)
+                              for k, e in enumerate(c.coeffs)), t, z,
+                          modulus=2)
+
+    assert as_poly(den) * as_poly(quot) == as_poly(num)
+    assert cycle_valuations(f, 1).root_valuations() == [(Fraction(1, 4), 4)]
+
+
+def test_cycle_report_over_a_non_monomial_lead(L3):
+    # pinned to the report of the scalar division it replaced
+    doc = cycle_valuations(germ("z + (1 + t)*z^2 + z^3", L3), 1).to_jsonable()
+    assert doc == {
+        "n": 1, "q": 1, "m": 3,
+        "polygon": {"vertices": [[3, "1/1"], [12, "0/1"], [24, "0/1"]],
+                    "segments": [{"slope": "-1/9", "length": 9},
+                                 {"slope": "0/1", "length": 12}]},
+        "root_valuations": [{"valuation": "1/9", "count": 9},
+                            {"valuation": "0/1", "count": 12}],
+        "max_positive": "1/9", "lemma_bound": "1/3", "attained": False,
+        "wideg": 12, "expected_wideg": 6, "equality_condition_holds": "no",
+        "cycle_points": None, "expected_cycle_points": 3}
 
 
 def _assert_same_equality_case(f, rep):
