@@ -3,8 +3,8 @@
 A field element is a coordinate vector over the prime field with respect to the
 power basis 1, x, ..., x^(d-1) of F_p[x] modulo a monic irreducible modulus of
 degree d.  For d = 1 the vector has length one and arithmetic is plain integer
-arithmetic mod p.  Moduli are verified irreducible at construction by exhaustive
-trial division (intended working range d <= 8, small p).
+arithmetic mod p.  Moduli are verified irreducible at construction by Rabin's
+test, whose cost is polynomial in d and log p.
 
 A Laurent scalar represents an element of GF(p^d)((t)) as a window of stored
 coefficients starting at exponent v0 together with a precision marker:
@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from itertools import zip_longest
 
 import numpy as np
 
@@ -196,23 +197,42 @@ def _prem(a, b, p):
     return a
 
 
+def _psub(a, b, p):
+    """a - b over F_p."""
+    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pmulmod(a, b, f, p):
+    """a*b mod f over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _prem(prod, f, p)
+
+
 def _is_irreducible(coeffs, p):
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Rabin's test (Rabin, SIAM J. Comput. 9, 1980) for a monic f of degree
+    d: f is irreducible iff f divides x^(p^d) - x and, for every prime r
+    dividing d, f is prime to x^(p^(d/r)) - x.  The first condition leaves
+    only irreducible factors of degrees dividing d, each once; the second
+    rules out those of degree below d.  The powers x^(p^e) mod f come from
+    repeated p-th powers, so the cost is polynomial in d and log p."""
     d = len(coeffs) - 1
-    if d == 1:
-        return True
-    if coeffs[0] == 0:
+    x = _prem([0, 1], coeffs, p)
+    frob = [x]  # frob[e] = x^(p^e) mod f
+    for _ in range(d):
+        frob.append(_square_and_multiply(
+            frob[-1], p, functools.partial(_pmulmod, f=coeffs, p=p), None))
+    if _psub(frob[d], x, p):
         return False
-    for e in range(1, d // 2 + 1):
-        for code in range(p ** e):
-            g = []
-            c = code
-            for _ in range(e):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if not _prem(coeffs, g, p):
-                return False
+    for r in _prime_factors(d):
+        a, b = list(coeffs), _psub(frob[d // r], x, p)
+        while b:
+            a, b = b, _prem(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -330,8 +350,9 @@ class FiniteField:
         return self.element(value)
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteField) and self.p == other.p
-                and self.d == other.d and self.modulus == other.modulus)
+        return self is other or (
+            isinstance(other, FiniteField) and self.p == other.p
+            and self.d == other.d and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash(("FiniteField", self.p, self.d, self.modulus))
@@ -351,7 +372,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ScalarRingMismatch("field elements from different fields")
             return other
         if isinstance(other, int):
@@ -455,8 +476,8 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self == self.field.from_int(other)
-        return (isinstance(other, FieldElement) and self.field == other.field
-                and self.coords == other.coords)
+        return (isinstance(other, FieldElement) and self.coords == other.coords
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.field, self.coords))
@@ -564,7 +585,7 @@ class LaurentRing:
 
     def embed(self, c: FieldElement) -> "LaurentScalar":
         """The constant c as an exact Laurent scalar."""
-        if c.field != self.field:
+        if c.field is not self.field and c.field != self.field:
             raise ScalarRingMismatch("constant from a different residue field")
         if c.is_zero():
             return self.zero()
@@ -602,7 +623,8 @@ class LaurentRing:
         return self.element(value)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentRing) and self.field == other.field
+        return self is other or (isinstance(other, LaurentRing)
+                                 and self.field == other.field)
 
     def __hash__(self):
         return hash(("LaurentRing", self.field))
@@ -693,7 +715,7 @@ class LaurentScalar:
 
     def _coerce(self, other):
         if isinstance(other, LaurentScalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ScalarRingMismatch("Laurent scalars over different fields")
             return other
         if isinstance(other, int):
@@ -806,7 +828,8 @@ class LaurentScalar:
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement)):
             other = self._coerce(other)
-        if not isinstance(other, LaurentScalar) or other.ring != self.ring:
+        if not isinstance(other, LaurentScalar) or (
+                other.ring is not self.ring and other.ring != self.ring):
             return False
         return (self.v0 == other.v0 and self.coeffs == other.coeffs
                 and self.tprec == other.tprec)

@@ -11,15 +11,17 @@ Exactness in z is independent of exactness in t: an exact polynomial over a
 Laurent ring may carry coefficients that are themselves known only to finite
 t-precision (this happens to quotients of exact polynomials).
 
-Composition is Horner's rule, multiplication is truncated convolution, and
-both run on one kernel, `_kron_mul`: a series is packed into an integer
-array of shape (N, W, d) (z-rows, t-slots, coordinates over GF(p)), and a
-product of two arrays is a single Python big-integer multiply by Kronecker
-substitution.  Digits are sized from the operands, so the kernel is exact for
-every p.  Over GF(p^d) the array has one t-slot (W = 1).  Over GF(p^d)((t))
-the coefficients share one lowest exponent and each row carries its own
-t-precision; a product's rows take theirs by a min-plus rule and are clipped
-to it, which gives exactly what scalar LaurentScalar arithmetic would.
+Multiplication is truncated convolution; composition is Brent and Kung's
+baby-step/giant-step evaluation over GF(p^d) and Horner's rule over
+GF(p^d)((t)).  All of them run on one kernel, `_kron_mul`: a series is
+packed into an integer array of shape (N, W, d) (z-rows, t-slots,
+coordinates over GF(p)), and a product of two arrays is a single Python
+big-integer multiply by Kronecker substitution.  Digits are sized from the
+operands, so the kernel is exact for every p.  Over GF(p^d) the array has
+one t-slot (W = 1).  Over GF(p^d)((t)) the coefficients share one lowest
+exponent and each row carries its own t-precision; a product's rows take
+theirs by a min-plus rule and are clipped to it, which gives exactly what
+scalar LaurentScalar arithmetic would.
 Series still store coefficient objects: arrays are packed once per product
 or composition and unpacked once at its end.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import zip_longest
 
 import numpy as np
 
@@ -167,31 +170,56 @@ def _unpack(field, arr):
 
 
 def _compose_ff(field, F, G, limit):
-    """Horner evaluation of F at G (constant term of G zero).
+    """Brent-Kung evaluation of F at G (constant term of G zero).
 
-    Each step is _kron_mul's product with the constant term added before the
-    digits are read back: G is packed once, with digits wide enough for every
-    step, and a row of F goes in as a plain integer, since G's zero constant
-    term leaves the digits of the product's row 0 empty.
+    With k = ceil(sqrt(n)), F splits into blocks of k coefficients, block j
+    being the polynomial sum_(i<k) F[jk+i]*G^i, and F(G) is Horner's rule
+    in G^k over the blocks: about 2*sqrt(n) products instead of n - 1
+    (Brent and Kung, J. ACM 25, 1978).
+
+    Everything runs on the packed integers of _kron_mul (_to_int and
+    _from_int), all with one digit width.  The baby powers G^2 .. G^k are products by the packed G, each
+    read back once and packed once.  A coefficient of F is a plain integer
+    of d digits, so F[jk+i]*G^i is a small multiple of the packed G^i, and
+    each block is added to a giant step's product before its digits are
+    read back.  A digit sums at most rows(G^k)*d products below p^2 from a
+    baby or giant step and at most k*d more from a block, so the width
+    holds (rows(G^k) + k)*d*(p - 1)^2.
     """
     if limit is not None:
         G = G[:limit]
     n, nG = F.shape[0], G.shape[0]
     if n == 0 or nG == 0:
         return F[:1]
-    X = 2 * field.d - 1
-    nbytes = _digit_bytes(nG * field.d * (field.p - 1) ** 2)
+    p, d = field.p, field.d
+    X = 2 * d - 1
+    k = math.isqrt(n - 1) + 1
+    rows = [i * (nG - 1) + 1 for i in range(k + 1)]  # rows of G^i
+    if limit is not None:
+        rows = [min(r, limit) for r in rows]
+    nbytes = _digit_bytes((rows[k] + k) * d * (p - 1) ** 2)
     g = _to_int(G, 1, X, nbytes)
-    shift = 8 * nbytes
-    consts = [sum(v << (shift * c) for c, v in enumerate(row[0]))
-              for row in F.tolist()]
-    R = F[-1:]
-    for i in range(n - 2, -1, -1):
-        rows = R.shape[0] + nG - 1
+    packed = [1, g]
+    for i in range(2, k + 1):
+        packed.append(_to_int(_from_int(field, packed[-1] * g, rows[i], 1,
+                                        nbytes), 1, X, nbytes))
+    stride = X * nbytes
+    raw = _to_int(F, 1, X, nbytes).to_bytes(n * stride, "little")
+    consts = [int.from_bytes(raw[i:i + stride], "little")
+              for i in range(0, n * stride, stride)]
+
+    def block(j):
+        return sum(c * x for c, x in zip(consts[j * k:(j + 1) * k], packed))
+
+    m = (n - 1) // k + 1
+    top = n - (m - 1) * k  # coefficients in the last block
+    R = _from_int(field, block(m - 1), rows[top - 1], 1, nbytes)
+    for j in range(m - 2, -1, -1):
+        r = R.shape[0] + rows[k] - 1
         if limit is not None:
-            rows = min(rows, limit)
-        R = _from_int(field, _to_int(R, 1, X, nbytes) * g + consts[i],
-                      rows, 1, nbytes)
+            r = min(r, limit)
+        R = _from_int(field, _to_int(R, 1, X, nbytes) * packed[k] + block(j),
+                      r, 1, nbytes)
     return R
 
 
@@ -507,20 +535,18 @@ class TruncatedSeries:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
         self._check_ring(other)
-        n = self._meet(other)
-        la, lb = self.coeffs, other.coeffs
-        length = max(len(la), len(lb)) if n is None else n
-        out = []
-        for i in range(length):
-            a = la[i] if i < len(la) else self.ring.zero()
-            b = lb[i] if i < len(lb) else self.ring.zero()
-            out.append(a + b)
-        return TruncatedSeries(self.ring, out, n)
+        zero = self.ring.zero()
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+        return TruncatedSeries(self.ring, [op(a, b) for a, b in pairs],
+                               self._meet(other))
+
+    def __add__(self, other):
+        return self._termwise(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._termwise(other, operator.sub)
 
     def __neg__(self):
         return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.n_trunc)

@@ -7,7 +7,9 @@ degree at a time from elementary moves z -> z*(1 + B z^ell): at each degree
 ell not divisible by q the residual coefficient A of z^(ell+1) is cleared by
 choosing B = -A / (gamma^ell - 1), and degrees divisible by q are left alone
 (they carry the surviving coefficients a_j).  Every division is by the unit
-gamma^ell - 1, so integral Laurent coefficients stay integral.
+gamma^ell - 1, so integral Laurent coefficients stay integral.  The inverse
+of a move has a closed form (see _move_inverse), so no Newton iteration is
+needed.
 
 The resulting pair (a_1, a_2) feeds the genericity value m_q and the
 minimality criterion; both live here because they are read off the reduced
@@ -16,6 +18,7 @@ form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coeff_rings import half_scalar, ring_of
@@ -34,6 +37,23 @@ def _certified_nonzero(x, what: str) -> bool:
     if x.is_certified_zero():
         return False
     raise IndeterminateValuation(f"{what} is zero only to stored precision")
+
+
+def _move_inverse(ring, B, ell: int, N: int) -> TruncatedSeries:
+    """The compositional inverse of z + B*z^(ell+1) modulo z^N.
+
+    By Lagrange inversion its coefficient of z^(ell*j+1) is (-B)^j times the
+    Fuss-Catalan number C((ell+1)*j, j)/(ell*j + 1), and every other
+    coefficient beyond z vanishes.  Those numbers are integers, so the
+    formula holds in every characteristic.
+    """
+    entries = {1: ring.one()}
+    power = ring.one()
+    for j in range(1, (N - 2) // ell + 1):
+        power = power * -B
+        count = math.comb((ell + 1) * j, j) // (ell * j + 1)
+        entries[ell * j + 1] = ring.from_int(count) * power
+    return series(ring, entries, N)
 
 
 @dataclass
@@ -90,7 +110,7 @@ def to_normal_form(f: ParabolicGerm, N: int | None = None) -> NormalFormResult:
             continue
         B = -(c / gamma) / (gamma ** ell - one)
         step = series(ring, {1: one, ell + 1: B}, N)
-        g = step.compose(g.compose(step.inverse(N)))
+        g = step.compose(g.compose(_move_inverse(ring, B, ell, N)))
         h = step.compose(h)
         if g.coeff(ell + 1).is_certified_nonzero():  # pragma: no cover
             raise ParabolicLabError(f"clearing failed at degree {ell}")

@@ -1,10 +1,13 @@
 """Field and Laurent-scalar arithmetic, plus the root-of-unity helpers."""
 
+import time
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primefactors
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from parabolic_lab import (
     CompositeP,
@@ -21,7 +24,12 @@ from parabolic_lab import (
     root_of_unity,
     smallest_field_with_root,
 )
-from parabolic_lab.coeff_rings import _MR_LIMIT, _is_prime, _prime_factors
+from parabolic_lab.coeff_rings import (
+    _MR_LIMIT,
+    _is_irreducible,
+    _is_prime,
+    _prime_factors,
+)
 from parabolic_lab.errors import ParabolicLabError
 
 
@@ -78,6 +86,30 @@ def test_construction_rejects_reducible_modulus():
     # x^2 - 1 = (x-1)(x+1) over GF(3)
     with pytest.raises(ReducibleModulus):
         FiniteField(3, 2, modulus=(2, 0, 1))
+
+
+def test_irreducibility_matches_sympy():
+    rng = Random(7)
+    for p in (2, 3, 5, 7, 65521):
+        for _ in range(150):
+            d = rng.randint(1, 6)
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            assert _is_irreducible(f, p) == gf_irreducible_p(f[::-1], p, ZZ), (p, f)
+    # squares and products of two irreducibles of equal degree
+    # over GF(2): (x^2 + x + 1)^2, and (x^3 + x + 1)(x^3 + x^2 + 1)
+    assert not _is_irreducible([1, 0, 1, 0, 1], 2)
+    assert not _is_irreducible([1, 1, 1, 1, 1, 1, 1], 2)
+
+
+def test_large_characteristic_extension_is_built_quickly():
+    # the default modulus is found by Rabin's test, whose cost is polynomial
+    # in log p; trial division would need about p candidates
+    start = time.perf_counter()
+    F = FiniteField(2147483647, 2)
+    assert time.perf_counter() - start < 10
+    assert F.modulus == (1, 0, 1)  # -1 is a non-residue, p = 3 mod 4
+    x = F.gen()
+    assert x * x == F.from_int(-1)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.order})")
@@ -242,6 +274,18 @@ def test_scalar_rings_do_not_mix(R3):
     other = LaurentRing(FiniteField(5))
     with pytest.raises(ScalarRingMismatch):
         R3.one() + other.one()
+
+
+def test_equal_rings_built_apart_still_mix(R3):
+    # rings are compared by identity first, then by value
+    F3b = FiniteField(3)
+    assert F3b is not R3.field
+    a, b = R3.field.from_int(2), F3b.from_int(2)
+    assert a == b and a * b == R3.field.one() and (a - b).is_zero()
+    Rb = LaurentRing(F3b)
+    assert R3.t() + Rb.t() == R3.t(1) * 2
+    assert R3.t() * Rb.one() == Rb.t()
+    assert R3.embed(b) == Rb.embed(a)
 
 
 def test_ring_of_dispatch(R3):

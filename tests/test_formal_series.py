@@ -126,25 +126,32 @@ def laurent_scalar(draw, ring, kinds=("zero", "O(t^k)", "exact", "truncated")):
 def kernel_operands(draw):
     """(ring, a, b, g): a and b to multiply, g vanishing at 0 to compose into
     a.  Over a finite field, coordinates lean on 0, 1 and p - 1, the largest
-    digits; over a Laurent ring, coefficients carry their own t-precision."""
+    digits, and a has 1, 2, k^2 or k^2 + 1 coefficients for k up to 6: a
+    composition's blocks of k then end exactly at a's last coefficient or
+    one short of it, or there is no giant step at all.  Over a Laurent ring,
+    coefficients carry their own t-precision."""
+    n = draw(st.integers(1, 8))
     if draw(st.booleans()):
         ring = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
         p = ring.p
         coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
         scalar = st.lists(coord, min_size=ring.d, max_size=ring.d).map(
             ring.element)
+        k = draw(st.integers(2, 6))
+        n_outer = draw(st.sampled_from([1, 2, k * k, k * k + 1]))
     else:
         ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
         scalar = laurent_scalar(ring)
-    n = draw(st.integers(1, 8))
+        n_outer = None
 
-    def operand(order_ge):
-        n_trunc = draw(st.sampled_from([n, None]))
-        return draw(st.lists(scalar, max_size=n).map(
+    def operand(order_ge, size=n, min_size=0):
+        n_trunc = draw(st.sampled_from([size, None]))
+        return draw(st.lists(scalar, min_size=min_size, max_size=size).map(
             lambda cs: series(ring, {i: c for i, c in enumerate(cs)
                                      if i >= order_ge}, n_trunc)))
 
-    return ring, operand(0), operand(0), operand(1)
+    a = operand(0) if n_outer is None else operand(0, n_outer, n_outer)
+    return ring, a, operand(0), operand(1)
 
 
 @given(ops=kernel_operands())
@@ -173,7 +180,7 @@ def test_generic_convolution_matches_packed_kernel(ops):
                                           fillvalue=zero)]
 
 
-def test_products_past_the_int64_limit_stay_exact(monkeypatch):
+def test_products_past_the_int64_limit_stay_exact():
     # (p-1)(1 + z + z^2 + ...) squared is 1 + 2z + 3z^2 + ... mod z^N; at
     # N = 3 the z^2 coefficient sums 3(p-1)^2 > 2^63 for p = 2^31 - 1
     for p in (2 ** 31 - 1, 3037000507):
@@ -182,9 +189,7 @@ def test_products_past_the_int64_limit_stay_exact(monkeypatch):
             a = series(F, {i: F.from_int(-1) for i in range(N)}, N)
             assert [c.coords[0] for c in (a * a).coeffs] == [1, 2, 3, 4][:N]
     # over GF(p^2), p = 2^61 - 1, even the x^k reduction passes 2^63.  x^2 - 3
-    # is irreducible (p = 7 mod 12, so 3 is a non-residue); the trial
-    # division that would confirm it takes p steps, so it is skipped here.
-    monkeypatch.setattr(coeff_rings, "_is_irreducible", lambda coeffs, p: True)
+    # is irreducible (p = 7 mod 12, so 3 is a non-residue)
     F = FiniteField(2 ** 61 - 1, 2, modulus=(-3, 0, 1))
     a = series(F, {i: F.element((-1, -1 - i)) for i in range(4)}, 4)
     g = series(F, {1: F.element((-1, 0)), 2: F.element((0, -1))}, 4)

@@ -1,10 +1,13 @@
 """Reduction to the sparse conjugacy representative supported on 1 mod q."""
 
+import math
+
 import pytest
 from random import Random
 
 from parabolic_lab import (
     FiniteField,
+    LaurentRing,
     ParabolicGerm,
     normal_form_criterion,
     parse_series,
@@ -15,6 +18,7 @@ from parabolic_lab import (
     smallest_field_with_root,
     to_normal_form,
 )
+from parabolic_lab.normal_form import _move_inverse
 from parabolic_lab.samplers import random_parabolic_germ, standard_field
 
 from conftest import germ
@@ -118,3 +122,46 @@ def test_criterion_for_q_one_odd_characteristic():
     # resit = 1 - a2/a1^2 = 0 here, so the criterion fails
     assert not normal_form_criterion(F3.one(), F3.one(), 3, 1)
     assert not normal_form_criterion(F3.zero(), F3.one(), 3, 1)
+
+
+# -- the closed-form inverse of an elementary move ---------------------------
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
+                                 (2 ** 61 - 1, 1)])
+def test_move_inverse_matches_newton_over_finite_fields(p, d):
+    rng = Random(13)
+    field = FiniteField(p, d)
+    for _ in range(25):
+        B = field.element([rng.randrange(p) for _ in range(d)])
+        ell, N = rng.randint(1, 6), rng.randint(2, 20)
+        step = series(field, {1: field.one(), ell + 1: B}, N)
+        assert _move_inverse(field, B, ell, N) == step.inverse(N)
+
+
+def _tprec(c):
+    return math.inf if c.tprec is None else c.tprec
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_move_inverse_is_never_less_t_precise_than_newton(p):
+    # over Laurent rings an integer coefficient that vanishes mod p makes an
+    # exact zero in the closed form, where Newton's iteration may carry a
+    # zero known only to O(t^k); below the smaller precision they agree
+    rng = Random(14)
+    ring = LaurentRing(FiniteField(p))
+    for _ in range(60):
+        v0 = rng.randint(-2, 3)
+        kind = rng.choice(["exact", "O(t^k)", "zero to O(t^k)"])
+        pairs = {} if kind.startswith("zero") else {
+            v0 + i: rng.randrange(1, p) for i in range(rng.randint(1, 3))}
+        tprec = None if kind == "exact" else v0 + len(pairs) + rng.randint(0, 3)
+        B = ring.element(pairs, tprec)
+        ell, N = rng.randint(1, 4), rng.randint(3, 12)
+        step = series(ring, {1: ring.one(), ell + 1: B}, N)
+        closed, newton = _move_inverse(ring, B, ell, N), step.inverse(N)
+        for a, b in zip(closed.coeffs, newton.coeffs, strict=True):
+            assert _tprec(a) >= _tprec(b)
+            if b.tprec is None:
+                assert a == b
+            else:
+                assert a.clip(b.tprec) == b
