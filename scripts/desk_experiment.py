@@ -3,7 +3,8 @@
 
 Prints the ramification data, the iterative residue, the periodic-point
 valuation bound, and the Newton polygons of the first two cycle
-quotients, then cross-checks the polygon roots against the bound.
+quotients, then cross-checks the polygon roots against the bound.  Exits 1
+when a period-3 root valuation exceeds the bound, with or without --json.
 """
 
 import argparse
@@ -43,10 +44,12 @@ def run(as_json: bool) -> int:
         "period_three": cycle.to_jsonable(),
         "seconds": round(time.monotonic() - start, 3),
     }
+    worst = max((v for v, _ in cycle.root_valuations() if v > 0), default=None)
+    within = worst is None or worst <= bound.bound_valuation
     if as_json:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
-        return 0
+        return 0 if within else 1
 
     print(f"germ f(z) = {doc['germ']}  over  {doc['field']}")
     for e in prof.entries:
@@ -56,11 +59,10 @@ def run(as_json: bool) -> int:
           f"(branch {bound.branch})")
     print("  fixed-point polygon:", fixed.to_jsonable()["root_valuations"])
     print("  period-3 polygon:  ", cycle.to_jsonable()["root_valuations"])
-    worst = max((v for v, _ in cycle.root_valuations() if v > 0), default=None)
     print(f"  largest positive root valuation {worst} <= bound "
-          f"{bound.bound_valuation}: {worst <= bound.bound_valuation}")
+          f"{bound.bound_valuation}: {within}")
     print(f"  done in {doc['seconds']}s")
-    return 0
+    return 0 if within else 1
 
 
 if __name__ == "__main__":

@@ -282,9 +282,16 @@ class FiniteField:
 
     @staticmethod
     def _default_modulus(p, d):
+        """The first irreducible monic of degree d in base-p order of its
+        lower coefficients.  Codes below p are the binomials x^d + c; none
+        of them is irreducible when some prime r | d does not divide p - 1,
+        or when 4 | d and p != 1 mod 4 (Lidl and Niederreiter, Finite
+        Fields, Thm. 3.75), and the scan then starts past them."""
         if d == 1:
             return (0, 1)
-        for code in range(p ** d):
+        no_binomial = (any((p - 1) % r for r in _prime_factors(d))
+                       or (d % 4 == 0 and p % 4 != 1))
+        for code in range(p if no_binomial else 0, p ** d):
             g = []
             c = code
             for _ in range(d):
@@ -728,6 +735,11 @@ class LaurentScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # an exact zero changes nothing, and scalars are kept canonical
+        if other.is_certified_zero():
+            return self
+        if self.is_certified_zero():
+            return other
         if self.tprec is None:
             tp = other.tprec
         elif other.tprec is None:

@@ -12,16 +12,19 @@ Laurent ring may carry coefficients that are themselves known only to finite
 t-precision (this happens to quotients of exact polynomials).
 
 Multiplication is truncated convolution; composition is Brent and Kung's
-baby-step/giant-step evaluation over GF(p^d) and Horner's rule over
-GF(p^d)((t)).  All of them run on one kernel, `_kron_mul`: a series is
-packed into an integer array of shape (N, W, d) (z-rows, t-slots,
-coordinates over GF(p)), and a product of two arrays is a single Python
-big-integer multiply by Kronecker substitution.  Digits are sized from the
-operands, so the kernel is exact for every p.  Over GF(p^d) the array has
-one t-slot (W = 1).  Over GF(p^d)((t)) the coefficients share one lowest
-exponent and each row carries its own t-precision; a product's rows take
-theirs by a min-plus rule and are clipped to it, which gives exactly what
-scalar LaurentScalar arithmetic would.
+baby-step/giant-step evaluation, except over GF(p^d)((t)) when some
+coefficient is known only to O(t^k): there it is Horner's rule, whose
+certified precision the scalar oracle pins.  All of them run on one
+kernel, `_kron_mul`: a series is packed into an integer array of shape
+(N, W, d) (z-rows, t-slots, coordinates over GF(p)), and a product of two
+arrays is a single Python big-integer multiply by Kronecker substitution.
+Digits are sized from the operands, so the kernel is exact for every p.
+Over GF(p^d) the array has one t-slot (W = 1).  Over GF(p^d)((t)) the
+coefficients share one lowest exponent and each row carries its own
+t-precision; a product's rows take theirs by a min-plus rule and are
+clipped to it, which gives exactly what scalar LaurentScalar arithmetic
+would.  When every row of both operands is exact, every row of the
+product is, and that work is skipped.
 Series still store coefficient objects: arrays are packed once per product
 or composition and unpacked once at its end.
 
@@ -91,20 +94,20 @@ def _digit_bytes(top):
             else 8 if bits <= 64 else (bits + 7) // 8)
 
 
-def _to_int(M, S, X, nbytes):
+def _to_int(M, S, X, nbytes, offset=0):
     """Pack an (n, W, d) array into one integer: entry (i, w, c) becomes the
-    digit (i*S + w)*X + c, each digit nbytes wide."""
+    digit (i*S + offset + w)*X + c, each digit nbytes wide."""
     n, W, d = M.shape
     if nbytes > 8:
         buf = np.zeros((n, S, X), dtype=object)
-        buf[:, :W, :d] = M
+        buf[:, offset:offset + W, :d] = M
         return int.from_bytes(b"".join(
             int(v).to_bytes(nbytes, "little") for v in buf.ravel().tolist()),
             "little")
     if W == S and d == X:
         return int.from_bytes(M.astype(f"<u{nbytes}").tobytes(), "little")
     buf = np.zeros((n, S, X), dtype=f"<u{nbytes}")
-    buf[:, :W, :d] = M
+    buf[:, offset:offset + W, :d] = M
     return int.from_bytes(buf.tobytes(), "little")
 
 
@@ -169,22 +172,43 @@ def _unpack(field, arr):
     return tuple(FieldElement(field, tuple(row)) for row in arr[:, 0].tolist())
 
 
+# Brent-Kung evaluation (Brent and Kung, J. ACM 25, 1978), shared by both
+# rings: with k = ceil(sqrt(n)), F splits into m blocks of k coefficients,
+# block j being the polynomial sum_(i<k) F[jk+i]*G^i, and F(G) is Horner's
+# rule in G^k over the blocks, about 2*sqrt(n) products instead of n - 1.
+# Each block is a sum of big-integer products of packed rows of F by packed
+# powers of G.
+
+def _bk_shape(n):
+    """Block size k, block count m and the coefficients in the last block."""
+    k = math.isqrt(n - 1) + 1
+    m = (n - 1) // k + 1
+    return k, m, n - (m - 1) * k
+
+
+def _row_ints(x, n, stride):
+    """The n packed rows of x, each stride bytes wide, as integers."""
+    raw = x.to_bytes(n * stride, "little")
+    return [int.from_bytes(raw[i:i + stride], "little")
+            for i in range(0, n * stride, stride)]
+
+
+def _bk_block(rows, powers, k, j):
+    """Block j: the packed rows jk .. jk+k-1 of F times the packed G^i."""
+    return sum(c * x for c, x in zip(rows[j * k:(j + 1) * k], powers) if c)
+
+
 def _compose_ff(field, F, G, limit):
     """Brent-Kung evaluation of F at G (constant term of G zero).
 
-    With k = ceil(sqrt(n)), F splits into blocks of k coefficients, block j
-    being the polynomial sum_(i<k) F[jk+i]*G^i, and F(G) is Horner's rule
-    in G^k over the blocks: about 2*sqrt(n) products instead of n - 1
-    (Brent and Kung, J. ACM 25, 1978).
-
     Everything runs on the packed integers of _kron_mul (_to_int and
-    _from_int), all with one digit width.  The baby powers G^2 .. G^k are products by the packed G, each
-    read back once and packed once.  A coefficient of F is a plain integer
-    of d digits, so F[jk+i]*G^i is a small multiple of the packed G^i, and
-    each block is added to a giant step's product before its digits are
-    read back.  A digit sums at most rows(G^k)*d products below p^2 from a
-    baby or giant step and at most k*d more from a block, so the width
-    holds (rows(G^k) + k)*d*(p - 1)^2.
+    _from_int), all with one digit width.  The baby powers G^2 .. G^k are
+    products by the packed G, each read back once and packed once.  A
+    coefficient of F is a plain integer of d digits, so F[jk+i]*G^i is a
+    small multiple of the packed G^i, and each block is added to a giant
+    step's product before its digits are read back.  A digit sums at most
+    rows(G^k)*d products below p^2 from a baby or giant step and at most
+    k*d more from a block, so the width holds (rows(G^k) + k)*d*(p - 1)^2.
     """
     if limit is not None:
         G = G[:limit]
@@ -193,7 +217,7 @@ def _compose_ff(field, F, G, limit):
         return F[:1]
     p, d = field.p, field.d
     X = 2 * d - 1
-    k = math.isqrt(n - 1) + 1
+    k, m, top = _bk_shape(n)
     rows = [i * (nG - 1) + 1 for i in range(k + 1)]  # rows of G^i
     if limit is not None:
         rows = [min(r, limit) for r in rows]
@@ -203,23 +227,15 @@ def _compose_ff(field, F, G, limit):
     for i in range(2, k + 1):
         packed.append(_to_int(_from_int(field, packed[-1] * g, rows[i], 1,
                                         nbytes), 1, X, nbytes))
-    stride = X * nbytes
-    raw = _to_int(F, 1, X, nbytes).to_bytes(n * stride, "little")
-    consts = [int.from_bytes(raw[i:i + stride], "little")
-              for i in range(0, n * stride, stride)]
-
-    def block(j):
-        return sum(c * x for c, x in zip(consts[j * k:(j + 1) * k], packed))
-
-    m = (n - 1) // k + 1
-    top = n - (m - 1) * k  # coefficients in the last block
-    R = _from_int(field, block(m - 1), rows[top - 1], 1, nbytes)
+    consts = _row_ints(_to_int(F, 1, X, nbytes), n, X * nbytes)
+    R = _from_int(field, _bk_block(consts, packed, k, m - 1), rows[top - 1], 1,
+                  nbytes)
     for j in range(m - 2, -1, -1):
         r = R.shape[0] + rows[k] - 1
         if limit is not None:
             r = min(r, limit)
-        R = _from_int(field, _to_int(R, 1, X, nbytes) * packed[k] + block(j),
-                      r, 1, nbytes)
+        R = _from_int(field, _to_int(R, 1, X, nbytes) * packed[k]
+                      + _bk_block(consts, packed, k, j), r, 1, nbytes)
     return R
 
 
@@ -297,6 +313,15 @@ def _antidiagonal_min(tA, vA, tB, vB):
     return out
 
 
+def _all_exact(tp):
+    """Whether every row of a packed Laurent series is exact in t."""
+    return tp.min(initial=_EXACT) >= _EXACT
+
+
+def _exact_rows(n):
+    return np.full(n, _EXACT, dtype=np.int64)
+
+
 def _mul_laurent(field, A, B, limit):
     """Packed product of two Laurent series, with per-row t-precision.
 
@@ -304,25 +329,33 @@ def _mul_laurent(field, A, B, limit):
     min(tprec(a) + v(b), tprec(b) + v(a)), v being a valuation lower bound;
     a sum, below the least precision of its terms.  Exact zero factors add
     nothing: their _EXACT entries keep the sum at or above _EXACT / 2, which
-    reads as exact again.
+    reads as exact again.  When every row of both operands is exact, so is
+    every row of the product, and none of this needs computing.
     """
     (MA, bA, tA), (MB, bB, tB) = A, B
     if limit is not None:
         MA, tA, MB, tB = MA[:limit], tA[:limit], MB[:limit], tB[:limit]
-    vA, vB = _lowest((MA, bA, tA)), _lowest((MB, bB, tB))
     M = _kron_mul(field, MA, MB, limit)
     rows = M.shape[0]
     if rows == 0:
         return M, 0, np.zeros(0, dtype=np.int64)
+    if _all_exact(tA) and _all_exact(tB):
+        return _trim(M, bA + bB, _exact_rows(rows))
+    vA, vB = _lowest((MA, bA, tA)), _lowest((MB, bB, tB))
     tp = _antidiagonal_min(tA, vA, tB, vB)[:rows]
     tp[tp >= _EXACT // 2] = _EXACT
     return _clip(M, bA + bB, tp)
 
 
 def _clip(M, base, tp):
-    """Zero each row at and above its precision, then drop the empty slots
-    at both ends (one slot is kept when nothing is left)."""
+    """Zero each row at and above its precision, then _trim."""
     M[np.arange(M.shape[1])[None, :] >= (tp - base)[:, None]] = 0
+    return _trim(M, base, tp)
+
+
+def _trim(M, base, tp):
+    """Drop the empty slots at both ends (one slot is kept when nothing is
+    left)."""
     live = M.any(axis=(0, 2))
     if not live.any():
         return M[:, :1], base, tp
@@ -388,7 +421,14 @@ def _add_to_row0(field, R, F, i):
 
 
 def _compose_laurent(field, F, G, limit):
-    """Horner evaluation of packed F at packed G (constant term of G zero)."""
+    """Horner evaluation of packed F at packed G (constant term of G zero).
+
+    This serves operands with rows known only to O(t^k).  There the order of
+    evaluation changes the certified precision, and Horner's is the one the
+    scalar oracle gives: for F = O(t^0)*z^2 and G = x*z + x*z^2 over
+    GF(4)((t)), Horner knows the z^3 coefficient to O(t^0), while F[2]*G^2
+    would make it an exact zero.
+    """
     MF, bF, tF = F
     if MF.shape[0] == 0:
         return F
@@ -399,6 +439,56 @@ def _compose_laurent(field, F, G, limit):
             R = (np.zeros((1, 1, field.d), dtype=MF.dtype), 0,
                  np.array([_EXACT], dtype=np.int64))
         R = _add_to_row0(field, R, F, i)
+    return R
+
+
+def _compose_exact_laurent(field, F, G, limit):
+    """Brent-Kung evaluation of packed F at packed G, every row of both exact
+    in t (constant term of G zero).
+
+    The baby powers G^2 .. G^k are _mul_laurent products.  Row i of F is a
+    polynomial in t, so F[jk+i]*G^i is a Kronecker product of one packed row
+    by the packed G^i.  The powers below G^k are packed in one t-frame, from
+    the lowest of their bases, with W_F + W_frame - 1 slots per row: every
+    product of a block then lands in the same frame, and the block is summed
+    as one integer and read back once.  A digit sums at most
+    k*min(W_F, W_frame)*d products below p^2.  The giant steps are
+    _mul_laurent products by G^k, each followed by an exact add of a block.
+    """
+    MF, bF, tF = F
+    if limit is not None:
+        # G vanishes at 0, so F[i]*G^i vanishes below z^limit for i >= limit
+        MF, tF, G = MF[:limit], tF[:limit], (G[0][:limit], G[1], G[2][:limit])
+    n, nG = MF.shape[0], G[0].shape[0]
+    if n == 0 or nG == 0:
+        return MF[:1], bF, tF[:1]
+    p, d = field.p, field.d
+    X = 2 * d - 1
+    k, m, top = _bk_shape(n)
+    one = np.zeros((1, 1, d), dtype=MF.dtype)
+    one[0, 0, 0] = 1
+    powers = [(one, 0, _exact_rows(1)), G]
+    for _ in range(2, k + 1 if m > 1 else k):  # G^k only for giant steps
+        powers.append(_mul_laurent(field, powers[-1], G, limit))
+    live = [(M, base) for M, base, _ in powers[:k] if M.any()]
+    lo = min(base for _, base in live)
+    W = max(base + M.shape[1] for M, base in live) - lo
+    WF = MF.shape[1]
+    S = WF + W - 1
+    nbytes = _digit_bytes(k * min(WF, W) * d * (p - 1) ** 2)
+    packed = [_to_int(M, S, X, nbytes, base - lo) if M.any() else 0
+              for M, base, _ in powers[:k]]
+    consts = _row_ints(_to_int(MF, S, X, nbytes), n, S * X * nbytes)
+
+    def block(j, count):
+        rows = max(powers[i][0].shape[0] for i in range(count))
+        M = _from_int(field, _bk_block(consts, packed, k, j), rows, S, nbytes)
+        return _trim(M, bF + lo, _exact_rows(rows))
+
+    R = block(m - 1, top)
+    for j in range(m - 2, -1, -1):
+        R = _add_laurent(field, _mul_laurent(field, R, powers[k], limit),
+                         block(j, k))
     return R
 
 
@@ -576,8 +666,11 @@ class TruncatedSeries:
             arr = _compose_ff(ring, _pack(ring, self.coeffs),
                               _pack(ring, inner.coeffs), n)
             return TruncatedSeries(ring, _unpack(ring, arr), n)
-        R = _compose_laurent(ring.field, _pack_laurent(ring, self.coeffs),
-                             _pack_laurent(ring, inner.coeffs), n)
+        F = _pack_laurent(ring, self.coeffs)
+        G = _pack_laurent(ring, inner.coeffs)
+        exact = _all_exact(F[2]) and _all_exact(G[2])
+        R = (_compose_exact_laurent if exact else _compose_laurent)(
+            ring.field, F, G, n)
         return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
 
     def iterate(self, m: int) -> "TruncatedSeries":

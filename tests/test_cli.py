@@ -128,6 +128,25 @@ def test_run_sweeps_script_smoke():
     assert all(line.split()[-2] == "ok" for line in lines)
 
 
+def test_desk_experiment_exit_status(capsys, monkeypatch):
+    # both modes exit 1 when a period-3 root lies beyond the bound
+    import dataclasses
+    import importlib.util
+    from fractions import Fraction
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "desk_experiment", root / "scripts" / "desk_experiment.py")
+    desk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk)
+    assert desk.run(False) == 0 and desk.run(True) == 0
+    real = desk.periodic_valuation_bound
+    monkeypatch.setattr(desk, "periodic_valuation_bound", lambda f, n: (
+        dataclasses.replace(real(f, n), bound_valuation=Fraction(1, 22))))
+    assert desk.run(False) == 1 and desk.run(True) == 1
+    capsys.readouterr()
+
+
 def test_bounds_document(capsys):
     code, doc = run_json(["bounds", "--field", "Laurent(GF(3))", "--series",
                           "z + t*z^2 + z^3", "--n", "1"], capsys)
@@ -252,6 +271,13 @@ def test_console_entry_point_runs():
          "--nmax", "0"], capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["i"] == [1]
+
+
+def test_ramify_over_an_extension_without_irreducible_binomials(capsys):
+    code, doc = run_json(["ramify", "--field", "GF(65537,3)", "--series",
+                          "z + z^2", "--N", "6", "--nmax", "0"], capsys)
+    assert code == 0
+    assert doc["i"] == [1]
 
 
 def test_printed_series_reparse(capsys):

@@ -112,6 +112,29 @@ def test_large_characteristic_extension_is_built_quickly():
     assert x * x == F.from_int(-1)
 
 
+def test_default_modulus_skips_only_reducible_binomials():
+    # the scan passes over x^d + c only when no binomial of degree d is
+    # irreducible, so every default modulus is the first irreducible monic
+    # of the full scan
+    def full_scan(p, d):
+        for code in range(p ** d):
+            g = [code // p ** i % p for i in range(d)] + [1]
+            if _is_irreducible(g, p):
+                return tuple(g)
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(2, 7):
+            assert FiniteField(p, d).modulus == full_scan(p, d), (p, d)
+
+
+def test_extension_without_irreducible_binomials_is_built_quickly():
+    # p = 2 mod 3 makes every element a cube, so no x^3 + c is irreducible
+    start = time.perf_counter()
+    F = FiniteField(65537, 3)
+    assert time.perf_counter() - start < 5
+    assert F.modulus == (4, 1, 0, 1)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.order})")
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

@@ -125,33 +125,38 @@ def laurent_scalar(draw, ring, kinds=("zero", "O(t^k)", "exact", "truncated")):
 @st.composite
 def kernel_operands(draw):
     """(ring, a, b, g): a and b to multiply, g vanishing at 0 to compose into
-    a.  Over a finite field, coordinates lean on 0, 1 and p - 1, the largest
-    digits, and a has 1, 2, k^2 or k^2 + 1 coefficients for k up to 6: a
+    a.  a has 1, 2, k^2 or k^2 + 1 coefficients for k up to 6: a
     composition's blocks of k then end exactly at a's last coefficient or
-    one short of it, or there is no giant step at all.  Over a Laurent ring,
-    coefficients carry their own t-precision."""
+    one short of it, or there is no giant step at all.  Over a finite field,
+    coordinates lean on 0, 1 and p - 1, the largest digits.  Over a Laurent
+    ring, coefficients carry their own t-precision; half the time all of
+    them are exact (v0 may be negative, so the powers of g sit on different
+    t-bases), which is the Brent-Kung path, and otherwise Horner's."""
     n = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 6))
+    n_outer = draw(st.sampled_from([1, 2, k * k, k * k + 1]))
     if draw(st.booleans()):
         ring = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
         p = ring.p
         coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
         scalar = st.lists(coord, min_size=ring.d, max_size=ring.d).map(
             ring.element)
-        k = draw(st.integers(2, 6))
-        n_outer = draw(st.sampled_from([1, 2, k * k, k * k + 1]))
     else:
         ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
-        scalar = laurent_scalar(ring)
-        n_outer = None
+        exact = draw(st.booleans())
+        scalar = laurent_scalar(ring, ("zero", "exact") if exact else
+                                ("zero", "O(t^k)", "exact", "truncated"))
 
-    def operand(order_ge, size=n, min_size=0):
-        n_trunc = draw(st.sampled_from([size, None]))
+    def operand(order_ge, size=n, min_size=0, windows=(n, None)):
+        n_trunc = draw(st.sampled_from(windows))
         return draw(st.lists(scalar, min_size=min_size, max_size=size).map(
             lambda cs: series(ring, {i: c for i, c in enumerate(cs)
                                      if i >= order_ge}, n_trunc)))
 
-    a = operand(0) if n_outer is None else operand(0, n_outer, n_outer)
-    return ring, a, operand(0), operand(1)
+    # g's window may reach past its terms to a's length, so that long
+    # compositions are truncated as well as z-exact
+    a = operand(0, n_outer, n_outer, (n_outer, None))
+    return ring, a, operand(0), operand(1, windows=(n, n_outer, None))
 
 
 @given(ops=kernel_operands())
@@ -178,6 +183,66 @@ def test_generic_convolution_matches_packed_kernel(ops):
         assert formal_series._unpack_laurent(ring, diff) == [
             x - y for x, y in zip_longest(a.coeffs, (zero, *b.coeffs),
                                           fillvalue=zero)]
+
+
+@given(data=st.data(), field=st.sampled_from(LAURENT_FIELDS))
+@settings(max_examples=100, deadline=None)
+def test_adding_an_exact_zero_keeps_the_scalar(data, field):
+    # x + 0 and x - 0 return x itself, and 0 - x is -x, field by field
+    ring = LaurentRing(_kernel_field(*field))
+    x = data.draw(laurent_scalar(ring))
+    zero = ring.zero()
+
+    def fields(c):
+        return c.v0, c.coeffs, c.tprec
+
+    for y in (x + zero, zero + x, x - zero, x + 0, 0 + x):
+        assert fields(y) == fields(x)
+    assert fields(zero - x) == fields(-x)
+
+
+def test_exact_laurent_composition_is_brent_kung():
+    # k - 1 baby powers and m - 1 giant steps (k = ceil(sqrt(n))), and no
+    # precision bookkeeping, where Horner would make n - 1 products
+    ring = LaurentRing(F3)
+    calls = {"mul": 0, "minplus": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for N, products in ((4, 2), (10, 5), (25, 8), (26, 9)):
+        f = series(ring, {i: ring.element({-1: 1, i % 3: 2})
+                          for i in range(N)}, N)
+        g = series(ring, {1: 1, 2: ring.t(), 3: ring.t(-1)}, N)
+        calls.update(mul=0, minplus=0)
+        with patch.object(formal_series, "_mul_laurent", counted(
+                "mul", formal_series._mul_laurent)), \
+             patch.object(formal_series, "_antidiagonal_min", counted(
+                 "minplus", formal_series._antidiagonal_min)), \
+             patch.object(formal_series, "_compose_laurent",
+                          side_effect=AssertionError("Horner on exact rows")):
+            out = f.compose(g)
+        assert calls == {"mul": products, "minplus": 0}
+        assert out == TruncatedSeries(
+            ring, _gcompose(ring, f.coeffs, g.coeffs, N), N)
+
+
+def test_horner_keeps_the_precision_of_truncated_rows():
+    # F = O(t^0)*z^2 at G = x*z + x*z^2 over GF(4)((t)): Horner knows the
+    # z^3 coefficient only to O(t^0), as the scalar oracle does, although
+    # G^2 = x^2*z^2 + x^2*z^4 in characteristic 2 would make it exact
+    ring = LaurentRing(_kernel_field(2, 2))
+    x = ring.embed(ring.field.gen())
+    f = series(ring, {2: ring.element({}, 0)}, 8)
+    g = series(ring, {1: x, 2: x}, 8)
+    out = f.compose(g)
+    assert out == TruncatedSeries(
+        ring, _gcompose(ring, f.coeffs, g.coeffs, 8), 8)
+    assert out.coeff(3) == ring.element({}, 0)
+    assert not out.coeff(3).is_exact()
 
 
 def test_products_past_the_int64_limit_stay_exact():
