@@ -8,12 +8,15 @@ never appear, and sweeps derive every sample from the mandatory --seed.
 Exit codes: 0 for success (including a bound that degenerates to "no
 information"), 1 when a verification fails (a mismatch witness or a broken
 internal consistency such as a division that should have been exact), 2 for
-unusable input (bad literals, missing flags, windows too small to start).
+unusable input (bad literals, missing flags, windows too small to start,
+a Laurent field where a command needs a finite one).  Only a failed
+verification exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -28,6 +31,7 @@ from .closed_forms import (
 )
 from .coeff_rings import (
     DEFAULT_TPREC,
+    FiniteField,
     root_of_unity,
     smallest_field_with_root,
 )
@@ -38,6 +42,7 @@ from .errors import (
     NotDivisible,
     NotMinimallyRamifiedAtLevelZero,
     ParabolicLabError,
+    ScalarRingMismatch,
     UnboundedBound,
 )
 from .formal_series import ParabolicGerm
@@ -96,11 +101,17 @@ def _coeff_list(text: str | None, field):
     return [parse_scalar(part, field) for part in text.split(",")]
 
 
-def _field_for(args):
+def _field_for(args, command=None):
+    """The --field ring, else the smallest field with an order-q root.  A
+    command named here needs a finite field: it takes a root of unity or
+    draws field elements, so a Laurent ring is refused."""
     if args.field:
         ring = parse_field(args.field, args.tprec)
     else:
         ring = smallest_field_with_root(args.p, args.q)
+    if command and not isinstance(ring, FiniteField):
+        raise ScalarRingMismatch(f"{command} needs a finite field, not "
+                                 f"{args.field}")
     return ring
 
 
@@ -158,7 +169,7 @@ def _cmd_closed_form(args):
     if mode == "iterate-q":
         if args.p is None:
             raise ParabolicLabError("iterate-q needs --p")
-        field = _field_for(args)
+        field = _field_for(args, "closed-form iterate-q")
         gamma = root_of_unity(field, args.q)
         a1, a2 = _coeff_list(args.coeffs, field)
         c0, c1, c2 = iterate_q_closed(gamma, args.q, a1, a2)
@@ -194,16 +205,16 @@ def _sweep_doc(kind, args, sweep, failures, extra):
 
 def _cmd_verify_main_lemma(args):
     _require(args, p=args.p, q=args.q, n=args.n)
+    if args.coeffs is None and args.seed is None:
+        raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
+    field = _field_for(args, "verify main-lemma")
     if args.coeffs is not None:
-        field = _field_for(args)
         a = _coeff_list(args.coeffs, field)
         rep = verify_main_lemma(args.p, args.q, args.n, a, N=args.N,
                                 field=field)
         return rep.to_jsonable(), (OK if rep.ok else VERIFICATION_FAILED)
-    if args.seed is None:
-        raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
-    failures = sweeps.main_lemma(Random(args.seed), _field_for(args), args.p,
-                                 args.q, args.n, N=args.N)
+    failures = sweeps.main_lemma(Random(args.seed), field, args.p, args.q,
+                                 args.n, N=args.N)
     return _sweep_doc("main-lemma", args, sweeps.main_lemma, failures,
                       {"p": args.p, "q": args.q, "n": args.n})
 
@@ -360,9 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on first use, not at import: importing the module stays cheap
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
     except (MismatchWitness, NotDivisible, NonIntegralCoefficient) as e:

@@ -224,6 +224,8 @@ def verify_main_lemma(p: int, q: int, n: int, a, N: int | None = None,
     With strict=True the first disagreeing exponent raises instead of being
     reported.
     """
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
     E = ramification_lower_bound(p, q, n)
     W = E + 2 * q + 1
     if N is None:

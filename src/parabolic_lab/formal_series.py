@@ -12,12 +12,13 @@ Laurent ring may carry coefficients that are themselves known only to finite
 t-precision (this happens to quotients of exact polynomials).
 
 Multiplication is truncated convolution; composition is Brent and Kung's
-baby-step/giant-step evaluation, except over GF(p^d)((t)) when some
-coefficient is known only to O(t^k): there it is Horner's rule, whose
-certified precision the scalar oracle pins.  All of them run on one
-kernel, `_kron_mul`: a series is packed into an integer array of shape
-(N, W, d) (z-rows, t-slots, coordinates over GF(p)), and a product of two
-arrays is a single Python big-integer multiply by Kronecker substitution.
+baby-step/giant-step evaluation.  Over GF(p^d)((t)), when some coefficient
+is known only to O(t^k), its blocks are single rows, which is Horner's
+rule: there the order of evaluation changes the certified precision, and
+the scalar oracle pins Horner's.  All of them run on one kernel,
+`_kron_mul`: a series is packed into an integer array of shape (N, W, d)
+(z-rows, t-slots, coordinates over GF(p)), and a product of two arrays is
+a single Python big-integer multiply by Kronecker substitution.
 Digits are sized from the operands, so the kernel is exact for every p.
 Over GF(p^d) the array has one t-slot (W = 1).  Over GF(p^d)((t)) the
 coefficients share one lowest exponent and each row carries its own
@@ -177,7 +178,8 @@ def _unpack(field, arr):
 # block j being the polynomial sum_(i<k) F[jk+i]*G^i, and F(G) is Horner's
 # rule in G^k over the blocks, about 2*sqrt(n) products instead of n - 1.
 # Each block is a sum of big-integer products of packed rows of F by packed
-# powers of G.
+# powers of G.  With k = 1 the blocks are the rows of F: that is Horner's
+# rule itself.
 
 def _bk_shape(n):
     """Block size k, block count m and the coefficients in the last block."""
@@ -289,7 +291,7 @@ def _lowest(R):
     return np.where(live.any(axis=1), base + live.argmax(axis=1), tp)
 
 
-# Entries per block of the min-plus matrix in _antidiagonal_min: a Horner
+# Entries per block of the min-plus matrix in _antidiagonal_min: a giant
 # step over exact polynomials can pair thousands of rows with thousands.
 _MINPLUS_CELLS = 1 << 18
 
@@ -402,58 +404,26 @@ def _quotient_laurent(ring, N, D, lead_inv, L):
     return _mul_laurent(field, N, R, L)
 
 
-def _add_to_row0(field, R, F, i):
-    """R with row i of F added to its row 0 (the Horner step's constant)."""
-    (M, base, tp), (MF, bF, tF) = R, F
-    if MF[i].any():
-        W, WF = M.shape[1], MF.shape[1]
-        lo, hi = min(base, bF), max(base + W, bF + WF)
-        if lo < base or hi > base + W:
-            grown = np.zeros((M.shape[0], hi - lo, M.shape[2]), dtype=M.dtype)
-            grown[:, base - lo:base - lo + W] = M
-            M, base = grown, lo
-        M[0, bF - base:bF - base + WF] += MF[i]
-        M[0] %= field.p
-    tp[0] = min(tp[0], tF[i])
-    if tp[0] < _EXACT:
-        M[0, max(tp[0] - base, 0):] = 0
-    return M, base, tp
-
-
 def _compose_laurent(field, F, G, limit):
-    """Horner evaluation of packed F at packed G (constant term of G zero).
+    """Brent-Kung evaluation of packed F at packed G (constant term of G zero).
 
-    This serves operands with rows known only to O(t^k).  There the order of
-    evaluation changes the certified precision, and Horner's is the one the
-    scalar oracle gives: for F = O(t^0)*z^2 and G = x*z + x*z^2 over
-    GF(4)((t)), Horner knows the z^3 coefficient to O(t^0), while F[2]*G^2
-    would make it an exact zero.
-    """
-    MF, bF, tF = F
-    if MF.shape[0] == 0:
-        return F
-    R = (MF[-1:].copy(), bF, tF[-1:].copy())
-    for i in range(MF.shape[0] - 2, -1, -1):
-        R = _mul_laurent(field, R, G, limit)
-        if R[0].shape[0] == 0:
-            R = (np.zeros((1, 1, field.d), dtype=MF.dtype), 0,
-                 np.array([_EXACT], dtype=np.int64))
-        R = _add_to_row0(field, R, F, i)
-    return R
-
-
-def _compose_exact_laurent(field, F, G, limit):
-    """Brent-Kung evaluation of packed F at packed G, every row of both exact
-    in t (constant term of G zero).
-
-    The baby powers G^2 .. G^k are _mul_laurent products.  Row i of F is a
+    When every row of F and G is exact in t, k = ceil(sqrt(n)).  The baby
+    powers G^2 .. G^k are _mul_laurent products.  Row i of F is a
     polynomial in t, so F[jk+i]*G^i is a Kronecker product of one packed row
     by the packed G^i.  The powers below G^k are packed in one t-frame, from
     the lowest of their bases, with W_F + W_frame - 1 slots per row: every
     product of a block then lands in the same frame, and the block is summed
     as one integer and read back once.  A digit sums at most
-    k*min(W_F, W_frame)*d products below p^2.  The giant steps are
-    _mul_laurent products by G^k, each followed by an exact add of a block.
+    k*min(W_F, W_frame)*d products below p^2.
+
+    Otherwise k = 1, and block j is the row F[j] with its own t-precision.
+    There the order of evaluation changes the certified precision, and
+    k = 1 gives Horner's, the one the scalar oracle gives: for F =
+    O(t^0)*z^2 and G = x*z + x*z^2 over GF(4)((t)), Horner knows the z^3
+    coefficient to O(t^0), while F[2]*G^2 would make it an exact zero.
+
+    The giant steps are _mul_laurent products by G^k, each followed by an
+    add of a block.
     """
     MF, bF, tF = F
     if limit is not None:
@@ -464,7 +434,8 @@ def _compose_exact_laurent(field, F, G, limit):
         return MF[:1], bF, tF[:1]
     p, d = field.p, field.d
     X = 2 * d - 1
-    k, m, top = _bk_shape(n)
+    exact = _all_exact(tF) and _all_exact(G[2])
+    k, m, top = _bk_shape(n) if exact else (1, n, 1)
     one = np.zeros((1, 1, d), dtype=MF.dtype)
     one[0, 0, 0] = 1
     powers = [(one, 0, _exact_rows(1)), G]
@@ -483,7 +454,7 @@ def _compose_exact_laurent(field, F, G, limit):
     def block(j, count):
         rows = max(powers[i][0].shape[0] for i in range(count))
         M = _from_int(field, _bk_block(consts, packed, k, j), rows, S, nbytes)
-        return _trim(M, bF + lo, _exact_rows(rows))
+        return _trim(M, bF + lo, _exact_rows(rows) if exact else tF[j:j + 1])
 
     R = block(m - 1, top)
     for j in range(m - 2, -1, -1):
@@ -656,7 +627,14 @@ class TruncatedSeries:
         return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)); the inner series must vanish at 0."""
+        """self(inner(z)); the inner series must vanish at 0.
+
+        Brent-Kung evaluation on the packed kernel: _compose_ff over GF(p^d),
+        _compose_laurent over GF(p^d)((t)).  When a coefficient of either
+        series below the window is known only to O(t^k), the Laurent
+        routine takes blocks of one row, so it evaluates in Horner's order
+        and certifies the precision the scalar oracle gives.
+        """
         self._check_ring(inner)
         if inner.coeffs and not inner.coeffs[0].is_certified_zero():
             raise NonzeroConstantTerm("inner series has nonzero constant term")
@@ -666,11 +644,8 @@ class TruncatedSeries:
             arr = _compose_ff(ring, _pack(ring, self.coeffs),
                               _pack(ring, inner.coeffs), n)
             return TruncatedSeries(ring, _unpack(ring, arr), n)
-        F = _pack_laurent(ring, self.coeffs)
-        G = _pack_laurent(ring, inner.coeffs)
-        exact = _all_exact(F[2]) and _all_exact(G[2])
-        R = (_compose_exact_laurent if exact else _compose_laurent)(
-            ring.field, F, G, n)
+        R = _compose_laurent(ring.field, _pack_laurent(ring, self.coeffs),
+                             _pack_laurent(ring, inner.coeffs), n)
         return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
 
     def iterate(self, m: int) -> "TruncatedSeries":

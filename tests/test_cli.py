@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from parabolic_lab.cli import main
+from parabolic_lab import cli
+from parabolic_lab.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -242,6 +243,82 @@ def test_exit_two_on_bad_input(capsys):
     assert code == 2
     assert doc == {"error": "window 2 leaves no room for a tail",
                    "kind": "ParabolicLabError"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "main-lemma", "--p", "3", "--q", "1", "--n", "1",
+     "--coeffs", "1,0"],
+    ["verify", "main-lemma", "--p", "3", "--q", "1", "--n", "1",
+     "--seed", "1"],
+    ["closed-form", "--mode", "iterate-q", "--p", "3", "--q", "2",
+     "--coeffs", "1,2"],
+])
+def test_laurent_field_is_refused_where_a_finite_one_is_needed(argv, capsys):
+    # a root of unity and random field elements exist only over GF(p^d)
+    code, doc = run_json(argv + ["--field", "Laurent(GF(3))"], capsys)
+    assert code == 2
+    assert doc["kind"] == "ScalarRingMismatch"
+    assert "needs a finite field" in doc["error"]
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_main_lemma_refuses_a_level_below_one(n, capsys):
+    code, doc = run_json(["verify", "main-lemma", "--p", "3", "--q", "1",
+                          "--n", n, "--seed", "1"], capsys)
+    assert code == 2
+    assert doc == {"error": f"level must be >= 1, got {n}",
+                   "kind": "ValueError"}
+
+
+def test_closed_forms_still_work_over_a_laurent_field(capsys):
+    code, doc = run_json(["closed-form", "--mode", "chi-xi", "--p", "3",
+                          "--q", "1", "--n", "1", "--coeffs", "1,0",
+                          "--field", "Laurent(GF(3))"], capsys)
+    assert code == 0
+    assert (doc["chi"], doc["xi"]) == ("1", "2")
+    code, doc = run_json(["closed-form", "--mode", "ell", "--n", "2",
+                          "--coeffs", "1,1", "--field", "Laurent(GF(3))"],
+                         capsys)
+    assert code == 0
+    assert (doc["c2"], doc["c3"]) == ("2", "1")
+
+
+# the flags of every command path and their defaults: None unless given
+PARSER_DEFAULTS = {
+    ("ramify",): {"field": None, "series": None, "nmax": 2, "N": None},
+    ("minimal",): {"field": None, "series": None, "nmax": 2, "N": None},
+    ("normalize",): {"field": None, "series": None, "N": None},
+    ("closed-form",): {"field": None, "coeffs": None, "p": None, "q": None,
+                       "n": None, "mode": None},
+    ("verify", "main-lemma"): {"field": None, "coeffs": None, "p": None,
+                               "q": None, "n": None, "N": None, "seed": None},
+    ("verify", "semiconj"): {"p": None, "q": None, "n": None, "N": None,
+                             "seed": None},
+    ("verify", "delta-tower"): {"p": None, "q": None, "n": None, "N": None,
+                                "seed": None},
+    ("verify", "quasi-invariance"): {"p": None, "q": None, "n": None,
+                                     "nmax": 1, "N": None, "seed": None},
+    ("bounds",): {"field": None, "series": None, "p": None, "q": None,
+                  "n": None},
+    ("cycle-valuations",): {"field": None, "series": None, "p": None,
+                            "q": None, "n": None, "N": None},
+    ("newton",): {"field": None, "poly": None},
+}
+
+
+def test_parser_flags_and_defaults():
+    for path, flags in PARSER_DEFAULTS.items():
+        args = vars(build_parser().parse_args(list(path)))
+        del args["fn"]
+        names = dict(zip(("command", "check"), path))
+        assert args == {**names, **flags, "tprec": 64, "json_out": None}
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli._parser() is cli._parser()
+    argv = ["ramify", "--field", "GF(2)", "--series", "z + z^2", "--N", "20"]
+    assert run_json(argv + ["--nmax", "0"], capsys)[1]["i"] == [1]
+    assert run_json(argv, capsys)[1]["i"] == [1, 3, 15]
 
 
 def test_json_out_writes_the_same_bytes(tmp_path, capsys):

@@ -201,33 +201,58 @@ def test_adding_an_exact_zero_keeps_the_scalar(data, field):
     assert fields(zero - x) == fields(-x)
 
 
+def _count_laurent_kernels(fn):
+    """fn() and the numbers of _mul_laurent and _antidiagonal_min calls."""
+    calls = {"mul": 0, "minplus": 0}
+
+    def counted(name, kernel):
+        def wrapped(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapped
+
+    with patch.object(formal_series, "_mul_laurent", counted(
+            "mul", formal_series._mul_laurent)), \
+         patch.object(formal_series, "_antidiagonal_min", counted(
+             "minplus", formal_series._antidiagonal_min)):
+        return fn(), calls
+
+
 def test_exact_laurent_composition_is_brent_kung():
     # k - 1 baby powers and m - 1 giant steps (k = ceil(sqrt(n))), and no
     # precision bookkeeping, where Horner would make n - 1 products
     ring = LaurentRing(F3)
-    calls = {"mul": 0, "minplus": 0}
-
-    def counted(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
     for N, products in ((4, 2), (10, 5), (25, 8), (26, 9)):
         f = series(ring, {i: ring.element({-1: 1, i % 3: 2})
                           for i in range(N)}, N)
         g = series(ring, {1: 1, 2: ring.t(), 3: ring.t(-1)}, N)
-        calls.update(mul=0, minplus=0)
-        with patch.object(formal_series, "_mul_laurent", counted(
-                "mul", formal_series._mul_laurent)), \
-             patch.object(formal_series, "_antidiagonal_min", counted(
-                 "minplus", formal_series._antidiagonal_min)), \
-             patch.object(formal_series, "_compose_laurent",
-                          side_effect=AssertionError("Horner on exact rows")):
-            out = f.compose(g)
+        out, calls = _count_laurent_kernels(lambda: f.compose(g))
         assert calls == {"mul": products, "minplus": 0}
         assert out == TruncatedSeries(
             ring, _gcompose(ring, f.coeffs, g.coeffs, N), N)
+
+
+def test_truncated_laurent_composition_takes_one_row_blocks():
+    # with one row of F or of G known only to O(t^k), the blocks are single
+    # rows (k = 1): one giant step per row of F below the window, minus one,
+    # as in Horner
+    ring = LaurentRing(F3)
+    loose = ring.element({0: 1}, 3)
+    for N, window in ((4, 4), (10, 10), (26, 26), (26, 9), (5, None)):
+        fc = {i: ring.element({-1: 1, i % 3: 2}) for i in range(N)}
+        gc = {1: 1, 2: ring.t(), 3: ring.t(-1)}
+        for a, b in (({**fc, 2: loose}, gc), (fc, {**gc, 2: loose})):
+            f, g = series(ring, a, window), series(ring, b, window)
+            out, calls = _count_laurent_kernels(lambda: f.compose(g))
+            assert calls["mul"] == min(N, window or N) - 1
+            assert out == TruncatedSeries(
+                ring, _gcompose(ring, f.coeffs, g.coeffs, window), window)
+    # the GF(4) example of the Horner test below: F has 8 rows below z^8
+    ring = LaurentRing(_kernel_field(2, 2))
+    x = ring.embed(ring.field.gen())
+    f = series(ring, {2: ring.element({}, 0)}, 8)
+    g = series(ring, {1: x, 2: x}, 8)
+    assert _count_laurent_kernels(lambda: f.compose(g))[1]["mul"] == 7
 
 
 def test_horner_keeps_the_precision_of_truncated_rows():
