@@ -6,7 +6,7 @@ deterministic: field order is fixed, rationals are "num/den" strings, floats
 never appear, and sweeps derive every sample from the mandatory --seed.
 
 Exit codes: 0 for success (including a bound that degenerates to "no
-information"), 1 when a verification fails (a mismatch witness or a broken
+information"), 1 when a verification fails (a reported mismatch or a broken
 internal consistency such as a division that should have been exact), 2 for
 unusable input (bad literals, missing flags, windows too small to start,
 a Laurent field where a command needs a finite one).  Only a failed
@@ -29,20 +29,13 @@ from .closed_forms import (
     iterate_q_closed,
     verify_main_lemma,
 )
-from .coeff_rings import (
-    DEFAULT_TPREC,
-    FiniteField,
-    root_of_unity,
-    smallest_field_with_root,
-)
+from .coeff_rings import DEFAULT_TPREC, root_of_unity, smallest_field_with_root
 from .errors import (
     IndeterminateValuation,
-    MismatchWitness,
     NonIntegralCoefficient,
     NotDivisible,
     NotMinimallyRamifiedAtLevelZero,
     ParabolicLabError,
-    ScalarRingMismatch,
     UnboundedBound,
 )
 from .formal_series import ParabolicGerm
@@ -101,18 +94,13 @@ def _coeff_list(text: str | None, field):
     return [parse_scalar(part, field) for part in text.split(",")]
 
 
-def _field_for(args, command=None):
+def _field_for(args):
     """The --field ring, else the smallest field with an order-q root.  A
-    command named here needs a finite field: it takes a root of unity or
-    draws field elements, so a Laurent ring is refused."""
+    command that takes a root of unity or draws field elements refuses a
+    Laurent ring there, with ScalarRingMismatch."""
     if args.field:
-        ring = parse_field(args.field, args.tprec)
-    else:
-        ring = smallest_field_with_root(args.p, args.q)
-    if command and not isinstance(ring, FiniteField):
-        raise ScalarRingMismatch(f"{command} needs a finite field, not "
-                                 f"{args.field}")
-    return ring
+        return parse_field(args.field, args.tprec)
+    return smallest_field_with_root(args.p, args.q)
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -169,7 +157,7 @@ def _cmd_closed_form(args):
     if mode == "iterate-q":
         if args.p is None:
             raise ParabolicLabError("iterate-q needs --p")
-        field = _field_for(args, "closed-form iterate-q")
+        field = _field_for(args)
         gamma = root_of_unity(field, args.q)
         a1, a2 = _coeff_list(args.coeffs, field)
         c0, c1, c2 = iterate_q_closed(gamma, args.q, a1, a2)
@@ -207,7 +195,7 @@ def _cmd_verify_main_lemma(args):
     _require(args, p=args.p, q=args.q, n=args.n)
     if args.coeffs is None and args.seed is None:
         raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
-    field = _field_for(args, "verify main-lemma")
+    field = _field_for(args)
     if args.coeffs is not None:
         a = _coeff_list(args.coeffs, field)
         rep = verify_main_lemma(args.p, args.q, args.n, a, N=args.N,
@@ -379,11 +367,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
-    except (MismatchWitness, NotDivisible, NonIntegralCoefficient) as e:
-        doc = {"error": str(e), "kind": type(e).__name__}
-        if isinstance(e, MismatchWitness) and e.exponent is not None:
-            doc["exponent"] = e.exponent
-        _emit(doc, args.json_out)
+    except (NotDivisible, NonIntegralCoefficient) as e:
+        _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)
         return VERIFICATION_FAILED
     except ParabolicLabError as e:
         _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)

@@ -516,6 +516,9 @@ def root_of_unity(field: FiniteField, q: int) -> FieldElement:
     Raises POrderRequested if the characteristic divides q (no such root can
     exist in characteristic p) and NoSuchRoot if q does not divide p^d - 1.
     """
+    if not isinstance(field, FiniteField):
+        raise ScalarRingMismatch(
+            f"a root of unity needs a finite field, not {field!r}")
     if q < 1:
         raise ParabolicLabError(f"order must be positive, got {q}")
     if q % field.p == 0:
@@ -599,7 +602,7 @@ class LaurentRing:
         return LaurentScalar(self, 0, (c,), None)
 
     def monomial(self, c, exp: int) -> "LaurentScalar":
-        c = self.field(c) if not isinstance(c, FieldElement) else self.field(c)
+        c = self.field(c)
         if c.is_zero():
             return self.zero()
         return LaurentScalar(self, exp, (c,), None)
@@ -849,16 +852,10 @@ class LaurentScalar:
     def __hash__(self):
         return hash((self.ring, self.v0, self.coeffs, self.tprec))
 
-    def _term_count(self) -> int:
-        return len([c for c in self.coeffs if c]) + (0 if self.tprec is None else 1)
-
     def _needs_parens(self) -> bool:
-        if self._term_count() > 1:
-            return True
-        # a single composite field coefficient times a power of t still prints
-        # as a product, which is unambiguous; only sums need parentheses
-        return self.coeffs != () and self.tprec is None and self.v0 == 0 \
-            and self.coeffs[0]._needs_parens()
+        # more than one term, counting an O(t^k); a lone composite field
+        # coefficient already prints in parentheses
+        return sum(1 for c in self.coeffs if c) + (self.tprec is not None) > 1
 
     def __str__(self):
         terms = []

@@ -81,14 +81,6 @@ class SupportViolation(ParabolicLabError):
     reduced multiplier form."""
 
 
-class MismatchWitness(ParabolicLabError):
-    """A verified identity failed; carries the first disagreeing exponent."""
-
-    def __init__(self, message, exponent=None):
-        super().__init__(message)
-        self.exponent = exponent
-
-
 class ParseError(ParabolicLabError):
     """Malformed field or series literal; carries the offending position."""
 

@@ -18,14 +18,15 @@ markers included.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .coeff_rings import (
     DEFAULT_TPREC,
     FieldElement,
     FiniteField,
     LaurentRing,
-    LaurentScalar,
 )
 from .errors import ParseError
 from .formal_series import TruncatedSeries, series as make_series
@@ -188,7 +189,8 @@ class _Parser:
         raise ParseError("expected a coefficient", self.text, pos)
 
     def _term(self, ring, allow_z: bool):
-        """One product of factors; returns (coefficient or None, z exponent)."""
+        """One product of factors; returns (coefficient, z exponent), the
+        coefficient of a bare z power being 1."""
         coeff = None
         zexp = 0
         seen_z = False
@@ -212,52 +214,30 @@ class _Parser:
             if self._at_op("*"):
                 self._take()
                 continue
-            return coeff, zexp
+            return (ring.one() if coeff is None else coeff), zexp
+
+    def _signed_terms(self, ring, allow_z: bool):
+        """The terms of ["-"] term (("+"|"-") term)*, each as its signed
+        coefficient and z exponent."""
+        negative = self._at_op("-")
+        if negative:
+            self._take()
+        while True:
+            coeff, zexp = self._term(ring, allow_z)
+            yield (-coeff if negative else coeff), zexp
+            if not (self._at_op("+") or self._at_op("-")):
+                return
+            negative = self._take()[1] == "-"
 
     def _scalar_sum(self, ring):
-        total = None
-        sign = 1
-        if self._at_op("-"):
-            self._take()
-            sign = -1
-        while True:
-            coeff, _ = self._term(ring, allow_z=False)
-            if coeff is None:
-                raise ParseError("empty coefficient", self.text, self._peek()[2])
-            if sign < 0:
-                coeff = -coeff
-            total = coeff if total is None else total + coeff
-            if self._at_op("+"):
-                self._take()
-                sign = 1
-            elif self._at_op("-"):
-                self._take()
-                sign = -1
-            else:
-                return total
+        return functools.reduce(operator.add, (
+            c for c, _ in self._signed_terms(ring, allow_z=False)))
 
     def series(self, ring) -> TruncatedSeries:
         entries: dict = {}
-        sign = 1
-        if self._at_op("-"):
-            self._take()
-            sign = -1
-        while True:
-            coeff, zexp = self._term(ring, allow_z=True)
-            if coeff is None:
-                coeff = ring.one()
-            if sign < 0:
-                coeff = -coeff
+        for coeff, zexp in self._signed_terms(ring, allow_z=True):
             prev = entries.get(zexp)
             entries[zexp] = coeff if prev is None else prev + coeff
-            if self._at_op("+"):
-                self._take()
-                sign = 1
-            elif self._at_op("-"):
-                self._take()
-                sign = -1
-            else:
-                break
         n_trunc = None
         if self._at_name("mod"):
             self._take()
@@ -295,15 +275,7 @@ def parse_scalar(text: str, ring):
 
 
 def field_to_str(ring) -> str:
-    if isinstance(ring, LaurentRing):
-        return f"Laurent({field_to_str(ring.field)})"
     return repr(ring)
-
-
-def _wrap_coefficient(c) -> bool:
-    if isinstance(c, LaurentScalar):
-        return c._term_count() > 1
-    return c._needs_parens()
 
 
 def series_to_str(s: TruncatedSeries) -> str:
@@ -320,7 +292,7 @@ def series_to_str(s: TruncatedSeries) -> str:
             parts.append(z)
         else:
             cs = str(c)
-            if _wrap_coefficient(c):
+            if c._needs_parens():
                 cs = f"({cs})"
             parts.append(f"{cs}*{z}")
     body = " + ".join(parts) if parts else "0"

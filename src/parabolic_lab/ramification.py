@@ -249,18 +249,18 @@ class QuasiInvarianceReport:
                 "scale": scalar_to_jsonable(self.scale), "rows": self.rows}
 
 
-def check_quasi_invariance(f: ParabolicGerm, h, n_max: int = 1,
-                           N: int | None = None) -> QuasiInvarianceReport:
+def check_quasi_invariance(f: ParabolicGerm, h,
+                           n_max: int = 1) -> QuasiInvarianceReport:
     """Conjugate f by h and compare profiles.
 
-    The jumps must agree level by level and the leading coefficients must
+    The window is the meet of those of f and h, else the default one.  The
+    jumps must agree level by level and the leading coefficients must
     scale by h'(0)^(i_n).  Levels beyond the window carry no claim and are
     reported with matched = None.
     """
-    q, p = f.q, f.char
+    N = f.series._meet(h)
     if N is None:
-        met = f.series._meet(h)
-        N = met if met is not None else default_window(p, q, n_max)
+        N = default_window(f.char, f.q, n_max)
     fhat = f.conjugate(h, n_trunc=N)
     prof_f = ramification_profile(f, n_max, N)
     prof_c = ramification_profile(fhat, n_max, N)

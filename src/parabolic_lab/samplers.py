@@ -20,12 +20,15 @@ from .coeff_rings import (
     root_of_unity,
     smallest_field_with_root,
 )
-from .errors import ParabolicLabError
+from .errors import ParabolicLabError, ScalarRingMismatch
 from .formal_series import ParabolicGerm, TruncatedSeries, series
 from .normal_form import normal_form_criterion, reduced_leading_pair
 from .ramification import default_window
 
 STANDARD_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 4))
+
+# draws random_minimal_polynomial_germ makes before it gives up
+_MINIMAL_GERM_TRIES = 200
 
 
 def standard_field(p: int, q: int) -> FiniteField:
@@ -33,6 +36,9 @@ def standard_field(p: int, q: int) -> FiniteField:
 
 
 def random_element(rng: Random, field: FiniteField):
+    if not isinstance(field, FiniteField):
+        raise ScalarRingMismatch(
+            f"a random field element needs a finite field, not {field!r}")
     return field.element(tuple(rng.randrange(field.p) for _ in range(field.d)))
 
 
@@ -43,8 +49,8 @@ def random_nonzero(rng: Random, field: FiniteField):
             return x
 
 
-def random_coeff_tuple(rng: Random, field: FiniteField, k: int = 2):
-    return tuple(random_element(rng, field) for _ in range(k))
+def random_coeff_tuple(rng: Random, field: FiniteField):
+    return random_element(rng, field), random_element(rng, field)
 
 
 def random_vanishing_series(rng: Random, field: FiniteField,
@@ -122,12 +128,12 @@ def random_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
 
 
 def random_minimal_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
-                                   degree: int = 3, t_max: int = 2,
-                                   tries: int = 200) -> ParabolicGerm:
+                                   degree: int = 3,
+                                   t_max: int = 2) -> ParabolicGerm:
     """Retry random_polynomial_germ until the minimal-ramification criterion
     certifies it; deterministic in the rng state."""
     p = ring.char
-    for _ in range(tries):
+    for _ in range(_MINIMAL_GERM_TRIES):
         f = random_polynomial_germ(rng, ring, q, degree, t_max)
         try:
             a1, a2 = reduced_leading_pair(f)
@@ -136,4 +142,4 @@ def random_minimal_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
         if normal_form_criterion(a1, a2, p, q):
             return f
     raise ParabolicLabError(
-        f"no criterion-certified germ found in {tries} draws")
+        f"no criterion-certified germ found in {_MINIMAL_GERM_TRIES} draws")

@@ -9,8 +9,10 @@ import pytest
 from random import Random
 
 from parabolic_lab import (
-    MismatchWitness,
+    FiniteField,
+    LaurentRing,
     ParabolicGerm,
+    ScalarRingMismatch,
     SupportViolation,
     TruncationTooSmall,
     chi_xi,
@@ -24,6 +26,7 @@ from parabolic_lab import (
     semiconj_check,
     series,
     smallest_field_with_root,
+    sweeps,
     verify_main_lemma,
 )
 from parabolic_lab.samplers import (
@@ -94,7 +97,7 @@ def test_main_lemma_sampled(p, q):
     for n in (1, 2):
         for _ in range(5):
             a = random_coeff_tuple(rng, field)
-            rep = verify_main_lemma(p, q, n, a, field=field, strict=True)
+            rep = verify_main_lemma(p, q, n, a, field=field)
             assert rep.ok
 
 
@@ -109,6 +112,18 @@ def test_main_lemma_extension_field_case():
 def test_main_lemma_window_too_small():
     with pytest.raises(TruncationTooSmall):
         verify_main_lemma(3, 1, 1, (1, 0), N=6)
+
+
+def test_laurent_ring_is_refused_where_a_finite_field_is_needed():
+    # a root of unity and random field elements exist only over GF(p^d)
+    L3 = LaurentRing(FiniteField(3))
+    calls = [lambda: verify_main_lemma(3, 1, 1, [1, 0], field=L3),
+             lambda: sweeps.main_lemma(Random(0), L3, 3, 1, 1),
+             lambda: root_of_unity(L3, 1)]
+    for call in calls:
+        with pytest.raises(ScalarRingMismatch,
+                           match=r"needs a finite field, not Laurent\(GF\(3\)\)"):
+            call()
 
 
 # -- the q-fold iterate in reduced coordinates -----------------------------

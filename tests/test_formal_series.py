@@ -23,6 +23,7 @@ from parabolic_lab import (
     NotParabolic,
     ParabolicGerm,
     ParabolicLabError,
+    TruncationTooSmall,
     coeff_rings,
     formal_series,
     identity,
@@ -374,6 +375,13 @@ def test_derivative_product_rule(a, b):
     assert (lhs - rhs).order() is None
 
 
+def test_derivative_shortens_the_window_by_one():
+    assert series(F3, {1: 1, 2: 1}, 2).derivative() == series(F3, {0: 1}, 1)
+    # mod z^1 even f'(0) = f_1 is unknown
+    with pytest.raises(TruncationTooSmall):
+        series(F3, {0: 1}, 1).derivative()
+
+
 # -- iteration -------------------------------------------------------------
 
 @given(a=rand_series(F3, order_ge=1), m=st.integers(1, 6))
@@ -392,15 +400,36 @@ def test_iterate_zero_is_identity():
 
 # -- exact division --------------------------------------------------------
 
-@given(a=rand_series(F5, order_ge=1), b=rand_series(F5, order_ge=1))
-@settings(max_examples=30, deadline=None)
-def test_divide_exact_roundtrip(a, b):
-    if b.order() is None:
+@st.composite
+def division_operands(draw):
+    """(a, b) over a kernel field (p up to 2^64 + 13, d up to 2), both mod
+    z^8 or both exact, each vanishing at 0."""
+    F = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    coord = st.one_of(st.sampled_from([0, 1, F.p - 1]), st.integers(0, F.p - 1))
+    scalar = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
+    n_trunc = draw(st.sampled_from([8, None]))
+    return tuple(draw(st.lists(scalar, min_size=1, max_size=8).map(
+        lambda cs: series(F, {i: c for i, c in enumerate(cs) if i}, n_trunc)))
+        for _ in range(2))
+
+
+@given(ab=st.one_of(st.tuples(rand_series(F5, order_ge=1),
+                              rand_series(F5, order_ge=1)),
+                    division_operands()))
+@settings(max_examples=80, deadline=None)
+def test_divide_exact_roundtrip(ab):
+    a, b = ab
+    if b.order() in (None, math.inf):
         return
     prod = a * b
     quot, integral = prod.divide_exact(b)
     assert integral
-    assert (quot - a).order() is None
+    assert (quot - a).order() is (math.inf if prod.is_exact() else None)
+    if prod.is_exact() and sum(1 for c in b.coeffs if c) > 1:
+        # b = z^k * u with u not constant divides no power of z
+        bumped = prod + monomial(b.ring, b.ring.one(), len(prod.coeffs), None)
+        with pytest.raises(NotDivisible):
+            bumped.divide_exact(b)
 
 
 def test_divide_exact_detects_non_multiples():
