@@ -9,8 +9,10 @@ Exit codes: 0 for success (including a bound that degenerates to "no
 information"), 1 when a verification fails (a reported mismatch or a broken
 internal consistency such as a division that should have been exact), 2 for
 unusable input (bad literals, missing flags, windows too small to start,
-a Laurent field where a command needs a finite one).  Only a failed
-verification exits 1.
+a Laurent field where a command needs a finite one, a flag the command does
+not take).  Only a failed verification exits 1.  Each command takes exactly
+the flags it reads; argparse refuses any other with usage on stderr and no
+JSON document.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .closed_forms import (
     iterate_q_closed,
     verify_main_lemma,
 )
-from .coeff_rings import DEFAULT_TPREC, root_of_unity, smallest_field_with_root
+from .coeff_rings import root_of_unity, smallest_field_with_root
 from .errors import (
     IndeterminateValuation,
     NonIntegralCoefficient,
@@ -78,11 +80,11 @@ def _emit(doc, path: str | None):
 def _germ(args) -> ParabolicGerm:
     if not args.field or not args.series:
         raise ParabolicLabError("this command needs --field and --series")
-    ring = parse_field(args.field, args.tprec)
+    ring = parse_field(args.field)
     return ParabolicGerm(parse_series(args.series, ring))
 
 
-def _require(args, **flags):
+def _require(**flags):
     for name, value in flags.items():
         if value is None:
             raise ParabolicLabError(f"this command needs --{name}")
@@ -99,7 +101,7 @@ def _field_for(args):
     command that takes a root of unity or draws field elements refuses a
     Laurent ring there, with ScalarRingMismatch."""
     if args.field:
-        return parse_field(args.field, args.tprec)
+        return parse_field(args.field)
     return smallest_field_with_root(args.p, args.q)
 
 
@@ -144,17 +146,16 @@ def _cmd_normalize(args):
 
 
 def _cmd_closed_form(args):
-    mode = args.mode or "chi-xi"
-    if mode != "ell" and args.q is None:
-        raise ParabolicLabError(f"{mode} needs --q")
-    if mode == "chi-xi":
+    if args.mode != "ell" and args.q is None:
+        raise ParabolicLabError(f"{args.mode} needs --q")
+    if args.mode == "chi-xi":
         if args.p is None or args.n is None:
             raise ParabolicLabError("chi-xi needs --p and --n")
         field = _field_for(args)
         a1, a2 = _coeff_list(args.coeffs, field)
         pair = chi_xi(args.p, args.q, args.n, a1, a2)
         return {"mode": "chi-xi", **pair.to_jsonable()}, OK
-    if mode == "iterate-q":
+    if args.mode == "iterate-q":
         if args.p is None:
             raise ParabolicLabError("iterate-q needs --p")
         field = _field_for(args)
@@ -165,22 +166,20 @@ def _cmd_closed_form(args):
                 "gamma": scalar_to_jsonable(gamma),
                 "unit_coeffs": [scalar_to_jsonable(c) for c in (c0, c1, c2)],
                 }, OK
-    if mode == "ell":
-        # --n carries the iteration count here; it need not be coprime to p
-        if args.n is None:
-            raise ParabolicLabError("ell mode needs --n (the iterate count)")
-        if args.field is not None:
-            field = parse_field(args.field, args.tprec)
-        elif args.p is not None:
-            field = smallest_field_with_root(args.p, 1)
-        else:
-            raise ParabolicLabError("ell mode needs --field or --p")
-        a, b = _coeff_list(args.coeffs, field)
-        c2, c3 = ell_iterate_quadratic(args.n, a, b)
-        return {"mode": "ell", "ell": args.n,
-                "c2": scalar_to_jsonable(c2),
-                "c3": scalar_to_jsonable(c3)}, OK
-    raise ParabolicLabError(f"unknown closed-form mode {mode!r}")
+    # ell: --n carries the iteration count here; it need not be coprime to p
+    if args.n is None:
+        raise ParabolicLabError("ell mode needs --n (the iterate count)")
+    if args.field is not None:
+        field = parse_field(args.field)
+    elif args.p is not None:
+        field = smallest_field_with_root(args.p, 1)
+    else:
+        raise ParabolicLabError("ell mode needs --field or --p")
+    a, b = _coeff_list(args.coeffs, field)
+    c2, c3 = ell_iterate_quadratic(args.n, a, b)
+    return {"mode": "ell", "ell": args.n,
+            "c2": scalar_to_jsonable(c2),
+            "c3": scalar_to_jsonable(c3)}, OK
 
 
 def _sweep_doc(kind, args, sweep, failures, extra):
@@ -192,7 +191,7 @@ def _sweep_doc(kind, args, sweep, failures, extra):
 
 
 def _cmd_verify_main_lemma(args):
-    _require(args, p=args.p, q=args.q, n=args.n)
+    _require(p=args.p, q=args.q, n=args.n)
     if args.coeffs is None and args.seed is None:
         raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
     field = _field_for(args)
@@ -210,7 +209,7 @@ def _cmd_verify_main_lemma(args):
 def _cmd_verify_semiconj(args):
     if args.seed is None:
         raise ParabolicLabError("verify semiconj needs --seed")
-    _require(args, p=args.p, q=args.q)
+    _require(p=args.p, q=args.q)
     failures = sweeps.semiconj(Random(args.seed),
                                standard_field(args.p, args.q), args.p, args.q,
                                N=args.N)
@@ -221,7 +220,7 @@ def _cmd_verify_semiconj(args):
 def _cmd_verify_delta_tower(args):
     if args.seed is None:
         raise ParabolicLabError("verify delta-tower needs --seed")
-    _require(args, p=args.p)
+    _require(p=args.p)
     N = 12 if args.N is None else args.N
     failures = sweeps.difference_tower(Random(args.seed),
                                        smallest_field_with_root(args.p, 1),
@@ -233,7 +232,7 @@ def _cmd_verify_delta_tower(args):
 def _cmd_verify_quasi(args):
     if args.seed is None:
         raise ParabolicLabError("verify quasi-invariance needs --seed")
-    _require(args, p=args.p, q=args.q)
+    _require(p=args.p, q=args.q)
     failures = sweeps.quasi_invariance(Random(args.seed),
                                        standard_field(args.p, args.q), args.q,
                                        n_max=args.nmax, N=args.N)
@@ -242,7 +241,7 @@ def _cmd_verify_quasi(args):
 
 
 def _cmd_bounds(args):
-    _require(args, n=args.n)
+    _require(n=args.n)
     f = _germ(args)
     try:
         cert = periodic_valuation_bound(f, args.n)
@@ -253,14 +252,14 @@ def _cmd_bounds(args):
 
 
 def _cmd_cycle_valuations(args):
-    _require(args, n=args.n)
+    _require(n=args.n)
     f = _germ(args)
     return cycle_valuations(f, args.n, N=args.N).to_jsonable(), OK
 
 
 def _cmd_newton(args):
-    _require(args, field=args.field, poly=args.poly)
-    ring = parse_field(args.field, args.tprec)
+    _require(field=args.field, poly=args.poly)
+    ring = parse_field(args.field)
     poly = parse_series(args.poly, ring)
     pg = newton_polygon(poly)
     doc = pg.to_jsonable()
@@ -273,30 +272,28 @@ def _cmd_newton(args):
 # -- wiring ----------------------------------------------------------------
 
 
+# every flag a command may take, in --help order; a command lists its own
+_FLAGS = {
+    "field": {"help": "coefficient field literal"},
+    "series": {"help": "germ literal, e.g. 'z + z^2'"},
+    "poly": {"help": "polynomial literal"},
+    "coeffs": {"help": "comma-separated scalar literals"},
+    "p": {"type": int},
+    "q": {"type": int},
+    "n": {"type": int},
+    "nmax": {"type": int, "default": 2},
+    "N": {"type": int},
+    "mode": {"choices": ["chi-xi", "iterate-q", "ell"], "default": "chi-xi"},
+    "seed": {"type": int},
+}
+
+
 def _add_common(sp, *names):
-    if "field" in names:
-        sp.add_argument("--field", help="coefficient field literal")
-    if "series" in names:
-        sp.add_argument("--series", help="germ literal, e.g. 'z + z^2'")
-    if "poly" in names:
-        sp.add_argument("--poly", help="polynomial literal")
-    if "coeffs" in names:
-        sp.add_argument("--coeffs", help="comma-separated scalar literals")
-    if "pqn" in names:
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--n", type=int)
-    if "nmax" in names:
-        sp.add_argument("--nmax", type=int, default=2)
-    if "nmax1" in names:
-        sp.add_argument("--nmax", type=int, default=1)
-    if "N" in names:
-        sp.add_argument("--N", type=int)
-    if "mode" in names:
-        sp.add_argument("--mode", choices=["chi-xi", "iterate-q", "ell"])
-    if "seed" in names:
-        sp.add_argument("--seed", type=int)
-    sp.add_argument("--tprec", type=int, default=DEFAULT_TPREC)
+    # no prefixes: --n would otherwise pass as --nmax where --n is not taken
+    sp.allow_abbrev = False
+    for name, spec in _FLAGS.items():
+        if name in names:
+            sp.add_argument(f"--{name}", **spec)
     sp.add_argument("--json-out", dest="json_out", metavar="PATH")
 
 
@@ -321,35 +318,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("closed-form",
                         help="iterate coefficients in closed form")
-    _add_common(sp, "field", "coeffs", "pqn", "mode")
+    _add_common(sp, "field", "coeffs", "p", "q", "n", "mode")
     sp.set_defaults(fn=_cmd_closed_form)
 
     vp = sub.add_parser("verify", help="oracle sweeps and single checks")
     vsub = vp.add_subparsers(dest="check", required=True)
 
     sp = vsub.add_parser("main-lemma")
-    _add_common(sp, "field", "coeffs", "pqn", "N", "seed")
+    _add_common(sp, "field", "coeffs", "p", "q", "n", "N", "seed")
     sp.set_defaults(fn=_cmd_verify_main_lemma)
 
     sp = vsub.add_parser("semiconj")
-    _add_common(sp, "pqn", "N", "seed")
+    _add_common(sp, "p", "q", "N", "seed")
     sp.set_defaults(fn=_cmd_verify_semiconj)
 
     sp = vsub.add_parser("delta-tower")
-    _add_common(sp, "pqn", "N", "seed")
+    _add_common(sp, "p", "N", "seed")
     sp.set_defaults(fn=_cmd_verify_delta_tower)
 
     sp = vsub.add_parser("quasi-invariance")
-    _add_common(sp, "pqn", "nmax1", "N", "seed")
-    sp.set_defaults(fn=_cmd_verify_quasi)
+    _add_common(sp, "p", "q", "nmax", "N", "seed")
+    sp.set_defaults(fn=_cmd_verify_quasi, nmax=1)
 
     sp = sub.add_parser("bounds", help="periodic point valuation bound")
-    _add_common(sp, "field", "series", "pqn")
+    _add_common(sp, "field", "series", "n")
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("cycle-valuations",
                         help="root valuations of the period-q*p^n quotient")
-    _add_common(sp, "field", "series", "pqn", "N")
+    _add_common(sp, "field", "series", "n", "N")
     sp.set_defaults(fn=_cmd_cycle_valuations)
 
     sp = sub.add_parser("newton", help="Newton polygon of a polynomial")

@@ -570,15 +570,15 @@ def half_scalar(ring, m: int):
 class LaurentRing:
     """Descriptor for GF(p^d)((t)) as a coefficient ring for series.
 
-    tprec is the relative t-precision to which an inversion expands a
-    geometric series when the input does not limit it.
+    The ring is determined by its residue field alone: precision lives on
+    each LaurentScalar, and an inversion whose input does not limit it
+    expands the geometric series to DEFAULT_TPREC relative terms.
     """
 
-    __slots__ = ("field", "tprec")
+    __slots__ = ("field",)
 
-    def __init__(self, field: FiniteField, tprec: int = DEFAULT_TPREC):
+    def __init__(self, field: FiniteField):
         self.field = field
-        self.tprec = tprec
 
     @property
     def char(self) -> int:
@@ -810,7 +810,7 @@ class LaurentScalar:
 
         The result is exact only for monomials; otherwise the geometric series
         is expanded to the relative precision the input supports, or, when
-        the input is exact, to rel (default: the ring's working precision).
+        the input is exact, to rel (default: DEFAULT_TPREC).
         """
         if not self.coeffs:
             if self.tprec is None:
@@ -823,7 +823,7 @@ class LaurentScalar:
         if self.tprec is not None:
             r = self.tprec - v
         else:
-            r = self.ring.tprec if rel is None else rel
+            r = DEFAULT_TPREC if rel is None else rel
         field = self.field
         w = _series_quotient((field.one(),), self.coeffs[:r],
                              self.coeffs[0].inverse(), field.zero(), r)

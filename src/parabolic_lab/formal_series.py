@@ -678,14 +678,9 @@ class TruncatedSeries:
         if q < 1:
             raise ParabolicLabError(f"stretch factor must be >= 1, got {q}")
         n = None if self.n_trunc is None else (self.n_trunc - 1) * q + 1
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if not c.is_certified_zero():
-                out[i * q] = c
-        length = (len(self.coeffs) - 1) * q + 1 if self.coeffs else 0
-        coeffs = [self.ring.zero()] * (length if n is None else n)
-        for i, c in out.items():
-            coeffs[i] = c
+        # a truncated series is dense, so its stretch has length n exactly
+        coeffs = [self.ring.zero()] * max(0, (len(self.coeffs) - 1) * q + 1)
+        coeffs[::q] = self.coeffs
         return TruncatedSeries(self.ring, coeffs, n)
 
     def derivative(self) -> "TruncatedSeries":

@@ -22,12 +22,7 @@ import functools
 import math
 import operator
 
-from .coeff_rings import (
-    DEFAULT_TPREC,
-    FieldElement,
-    FiniteField,
-    LaurentRing,
-)
+from .coeff_rings import FieldElement, FiniteField, LaurentRing
 from .errors import ParseError
 from .formal_series import TruncatedSeries, series as make_series
 
@@ -63,11 +58,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, tprec: int = DEFAULT_TPREC):
+    def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.k = 0
-        self.tprec = tprec
 
     # -- token plumbing ----------------------------------------------------
 
@@ -126,7 +120,7 @@ class _Parser:
                 raise ParseError("Laurent coefficients must form a finite field",
                                  self.text, pos)
             self._expect_op(")")
-            return LaurentRing(inner, self.tprec)
+            return LaurentRing(inner)
         if kind == "name" and val == "GF":
             self._take()
             self._expect_op("(")
@@ -247,9 +241,9 @@ class _Parser:
         return make_series(ring, entries, n_trunc)
 
 
-def parse_field(text: str, tprec: int = DEFAULT_TPREC):
+def parse_field(text: str):
     """A FiniteField or LaurentRing from its literal."""
-    p = _Parser(text, tprec)
+    p = _Parser(text)
     ring = p.field()
     p._expect_end()
     return ring

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotMinimallyRamifiedAtLevelZero, TruncationTooSmall
-from .coeff_rings import LaurentRing, half_scalar, ring_of
+from .coeff_rings import DEFAULT_TPREC, LaurentRing, half_scalar, ring_of
 from .formal_series import ParabolicGerm, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
 from .normal_form import (
@@ -150,7 +150,7 @@ def resit(f: ParabolicGerm):
 def _resit_value(q: int, a1, a2):
     """resit from the reduced pair.  Over a Laurent ring 1/a_1^2 is a series
     in t, expanded far enough that resit = m/a_1^2 (m the resit numerator)
-    is known to relative precision at least the ring's tprec from its
+    is known to relative precision at least DEFAULT_TPREC from its
     valuation v(m) - 2v(a_1).  This value is only printed; decisions go
     through resit_numerators, which does not divide."""
     ring = ring_of(a1)
@@ -158,7 +158,7 @@ def _resit_value(q: int, a1, a2):
     if not isinstance(ring, LaurentRing):
         return half - a2 / (a1 * a1)
     # a_2 * (1/a_1^2) is known to v(a_2) - 2v(a_1) + rel
-    rel = ring.tprec
+    rel = DEFAULT_TPREC
     m, _ = resit_numerators(a1, a2, ring.char, q)
     if m.is_certified_nonzero() and a2.is_certified_nonzero():
         rel += max(0, m.v0 - a2.v0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -289,19 +290,16 @@ PARSER_DEFAULTS = {
     ("minimal",): {"field": None, "series": None, "nmax": 2, "N": None},
     ("normalize",): {"field": None, "series": None, "N": None},
     ("closed-form",): {"field": None, "coeffs": None, "p": None, "q": None,
-                       "n": None, "mode": None},
+                       "n": None, "mode": "chi-xi"},
     ("verify", "main-lemma"): {"field": None, "coeffs": None, "p": None,
                                "q": None, "n": None, "N": None, "seed": None},
-    ("verify", "semiconj"): {"p": None, "q": None, "n": None, "N": None,
-                             "seed": None},
-    ("verify", "delta-tower"): {"p": None, "q": None, "n": None, "N": None,
-                                "seed": None},
-    ("verify", "quasi-invariance"): {"p": None, "q": None, "n": None,
-                                     "nmax": 1, "N": None, "seed": None},
-    ("bounds",): {"field": None, "series": None, "p": None, "q": None,
-                  "n": None},
-    ("cycle-valuations",): {"field": None, "series": None, "p": None,
-                            "q": None, "n": None, "N": None},
+    ("verify", "semiconj"): {"p": None, "q": None, "N": None, "seed": None},
+    ("verify", "delta-tower"): {"p": None, "N": None, "seed": None},
+    ("verify", "quasi-invariance"): {"p": None, "q": None, "nmax": 1,
+                                     "N": None, "seed": None},
+    ("bounds",): {"field": None, "series": None, "n": None},
+    ("cycle-valuations",): {"field": None, "series": None, "n": None,
+                            "N": None},
     ("newton",): {"field": None, "poly": None},
 }
 
@@ -311,7 +309,51 @@ def test_parser_flags_and_defaults():
         args = vars(build_parser().parse_args(list(path)))
         del args["fn"]
         names = dict(zip(("command", "check"), path))
-        assert args == {**names, **flags, "tprec": 64, "json_out": None}
+        assert args == {**names, **flags, "json_out": None}
+
+
+DESK = ["--field", "Laurent(GF(3))", "--series", "z + t*z^2 + z^3", "--n", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", *DESK, "--p", "5"],
+    ["bounds", *DESK, "--q", "7"],
+    ["cycle-valuations", *DESK, "--p", "5"],
+    ["cycle-valuations", *DESK, "--q", "2"],
+    ["verify", "delta-tower", "--p", "3", "--q", "2", "--seed", "1"],
+    ["verify", "delta-tower", "--p", "3", "--n", "1", "--seed", "1"],
+    ["verify", "semiconj", "--p", "3", "--q", "2", "--n", "1", "--seed", "1"],
+    ["verify", "quasi-invariance", "--p", "3", "--q", "1", "--n", "1",
+     "--seed", "1"],
+    ["newton", "--field", "Laurent(GF(3))", "--poly", "t*z^2 + z^3",
+     "--tprec", "3"],
+])
+def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
+    # argparse exits 2 with usage on stderr; no JSON document is printed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+def _readme_cli_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("parabolic-lab ")]
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 14
+    for argv in examples:
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--json-out", str(out)]) == 0, argv
+        assert json.loads(out.read_text())
+    assert capsys.readouterr().out == ""
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):
