@@ -15,23 +15,22 @@ from parabolic_lab import sweeps
 from parabolic_lab.samplers import STANDARD_PAIRS, standard_field
 
 
-def main_lemma_levels(rng, field, p, q, cases):
+def main_lemma_levels(rng, field, q, cases):
     # one rng across both levels
     return [w for n in (1, 2)
-            for w in sweeps.main_lemma(rng, field, p, q, n, cases=cases)]
+            for w in sweeps.main_lemma(rng, field, q, n, cases=cases)]
 
 
-# (name, (p, q) pairs, sweep(rng, field, p, q, cases) -> failure witnesses)
+# (name, (p, q) pairs, sweep(rng, field, q, cases) -> failure witnesses)
 SWEEPS = [
     ("closed-form iterates", STANDARD_PAIRS, main_lemma_levels),
     ("difference tower", ((2, 1), (3, 1), (5, 1)),
-     lambda rng, field, p, q, cases:
-         sweeps.difference_tower(rng, field, p, cases=cases)),
+     lambda rng, field, q, cases:
+         sweeps.difference_tower(rng, field, cases=cases)),
     ("semiconjugacy", STANDARD_PAIRS,
-     lambda rng, field, p, q, cases:
-         sweeps.semiconj(rng, field, p, q, N=4 * q + 2, cases=cases)),
+     lambda rng, field, q, cases: sweeps.semiconj(rng, field, q, cases=cases)),
     ("quasi-invariance", STANDARD_PAIRS,
-     lambda rng, field, p, q, cases:
+     lambda rng, field, q, cases:
          sweeps.quasi_invariance(rng, field, q, cases=cases)),
 ]
 
@@ -46,7 +45,7 @@ def main() -> int:
     failures = 0
     for name, pairs, sweep in SWEEPS:
         t0 = time.monotonic()
-        bad = sum(len(sweep(Random(args.seed), standard_field(p, q), p, q,
+        bad = sum(len(sweep(Random(args.seed), standard_field(p, q), q,
                             args.cases))
                   for p, q in pairs)
         dt = time.monotonic() - t0

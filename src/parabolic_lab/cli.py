@@ -9,10 +9,10 @@ Exit codes: 0 for success (including a bound that degenerates to "no
 information"), 1 when a verification fails (a reported mismatch or a broken
 internal consistency such as a division that should have been exact), 2 for
 unusable input (bad literals, missing flags, windows too small to start,
-a Laurent field where a command needs a finite one, a flag the command does
-not take).  Only a failed verification exits 1.  Each command takes exactly
-the flags it reads; argparse refuses any other with usage on stderr and no
-JSON document.
+a Laurent field where a command needs a finite one, a --p that is not the
+characteristic of --field, a flag the command does not take).  Only a
+failed verification exits 1.  Each command takes exactly the flags it reads;
+argparse refuses any other with usage on stderr and no JSON document.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .ramification import (
     ramification_profile,
     resit,
 )
-from .samplers import standard_field
 from .valuation_geometry import (
     cycle_valuations,
     newton_polygon,
@@ -96,13 +95,22 @@ def _coeff_list(text: str | None, field):
     return [parse_scalar(part, field) for part in text.split(",")]
 
 
-def _field_for(args):
-    """The --field ring, else the smallest field with an order-q root.  A
+def _field_for(args, q: int):
+    """The --field ring, else the smallest field over GF(--p) with an order-q
+    root.  A --p that is not the characteristic of --field is refused.  A
     command that takes a root of unity or draws field elements refuses a
     Laurent ring there, with ScalarRingMismatch."""
-    if args.field:
-        return parse_field(args.field)
-    return smallest_field_with_root(args.p, args.q)
+    text = vars(args).get("field")
+    if text:
+        field = parse_field(text)
+        if args.p is not None and args.p != field.char:
+            raise ParabolicLabError(
+                f"--p {args.p} is not the characteristic of {text}")
+        return field
+    if args.p is None:
+        either = " or --field" if "field" in vars(args) else ""
+        raise ParabolicLabError(f"this command needs --p{either}")
+    return smallest_field_with_root(args.p, q)
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -149,16 +157,13 @@ def _cmd_closed_form(args):
     if args.mode != "ell" and args.q is None:
         raise ParabolicLabError(f"{args.mode} needs --q")
     if args.mode == "chi-xi":
-        if args.p is None or args.n is None:
-            raise ParabolicLabError("chi-xi needs --p and --n")
-        field = _field_for(args)
+        _require(n=args.n)
+        field = _field_for(args, args.q)
         a1, a2 = _coeff_list(args.coeffs, field)
-        pair = chi_xi(args.p, args.q, args.n, a1, a2)
+        pair = chi_xi(args.q, args.n, a1, a2)
         return {"mode": "chi-xi", **pair.to_jsonable()}, OK
     if args.mode == "iterate-q":
-        if args.p is None:
-            raise ParabolicLabError("iterate-q needs --p")
-        field = _field_for(args)
+        field = _field_for(args, args.q)
         gamma = root_of_unity(field, args.q)
         a1, a2 = _coeff_list(args.coeffs, field)
         c0, c1, c2 = iterate_q_closed(gamma, args.q, a1, a2)
@@ -169,12 +174,7 @@ def _cmd_closed_form(args):
     # ell: --n carries the iteration count here; it need not be coprime to p
     if args.n is None:
         raise ParabolicLabError("ell mode needs --n (the iterate count)")
-    if args.field is not None:
-        field = parse_field(args.field)
-    elif args.p is not None:
-        field = smallest_field_with_root(args.p, 1)
-    else:
-        raise ParabolicLabError("ell mode needs --field or --p")
+    field = _field_for(args, 1)
     a, b = _coeff_list(args.coeffs, field)
     c2, c3 = ell_iterate_quadratic(args.n, a, b)
     return {"mode": "ell", "ell": args.n,
@@ -182,37 +182,39 @@ def _cmd_closed_form(args):
             "c3": scalar_to_jsonable(c3)}, OK
 
 
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
 def _sweep_doc(kind, args, sweep, failures, extra):
     """The JSON document of a seeded sweep run at its default case count."""
-    cases = inspect.signature(sweep).parameters["cases"].default
+    cases = _default(sweep, "cases")
     doc = {"sweep": kind, **extra, "cases": cases, "seed": args.seed,
            "failures": failures, "ok": not failures}
     return doc, (OK if not failures else VERIFICATION_FAILED)
 
 
 def _cmd_verify_main_lemma(args):
-    _require(p=args.p, q=args.q, n=args.n)
+    _require(q=args.q, n=args.n)
     if args.coeffs is None and args.seed is None:
         raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
-    field = _field_for(args)
+    field = _field_for(args, args.q)
     if args.coeffs is not None:
         a = _coeff_list(args.coeffs, field)
-        rep = verify_main_lemma(args.p, args.q, args.n, a, N=args.N,
-                                field=field)
+        rep = verify_main_lemma(field, args.q, args.n, a, N=args.N)
         return rep.to_jsonable(), (OK if rep.ok else VERIFICATION_FAILED)
-    failures = sweeps.main_lemma(Random(args.seed), field, args.p, args.q,
-                                 args.n, N=args.N)
+    failures = sweeps.main_lemma(Random(args.seed), field, args.q, args.n,
+                                 N=args.N)
     return _sweep_doc("main-lemma", args, sweeps.main_lemma, failures,
-                      {"p": args.p, "q": args.q, "n": args.n})
+                      {"p": field.char, "q": args.q, "n": args.n})
 
 
 def _cmd_verify_semiconj(args):
     if args.seed is None:
         raise ParabolicLabError("verify semiconj needs --seed")
-    _require(p=args.p, q=args.q)
-    failures = sweeps.semiconj(Random(args.seed),
-                               standard_field(args.p, args.q), args.p, args.q,
-                               N=args.N)
+    _require(q=args.q)
+    failures = sweeps.semiconj(Random(args.seed), _field_for(args, args.q),
+                               args.q, N=args.N)
     return _sweep_doc("semiconj", args, sweeps.semiconj, failures,
                       {"p": args.p, "q": args.q})
 
@@ -220,11 +222,9 @@ def _cmd_verify_semiconj(args):
 def _cmd_verify_delta_tower(args):
     if args.seed is None:
         raise ParabolicLabError("verify delta-tower needs --seed")
-    _require(p=args.p)
-    N = 12 if args.N is None else args.N
-    failures = sweeps.difference_tower(Random(args.seed),
-                                       smallest_field_with_root(args.p, 1),
-                                       args.p, N=N)
+    N = _default(sweeps.difference_tower, "N") if args.N is None else args.N
+    failures = sweeps.difference_tower(Random(args.seed), _field_for(args, 1),
+                                       N=N)
     return _sweep_doc("delta-tower", args, sweeps.difference_tower, failures,
                       {"p": args.p, "N": N})
 
@@ -232,9 +232,9 @@ def _cmd_verify_delta_tower(args):
 def _cmd_verify_quasi(args):
     if args.seed is None:
         raise ParabolicLabError("verify quasi-invariance needs --seed")
-    _require(p=args.p, q=args.q)
+    _require(q=args.q)
     failures = sweeps.quasi_invariance(Random(args.seed),
-                                       standard_field(args.p, args.q), args.q,
+                                       _field_for(args, args.q), args.q,
                                        n_max=args.nmax, N=args.N)
     return _sweep_doc("quasi-invariance", args, sweeps.quasi_invariance,
                       failures, {"p": args.p, "q": args.q, "n_max": args.nmax})

@@ -23,7 +23,6 @@ from .coeff_rings import (
     half_scalar,
     ring_of,
     root_of_unity,
-    smallest_field_with_root,
 )
 from .errors import (
     IndeterminateValuation,
@@ -52,8 +51,8 @@ class ClosedFormPair:
                 "xi": scalar_to_jsonable(self.xi)}
 
 
-def chi_xi(p: int, q: int, n: int, a1, a2) -> ClosedFormPair:
-    """Evaluate the closed forms at (a1, a2).
+def chi_xi(q: int, n: int, a1, a2) -> ClosedFormPair:
+    """Evaluate the closed forms at (a1, a2), p being their characteristic.
 
     Exponents are computed as plain integers before anything is reduced into
     the field.  In characteristic two the single formula below covers every
@@ -61,11 +60,10 @@ def chi_xi(p: int, q: int, n: int, a1, a2) -> ClosedFormPair:
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
+    rng = ring_of(a1)
+    p = rng.char
     if math.gcd(p, q) != 1:
         raise ValueError(f"q = {q} must be prime to p = {p}")
-    rng = ring_of(a1)
-    if rng.char != p:
-        raise ValueError(f"scalars live in characteristic {rng.char}, not {p}")
     if p == 2:
         e = 2 ** (n - 1)
         s_low = rng.from_int((q - 1) // 2)
@@ -211,17 +209,18 @@ class MainLemmaReport:
         }
 
 
-def verify_main_lemma(p: int, q: int, n: int, a, N: int | None = None,
-                      field: FiniteField | None = None) -> MainLemmaReport:
+def verify_main_lemma(field: FiniteField, q: int, n: int, a,
+                      N: int | None = None) -> MainLemmaReport:
     """Iterate gamma*z*(1 + a1 z^q + a2 z^2q) the long way and compare.
 
+    p is the characteristic of field, which must hold an order q multiplier.
     The window is E + 2q + 1 with E the least jump at level n; inside it the
     iterate must be z + chi z^(E+1) + xi z^(E+q+1) and nothing else.  The
-    field defaults to the smallest one containing an order q multiplier;
-    the first disagreeing exponent is reported as the mismatch.
+    first disagreeing exponent is reported as the mismatch.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
+    p = field.char
     E = ramification_lower_bound(p, q, n)
     W = E + 2 * q + 1
     if N is None:
@@ -229,13 +228,11 @@ def verify_main_lemma(p: int, q: int, n: int, a, N: int | None = None,
     if N < W:
         raise TruncationTooSmall(
             f"the comparison window needs {W} coefficients, got N = {N}")
-    if field is None:
-        field = smallest_field_with_root(p, q)
     gamma = root_of_unity(field, q)
     a1, a2 = (field(c) for c in a)
     f = series(field, {1: gamma, q + 1: gamma * a1, 2 * q + 1: gamma * a2}, N)
     big = f.iterate(q * p ** n)
-    pair = chi_xi(p, q, n, a1, a2)
+    pair = chi_xi(q, n, a1, a2)
     zero = field.zero()
     one = field.one()
     mismatch = None

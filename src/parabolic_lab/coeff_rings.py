@@ -156,13 +156,15 @@ def _square_and_multiply(x, n: int, op, one):
     return one if result is None else result
 
 
-def _series_quotient(num, den, den0_inv, zero, length: int) -> list:
+def _series_quotient(num, den, length: int) -> list:
     """The first `length` coefficients of the power series num/den, from the
-    bottom: q_k = (num_k - sum_(j<k) q_j*den_(k-j)) * den0_inv.
+    bottom: q_k = (num_k - sum_(j<k) q_j*den_(k-j)) / den_0.
 
-    num and den are coefficient sequences (missing entries are zero) and
-    den0_inv is the inverse of den[0].
+    num and den are coefficient sequences (missing entries are zero) over
+    the ring of den[0], which must be a unit.
     """
+    den0_inv = den[0].inverse()
+    zero = ring_of(den[0]).zero()
     qc = []
     for k in range(length):
         acc = num[k] if k < len(num) else zero
@@ -824,9 +826,7 @@ class LaurentScalar:
             r = self.tprec - v
         else:
             r = DEFAULT_TPREC if rel is None else rel
-        field = self.field
-        w = _series_quotient((field.one(),), self.coeffs[:r],
-                             self.coeffs[0].inverse(), field.zero(), r)
+        w = _series_quotient((self.field.one(),), self.coeffs[:r], r)
         return _make_laurent(self.ring, -v, w, -v + r)
 
     def __truediv__(self, other):

@@ -784,8 +784,7 @@ class TruncatedSeries:
                 raise TruncationTooSmall("no quotient coefficients below truncation")
         ring = self.ring
         if _is_ff(ring):
-            qc = _series_quotient(self.coeffs[b:], den.coeffs[b:],
-                                  den.coeffs[b].inverse(), ring.zero(), L)
+            qc = _series_quotient(self.coeffs[b:], den.coeffs[b:], L)
             quot = TruncatedSeries(ring, qc, None if exact else L)
             if exact and den * quot != self:
                 raise NotDivisible("nonzero remainder")

@@ -136,18 +136,19 @@ def reduced_leading_pair(f: ParabolicGerm):
     return nf.a[0], nf.a[1]
 
 
-def resit_numerators(a1, a2, p: int, q: int):
+def resit_numerators(a1, a2, q: int):
     """The numerators over a_1^2 of the iterative residue and its complement.
 
     resit = (q+1)/2 - a_2/a_1^2 is m/a_1^2 with m = (q+1)/2*a_1^2 - a_2.  In
-    characteristic two 1 - resit = m'/a_1^2 with m' = (1 - (q+1)/2)*a_1^2 + a_2
-    matters too; for odd p, m' is None.  Both are built from a_1 and a_2
-    without dividing, so they are exact whenever the pair is, whatever a_1.
+    characteristic two (that of a_1's ring) 1 - resit = m'/a_1^2 with
+    m' = (1 - (q+1)/2)*a_1^2 + a_2 matters too; in odd characteristic m' is
+    None.  Both are built from a_1 and a_2 without dividing, so they are
+    exact whenever the pair is, whatever a_1.
     """
     ring = ring_of(a1)
     sq = a1 * a1
     m = half_scalar(ring, q + 1) * sq - a2
-    if p != 2:
+    if ring.char != 2:
         return m, None
     return m, half_scalar(ring, 1 - q) * sq + a2
 
@@ -162,19 +163,19 @@ def mq_evaluate(f: ParabolicGerm):
     is meaningful.
     """
     a1, a2 = reduced_leading_pair(f)
-    m, m1 = resit_numerators(a1, a2, f.char, f.q)
+    m, m1 = resit_numerators(a1, a2, f.q)
     return a1 * m if m1 is None else a1 * m * m1
 
 
-def normal_form_criterion(a1, a2, p: int, q: int) -> bool:
+def normal_form_criterion(a1, a2, q: int) -> bool:
     """Minimality read off the reduced coefficients.
 
-    a_1 != 0 and resit != 0, and for p = 2 also resit != 1: the resit
-    numerators are nonzero.  Scalars that are zero only to stored precision
-    cannot be decided and raise.
+    a_1 != 0 and resit != 0, and in characteristic two also resit != 1: the
+    resit numerators are nonzero.  Scalars that are zero only to stored
+    precision cannot be decided and raise.
     """
     if not _certified_nonzero(a1, "a1"):
         return False
-    m, m1 = resit_numerators(a1, a2, p, q)
+    m, m1 = resit_numerators(a1, a2, q)
     return (_certified_nonzero(m, "the iterative residue")
             and (m1 is None or _certified_nonzero(m1, "resit - 1")))

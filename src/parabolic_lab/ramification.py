@@ -76,13 +76,13 @@ class RamificationProfile:
         }
 
 
-def _levels(s, q: int, p: int):
-    """Yield f^(q*p^n) - z for n = 0, 1, ...; each iterate is p more turns of
-    the one before, so the whole tower costs one iterate per level."""
+def _levels(s, q: int):
+    """Yield f^(q*p^n) - z for n = 0, 1, ...; each iterate is p = char more
+    turns of the one before, so the whole tower costs one iterate per level."""
     cur = s.iterate(q)
     while True:
         yield cur - identity(cur.ring, cur.n_trunc)
-        cur = cur.iterate(p)
+        cur = cur.iterate(cur.ring.char)
 
 
 def _jump(diff):
@@ -115,7 +115,7 @@ def ramification_profile(f: ParabolicGerm, n_max: int = 2,
     keep_exact = s.is_exact() and s.degree() <= 1
     work = s if keep_exact else s.truncate(N)
     entries = []
-    levels = _levels(work, q, p)
+    levels = _levels(work, q)
     for n in range(n_max + 1):
         i, delta = _jump(next(levels))
         if i is None and n == 0:
@@ -159,7 +159,7 @@ def _resit_value(q: int, a1, a2):
         return half - a2 / (a1 * a1)
     # a_2 * (1/a_1^2) is known to v(a_2) - 2v(a_1) + rel
     rel = DEFAULT_TPREC
-    m, _ = resit_numerators(a1, a2, ring.char, q)
+    m, _ = resit_numerators(a1, a2, q)
     if m.is_certified_nonzero() and a2.is_certified_nonzero():
         rel += max(0, m.v0 - a2.v0)
     return half - a2 * (a1 * a1).inverse(rel)
@@ -204,7 +204,7 @@ def _criterion_verdict(f: ParabolicGerm) -> Verdict:
     except NotMinimallyRamifiedAtLevelZero:
         return Verdict(False, "criterion",
                        {"failed": "level-zero", "detail": "i_0(f^q) > q"})
-    m, m1 = resit_numerators(a1, a2, f.char, f.q)
+    m, m1 = resit_numerators(a1, a2, f.q)
     if not _certified_nonzero(m, "the iterative residue"):
         return Verdict(False, "criterion", {"failed": "resit-zero"})
     if m1 is not None and not _certified_nonzero(m1, "resit - 1"):

@@ -132,14 +132,13 @@ def random_minimal_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
                                    t_max: int = 2) -> ParabolicGerm:
     """Retry random_polynomial_germ until the minimal-ramification criterion
     certifies it; deterministic in the rng state."""
-    p = ring.char
     for _ in range(_MINIMAL_GERM_TRIES):
         f = random_polynomial_germ(rng, ring, q, degree, t_max)
         try:
             a1, a2 = reduced_leading_pair(f)
         except ParabolicLabError:
             continue
-        if normal_form_criterion(a1, a2, p, q):
+        if normal_form_criterion(a1, a2, q):
             return f
     raise ParabolicLabError(
         f"no criterion-certified germ found in {_MINIMAL_GERM_TRIES} draws")

@@ -26,13 +26,13 @@ from .samplers import (
 )
 
 
-def main_lemma(rng: Random, field: FiniteField, p: int, q: int, n: int,
+def main_lemma(rng: Random, field: FiniteField, q: int, n: int,
                N: int | None = None, cases: int = 50) -> list[dict]:
     """Closed-form chi/xi against the iterate of gamma*z*(1 + a1 z^q + a2 z^2q)."""
     failures = []
     for i in range(cases):
         a = random_coeff_tuple(rng, field)
-        rep = verify_main_lemma(p, q, n, a, N=N, field=field)
+        rep = verify_main_lemma(field, q, n, a, N=N)
         if not rep.ok:
             failures.append({"case": i,
                              "coeffs": [scalar_to_jsonable(c) for c in a],
@@ -40,13 +40,13 @@ def main_lemma(rng: Random, field: FiniteField, p: int, q: int, n: int,
     return failures
 
 
-def semiconj(rng: Random, field: FiniteField, p: int, q: int,
+def semiconj(rng: Random, field: FiniteField, q: int,
              N: int | None = None, cases: int = 50) -> list[dict]:
     """z -> z^q intertwines a reduced germ with its shadow for m in {q, qp}."""
     failures = []
     for i in range(cases):
         g = random_reduced_germ(rng, field, q, N=N)
-        for m in (q, q * p):
+        for m in (q, q * field.char):
             rep = semiconj_check(g, m)
             if not rep.ok:
                 failures.append({"case": i, "m": m,
@@ -55,9 +55,10 @@ def semiconj(rng: Random, field: FiniteField, p: int, q: int,
     return failures
 
 
-def difference_tower(rng: Random, field: FiniteField, p: int, N: int = 12,
+def difference_tower(rng: Random, field: FiniteField, N: int = 12,
                      cases: int = 100) -> list[dict]:
-    """The p-step difference tower of f against f^p - z, mod z^N."""
+    """The p-step difference tower of f against f^p - z mod z^N, p = char."""
+    p = field.char
     failures = []
     for i in range(cases):
         f = random_vanishing_series(rng, field, N)

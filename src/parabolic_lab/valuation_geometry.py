@@ -156,7 +156,7 @@ class BoundCertificate:
 def _level_zero_jump(f: ParabolicGerm):
     """(f^q - z, i_0, delta_0) with i_0 = q enforced."""
     q = f.q
-    diff = next(_levels(f.series, q, f.char))
+    diff = next(_levels(f.series, q))
     i0, delta0 = _jump(diff)
     if i0 is math.inf:
         raise ResitUndefined("f^q is the identity; there is no level-zero jump")
@@ -194,7 +194,7 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
     else:
         # v(resit) and v(1 - resit) from the numerators over a_1^2
         a1, a2 = _resit_pair(f)
-        m, m1 = resit_numerators(a1, a2, p, q)
+        m, m1 = resit_numerators(a1, a2, q)
         v1 = a1.valuation()
         if p == 2 and n >= 2:
             branch = "p2-n-ge2"
@@ -230,7 +230,7 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
                 raise TruncationTooSmall(
                     f"deciding the equality case needs window {W}, "
                     f"over the budget {_EQUALITY_WINDOW_BUDGET}")
-            den, num = islice(_levels(s.truncate(W), q, p), n - 1, n + 1)
+            den, num = islice(_levels(s.truncate(W), q), n - 1, n + 1)
             i_n, _ = _jump(num)
             i_prev, _ = _jump(den)
             if not (isinstance(i_n, int) and isinstance(i_prev, int)):
@@ -329,11 +329,11 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
             f"the iterate would reach degree {d ** m}, above the cap {N}")
 
     if n == 0:
-        num = next(_levels(s, q, p))
+        num = next(_levels(s, q))
         den = identity(s.ring, None)
         i_prev, v_prev = 0, 0
     else:
-        den, num = islice(_levels(s, q, p), n - 1, n + 1)
+        den, num = islice(_levels(s, q), n - 1, n + 1)
         i_prev, delta_prev = _jump(den)
         v_prev = delta_prev.valuation()
     i_n, delta_n = _jump(num)

@@ -57,11 +57,11 @@ def test_c01_closed_form_iterates_sweep():
         field = standard_field(p, q)
         rng = Random(1000 + 10 * p + q)
         for n in (1, 2):
-            failures = sweeps.main_lemma(rng, field, p, q, n, cases=50)
+            failures = sweeps.main_lemma(rng, field, q, n, cases=50)
             assert failures == [], (p, q, n)
             # the window depends on (p, q, n) only, not on the coefficients
             zero = field.zero()
-            rep = verify_main_lemma(p, q, n, (zero, zero), field=field)
+            rep = verify_main_lemma(field, q, n, (zero, zero))
             assert rep.window == ramification_lower_bound(p, q, n) + 2 * q + 1
     assert time.monotonic() - start < 60.0
 
@@ -93,7 +93,7 @@ def test_c03_difference_tower_oracle():
     # on random series vanishing at 0 mod z^12
     for p in (2, 3, 5):
         field = standard_field(p, 1)
-        failures = sweeps.difference_tower(Random(3000 + p), field, p, N=12,
+        failures = sweeps.difference_tower(Random(3000 + p), field, N=12,
                                            cases=100)
         assert failures == [], p
 
@@ -243,7 +243,7 @@ def test_c11_power_map_semiconjugacy():
     # m in {q, q*p}
     for p, q in STANDARD_PAIRS:
         field = standard_field(p, q)
-        failures = sweeps.semiconj(Random(11000 + 10 * p + q), field, p, q,
+        failures = sweeps.semiconj(Random(11000 + 10 * p + q), field, q,
                                    N=4 * q + 2, cases=50)
         assert failures == [], (p, q)
 

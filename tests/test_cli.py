@@ -284,6 +284,28 @@ def test_closed_forms_still_work_over_a_laurent_field(capsys):
     assert (doc["c2"], doc["c3"]) == ("2", "1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["closed-form", "--mode", "iterate-q", "--q", "2", "--coeffs", "1,2"],
+    ["closed-form", "--mode", "ell", "--n", "2", "--coeffs", "1,1"],
+    ["closed-form", "--mode", "chi-xi", "--q", "1", "--n", "1",
+     "--coeffs", "1,0"],
+    ["verify", "main-lemma", "--q", "1", "--n", "1", "--coeffs", "1,0"],
+])
+def test_a_p_that_is_not_the_fields_characteristic_is_refused(argv, capsys):
+    # the field fixes p; a --p that restates it differently is not ignored
+    code, doc = run_json(argv + ["--p", "5", "--field", "GF(3)"], capsys)
+    assert code == 2
+    assert doc["kind"] == "ParabolicLabError"
+
+
+def test_a_field_alone_is_enough(capsys):
+    argv = ["closed-form", "--mode", "chi-xi", "--q", "4", "--n", "1",
+            "--coeffs", "x,1"]
+    code, out = run(argv + ["--field", "GF(3,2)"], capsys)
+    assert code == 0
+    assert (code, out) == run(argv + ["--p", "3"], capsys)
+
+
 # the flags of every command path and their defaults: None unless given
 PARSER_DEFAULTS = {
     ("ramify",): {"field": None, "series": None, "nmax": 2, "N": None},

@@ -104,8 +104,8 @@ def test_criterion_witness_pair_for_q_ge_2():
         field = smallest_field_with_root(p, q)
         g = root_of_unity(field, q)
         one, zero = field.one(), field.zero()
-        w1 = normal_form_criterion(one, zero, p, q)
-        w2 = normal_form_criterion(one, g, p, q)
+        w1 = normal_form_criterion(one, zero, q)
+        w2 = normal_form_criterion(one, g, q)
         assert w1 or w2
 
 
@@ -113,15 +113,15 @@ def test_no_minimal_germ_with_trivial_multiplier_in_char_two():
     F2 = FiniteField(2)
     for a1 in F2.elements():
         for a2 in F2.elements():
-            assert not normal_form_criterion(a1, a2, 2, 1)
+            assert not normal_form_criterion(a1, a2, 1)
 
 
 def test_criterion_for_q_one_odd_characteristic():
     F3 = FiniteField(3)
-    assert normal_form_criterion(F3.one(), F3.zero(), 3, 1)
+    assert normal_form_criterion(F3.one(), F3.zero(), 1)
     # resit = 1 - a2/a1^2 = 0 here, so the criterion fails
-    assert not normal_form_criterion(F3.one(), F3.one(), 3, 1)
-    assert not normal_form_criterion(F3.zero(), F3.one(), 3, 1)
+    assert not normal_form_criterion(F3.one(), F3.one(), 1)
+    assert not normal_form_criterion(F3.zero(), F3.one(), 1)
 
 
 # -- the closed-form inverse of an elementary move ---------------------------

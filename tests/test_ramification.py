@@ -110,7 +110,7 @@ def test_levels_are_the_direct_iterates(p, q):
     for N in (q + 2, 8, 12):
         f = random_parabolic_germ(rng, field, q, N=N)
         s = f.series
-        levels = _levels(s, q, p)
+        levels = _levels(s, q)
         for n in range(3):
             assert next(levels) == s.iterate(q * p ** n) - identity(field, N)
 
@@ -129,7 +129,7 @@ def test_levels_keep_t_precision(L3):
             entries[e] = c.clip(rng.randrange(2, 6)) if e % 2 else c
         germs.append(series(L3, entries, N))
     for s in germs:
-        levels = _levels(s, 1, 3)
+        levels = _levels(s, 1)
         for n in range(3):
             assert next(levels) == s.iterate(3 ** n) - identity(L3, s.n_trunc)
 
