@@ -48,7 +48,6 @@ from .literals import (
 from .normal_form import (
     NormalFormResult,
     mq_evaluate,
-    normal_form_criterion,
     reduced_leading_pair,
     to_normal_form,
 )

@@ -9,10 +9,12 @@ Exit codes: 0 for success (including a bound that degenerates to "no
 information"), 1 when a verification fails (a reported mismatch or a broken
 internal consistency such as a division that should have been exact), 2 for
 unusable input (bad literals, missing flags, windows too small to start,
-a Laurent field where a command needs a finite one, a --p that is not the
-characteristic of --field, a flag the command does not take).  Only a
-failed verification exits 1.  Each command takes exactly the flags it reads;
-argparse refuses any other with usage on stderr and no JSON document.
+a Laurent field where a command needs a finite one, a --p that is not prime
+or not the characteristic of --field, a flag the command or its closed-form
+--mode does not read, --coeffs together with --seed).  Only a failed
+verification exits 1.  Each command takes exactly the flags it reads;
+argparse refuses any other with usage on stderr and no JSON document.  The
+flags a closed-form --mode does not read are refused with a JSON document.
 """
 
 from __future__ import annotations
@@ -153,11 +155,17 @@ def _cmd_normalize(args):
     return to_normal_form(f, N=args.N).to_jsonable(), OK
 
 
+# the flags each closed-form mode reads besides --coeffs and the field
+_MODE_FLAGS = {"chi-xi": ("q", "n"), "iterate-q": ("q",), "ell": ("n",)}
+
+
 def _cmd_closed_form(args):
-    if args.mode != "ell" and args.q is None:
-        raise ParabolicLabError(f"{args.mode} needs --q")
+    reads = _MODE_FLAGS[args.mode]
+    _require(**{name: getattr(args, name) for name in reads})
+    for name in ("q", "n"):
+        if name not in reads and getattr(args, name) is not None:
+            raise ParabolicLabError(f"--mode {args.mode} does not read --{name}")
     if args.mode == "chi-xi":
-        _require(n=args.n)
         field = _field_for(args, args.q)
         a1, a2 = _coeff_list(args.coeffs, field)
         pair = chi_xi(args.q, args.n, a1, a2)
@@ -172,8 +180,6 @@ def _cmd_closed_form(args):
                 "unit_coeffs": [scalar_to_jsonable(c) for c in (c0, c1, c2)],
                 }, OK
     # ell: --n carries the iteration count here; it need not be coprime to p
-    if args.n is None:
-        raise ParabolicLabError("ell mode needs --n (the iterate count)")
     field = _field_for(args, 1)
     a, b = _coeff_list(args.coeffs, field)
     c2, c3 = ell_iterate_quadratic(args.n, a, b)
@@ -198,6 +204,9 @@ def _cmd_verify_main_lemma(args):
     _require(q=args.q, n=args.n)
     if args.coeffs is None and args.seed is None:
         raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
+    if args.coeffs is not None and args.seed is not None:
+        raise ParabolicLabError(
+            "verify main-lemma takes --coeffs or --seed, not both")
     field = _field_for(args, args.q)
     if args.coeffs is not None:
         a = _coeff_list(args.coeffs, field)

@@ -541,7 +541,12 @@ def root_of_unity(field: FiniteField, q: int) -> FieldElement:
 
 
 def smallest_field_with_root(p: int, q: int) -> FiniteField:
-    """The smallest extension of GF(p) containing an element of order q."""
+    """The smallest extension of GF(p) containing an element of order q.
+
+    p is certified prime first: over a composite p the degree search below
+    would never end."""
+    if not _is_prime(p):
+        raise CompositeP(f"characteristic {p} is not prime")
     if q < 1:
         raise ParabolicLabError(f"order must be positive, got {q}")
     if q > 1 and q % p == 0:

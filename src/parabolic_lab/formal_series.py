@@ -725,7 +725,7 @@ class TruncatedSeries:
             err = self.compose(hp) - identity(self.ring, prec)
             dcomp = fprime.compose(hp)
             one = series(self.ring, {0: 1}, dcomp.n_trunc)
-            recip, _ = one.divide_exact(dcomp)
+            recip = one.divide_exact(dcomp)
             # f' is only known one index short of f, but the correction term
             # err * recip has ord(err) >= 2, so the top coefficient of the
             # reciprocal never reaches indices below prec; pad the claim.
@@ -735,12 +735,10 @@ class TruncatedSeries:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, den: "TruncatedSeries"):
+    def divide_exact(self, den: "TruncatedSeries") -> "TruncatedSeries":
         """Divide self by den from the bottom.
 
-        Returns (quotient, integral) where integral records that every
-        quotient coefficient has valuation >= 0 (always true over a finite
-        field).  For truncated inputs the quotient is computed modulo
+        Returns the quotient.  For truncated inputs it is computed modulo
         z^(N - ord(den)).  For exact polynomial inputs the division is
         certified: a nonzero remainder raises NotDivisible.
 
@@ -761,12 +759,12 @@ class TruncatedSeries:
         a = self.order()
         if a is math.inf:
             # exactly zero numerator: the quotient is exactly zero
-            return zero_series(self.ring, None), True
+            return zero_series(self.ring, None)
         if a is None:
             n_out = self.n_trunc - b
             if den.n_trunc is not None:
                 n_out = min(n_out, den.n_trunc - b)
-            return zero_series(self.ring, max(n_out, 1)), True
+            return zero_series(self.ring, max(n_out, 1))
         if a < b:
             raise NotDivisible(f"ord(num) = {a} < ord(den) = {b}")
 
@@ -788,11 +786,9 @@ class TruncatedSeries:
             quot = TruncatedSeries(ring, qc, None if exact else L)
             if exact and den * quot != self:
                 raise NotDivisible("nonzero remainder")
-        else:
-            qc = _divide_laurent(ring, self.coeffs[b:], den.coeffs[b:], L, exact)
-            quot = TruncatedSeries(ring, qc, None if exact else L)
-        integral = all(c.valuation_lower_bound() >= 0 for c in qc)
-        return quot, integral
+            return quot
+        qc = _divide_laurent(ring, self.coeffs[b:], den.coeffs[b:], L, exact)
+        return TruncatedSeries(ring, qc, None if exact else L)
 
     # -- misc --------------------------------------------------------------
 

@@ -11,9 +11,8 @@ gamma^ell - 1, so integral Laurent coefficients stay integral.  The inverse
 of a move has a closed form (see _move_inverse), so no Newton iteration is
 needed.
 
-The resulting pair (a_1, a_2) feeds the genericity value m_q and the
-minimality criterion; both live here because they are read off the reduced
-form.
+The resulting pair (a_1, a_2) feeds the genericity value m_q here and the
+minimality criterion in ramification.
 """
 
 from __future__ import annotations
@@ -22,21 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .coeff_rings import half_scalar, ring_of
-from .errors import (
-    IndeterminateValuation,
-    ParabolicLabError,
-    TruncationTooSmall,
-)
+from .errors import ParabolicLabError, TruncationTooSmall
 from .formal_series import ParabolicGerm, TruncatedSeries, identity, series
-
-
-def _certified_nonzero(x, what: str) -> bool:
-    """True/False only on certified scalars; fuzzy zeros refuse to answer."""
-    if x.is_certified_nonzero():
-        return True
-    if x.is_certified_zero():
-        return False
-    raise IndeterminateValuation(f"{what} is zero only to stored precision")
 
 
 def _move_inverse(ring, B, ell: int, N: int) -> TruncatedSeries:
@@ -122,17 +108,10 @@ def to_normal_form(f: ParabolicGerm, N: int | None = None) -> NormalFormResult:
 
 
 def reduced_leading_pair(f: ParabolicGerm):
-    """The pair (a_1, a_2) of the reduced form of f.
-
-    For q = 1 every germ is already reduced and the pair is read straight off
-    the coefficients; otherwise the clearing algorithm runs at the minimal
-    window 2q + 2.
-    """
-    q = f.q
-    if q == 1:
-        gamma = f.gamma
-        return f.series.coeff(2) / gamma, f.series.coeff(3) / gamma
-    nf = to_normal_form(f, 2 * q + 2)
+    """The pair (a_1, a_2) of the reduced form of f, from the clearing
+    algorithm at the minimal window 2q + 2 (for q = 1 it clears nothing and
+    reads the pair off the coefficients of z^2 and z^3)."""
+    nf = to_normal_form(f, 2 * f.q + 2)
     return nf.a[0], nf.a[1]
 
 
@@ -166,16 +145,3 @@ def mq_evaluate(f: ParabolicGerm):
     m, m1 = resit_numerators(a1, a2, f.q)
     return a1 * m if m1 is None else a1 * m * m1
 
-
-def normal_form_criterion(a1, a2, q: int) -> bool:
-    """Minimality read off the reduced coefficients.
-
-    a_1 != 0 and resit != 0, and in characteristic two also resit != 1: the
-    resit numerators are nonzero.  Scalars that are zero only to stored
-    precision cannot be decided and raise.
-    """
-    if not _certified_nonzero(a1, "a1"):
-        return False
-    m, m1 = resit_numerators(a1, a2, q)
-    return (_certified_nonzero(m, "the iterative residue")
-            and (m1 is None or _certified_nonzero(m1, "resit - 1")))

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotMinimallyRamifiedAtLevelZero, TruncationTooSmall
+from .errors import (
+    IndeterminateValuation,
+    NotMinimallyRamifiedAtLevelZero,
+    TruncationTooSmall,
+)
 from .coeff_rings import DEFAULT_TPREC, LaurentRing, half_scalar, ring_of
 from .formal_series import ParabolicGerm, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
-from .normal_form import (
-    _certified_nonzero,
-    reduced_leading_pair,
-    resit_numerators,
-)
+from .normal_form import reduced_leading_pair, resit_numerators
 
 
 def ramification_lower_bound(p: int, q: int, n: int) -> int:
@@ -54,12 +54,6 @@ class RamificationProfile:
     q: int
     N: int | None
     entries: list
-
-    def i(self, n: int):
-        return self.entries[n].i
-
-    def delta(self, n: int):
-        return self.entries[n].delta
 
     def to_jsonable(self):
         return {
@@ -127,6 +121,15 @@ def ramification_profile(f: ParabolicGerm, n_max: int = 2,
                         for m in range(n + 1, n_max + 1)]
             break
     return RamificationProfile(q=q, N=work.n_trunc, entries=entries)
+
+
+def _certified_nonzero(x, what: str) -> bool:
+    """True/False only on certified scalars; fuzzy zeros refuse to answer."""
+    if x.is_certified_nonzero():
+        return True
+    if x.is_certified_zero():
+        return False
+    raise IndeterminateValuation(f"{what} is zero only to stored precision")
 
 
 def _resit_pair(f: ParabolicGerm):

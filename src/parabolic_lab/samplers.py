@@ -22,8 +22,7 @@ from .coeff_rings import (
 )
 from .errors import ParabolicLabError, ScalarRingMismatch
 from .formal_series import ParabolicGerm, TruncatedSeries, series
-from .normal_form import normal_form_criterion, reduced_leading_pair
-from .ramification import default_window
+from .ramification import default_window, is_minimally_ramified
 
 STANDARD_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 4))
 
@@ -130,15 +129,15 @@ def random_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
 def random_minimal_polynomial_germ(rng: Random, ring: LaurentRing, q: int,
                                    degree: int = 3,
                                    t_max: int = 2) -> ParabolicGerm:
-    """Retry random_polynomial_germ until the minimal-ramification criterion
-    certifies it; deterministic in the rng state."""
+    """Retry random_polynomial_germ until is_minimally_ramified certifies it
+    in criterion mode; a draw the criterion cannot decide is skipped.  Each
+    draw consumes the rng alike, so the result is deterministic in its state."""
     for _ in range(_MINIMAL_GERM_TRIES):
         f = random_polynomial_germ(rng, ring, q, degree, t_max)
         try:
-            a1, a2 = reduced_leading_pair(f)
+            if is_minimally_ramified(f).minimal:
+                return f
         except ParabolicLabError:
             continue
-        if normal_form_criterion(a1, a2, q):
-            return f
     raise ParabolicLabError(
         f"no criterion-certified germ found in {_MINIMAL_GERM_TRIES} draws")

@@ -238,8 +238,7 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
             details["i_n"] = i_n
             details["i_prev"] = i_prev
             expected = i_n - i_prev + q * p ** n
-            quot, _ = num.divide_exact(den)
-            red, wideg = reduce_and_wideg(quot)
+            red, wideg = reduce_and_wideg(num.divide_exact(den))
         details["wideg"] = index_to_jsonable(wideg)
         details["expected_wideg"] = expected
         verdict = _wideg_verdict(wideg, expected, red.n_trunc)
@@ -340,10 +339,8 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
     v_n = delta_n.valuation()
     lemma_bound = Fraction(v_n - v_prev, m)
 
-    quot, integral = num.divide_exact(den)
-    if not integral:
-        raise NonIntegralCoefficient(
-            "the quotient is not integral; divisibility over O_k failed")
+    quot = num.divide_exact(den)
+    _require_integral(quot)
 
     polygon = newton_polygon(quot)
     max_pos = polygon.max_positive_root_valuation()

@@ -232,8 +232,8 @@ def test_c10_iterate_divisibility_with_integral_quotient():
             den = f.series.iterate(3) - identity(f.ring, 40)
             if den.order() in (None, float("inf")):
                 continue
-            quot, integral = num.divide_exact(den)
-            assert integral
+            quot = num.divide_exact(den)
+            assert all(c.valuation_lower_bound() >= 0 for c in quot.coeffs)
     except NotDivisible as e:  # pragma: no cover - build-failing by contract
         pytest.fail(f"divisibility broke: {e}")
 

@@ -298,6 +298,46 @@ def test_a_p_that_is_not_the_fields_characteristic_is_refused(argv, capsys):
     assert doc["kind"] == "ParabolicLabError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "semiconj", "--p", "0", "--q", "2", "--seed", "1"],
+    ["verify", "semiconj", "--p", "1", "--q", "2", "--seed", "1"],
+    ["verify", "semiconj", "--p", "4", "--q", "2", "--seed", "1"],
+    ["closed-form", "--mode", "chi-xi", "--p", "6", "--q", "3", "--n", "1",
+     "--coeffs", "1,0"],
+])
+def test_a_p_that_is_not_prime_is_refused(argv, capsys):
+    code, doc = run_json(argv, capsys)
+    assert code == 2
+    assert doc == {"error": f"characteristic {argv[argv.index('--p') + 1]} "
+                            "is not prime", "kind": "CompositeP"}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--mode", "iterate-q", "--q", "2", "--n", "7", "--coeffs", "1,2"],
+     "--mode iterate-q does not read --n"),
+    (["--mode", "ell", "--q", "4", "--n", "2", "--coeffs", "1,1"],
+     "--mode ell does not read --q"),
+    (["--mode", "iterate-q", "--n", "7", "--coeffs", "1,2"],
+     "this command needs --q"),
+    (["--mode", "ell", "--coeffs", "1,1"], "this command needs --n"),
+    (["--q", "1", "--coeffs", "1,0"], "this command needs --n"),
+])
+def test_closed_form_takes_the_flags_its_mode_reads(argv, error, capsys):
+    # chi-xi reads --q and --n, iterate-q only --q, ell only --n
+    code, doc = run_json(["closed-form", "--p", "3", *argv], capsys)
+    assert code == 2
+    assert doc == {"error": error, "kind": "ParabolicLabError"}
+
+
+def test_main_lemma_takes_coeffs_or_seed_not_both(capsys):
+    code, doc = run_json(["verify", "main-lemma", "--p", "3", "--q", "1",
+                          "--n", "1", "--coeffs", "1,0", "--seed", "7"],
+                         capsys)
+    assert code == 2
+    assert doc == {"error": "verify main-lemma takes --coeffs or --seed, "
+                            "not both", "kind": "ParabolicLabError"}
+
+
 def test_a_field_alone_is_enough(capsys):
     argv = ["closed-form", "--mode", "chi-xi", "--q", "4", "--n", "1",
             "--coeffs", "x,1"]

@@ -48,6 +48,9 @@ def test_construction_rejects_composite_characteristic():
         FiniteField(4)
     with pytest.raises(CompositeP):
         FiniteField(1)
+    # over p = 4 no p^d - 1 is even: the degree search would never end
+    with pytest.raises(CompositeP):
+        smallest_field_with_root(4, 2)
 
 
 def test_primality_matches_sympy():

@@ -9,7 +9,7 @@ from parabolic_lab import (
     FiniteField,
     LaurentRing,
     ParabolicGerm,
-    normal_form_criterion,
+    is_minimally_ramified,
     parse_series,
     ramification_profile,
     reduced_leading_pair,
@@ -97,6 +97,16 @@ def test_first_iterate_coefficient_is_q_times_a1():
             assert e.i > f.q
 
 
+def _minimal(field, q, a1, a2):
+    """The criterion verdict on gamma*z*(1 + a1*z^q + a2*z^(2q)), a germ
+    already in reduced form with pair (a1, a2)."""
+    g = root_of_unity(field, q)
+    f = ParabolicGerm(series(field, {1: g, q + 1: g * a1, 2 * q + 1: g * a2},
+                             None))
+    assert reduced_leading_pair(f) == (a1, a2)
+    return is_minimally_ramified(f).minimal
+
+
 def test_criterion_witness_pair_for_q_ge_2():
     # one of gamma*z*(1+z^q), gamma*z*(1+z^q+gamma*z^(2q)) satisfies the
     # genericity criterion for every admissible pair with q >= 2
@@ -104,24 +114,22 @@ def test_criterion_witness_pair_for_q_ge_2():
         field = smallest_field_with_root(p, q)
         g = root_of_unity(field, q)
         one, zero = field.one(), field.zero()
-        w1 = normal_form_criterion(one, zero, q)
-        w2 = normal_form_criterion(one, g, q)
-        assert w1 or w2
+        assert _minimal(field, q, one, zero) or _minimal(field, q, one, g)
 
 
 def test_no_minimal_germ_with_trivial_multiplier_in_char_two():
     F2 = FiniteField(2)
     for a1 in F2.elements():
         for a2 in F2.elements():
-            assert not normal_form_criterion(a1, a2, 1)
+            assert not _minimal(F2, 1, a1, a2)
 
 
 def test_criterion_for_q_one_odd_characteristic():
     F3 = FiniteField(3)
-    assert normal_form_criterion(F3.one(), F3.zero(), 1)
+    assert _minimal(F3, 1, F3.one(), F3.zero())
     # resit = 1 - a2/a1^2 = 0 here, so the criterion fails
-    assert not normal_form_criterion(F3.one(), F3.one(), 1)
-    assert not normal_form_criterion(F3.zero(), F3.one(), 1)
+    assert not _minimal(F3, 1, F3.one(), F3.one())
+    assert not _minimal(F3, 1, F3.zero(), F3.one())
 
 
 # -- the closed-form inverse of an elementary move ---------------------------

@@ -198,6 +198,31 @@ def test_bound_json_document(L3):
                     "expected_wideg": 6}}
 
 
+def test_bound_on_truncated_desk_germs(L3):
+    def bound(k, n):
+        return periodic_valuation_bound(
+            germ(f"z + t*z^2 + z^3 mod z^{k}", L3), n).to_jsonable()
+
+    with pytest.raises(TruncationTooSmall):
+        bound(2, 0)  # the window does not reach z^2
+    with pytest.raises(TruncationTooSmall):
+        bound(3, 1)  # nor the reduced pair's z^3
+    b = bound(3, 0)
+    assert b["equality_condition_holds"] == "indeterminate"
+    assert b["details"]["wideg"] == "beyond-truncation"
+    b = bound(5, 1)
+    assert b["equality_condition_holds"] == "indeterminate"
+    assert (b["details"]["indeterminate_reason"]
+            == "a jump index lies beyond the window")
+    # a window past the equality test's reads the exact germ's verdict
+    exact = germ("z + t*z^2 + z^3", L3)
+    for k, n in ((10, 1), (30, 2)):
+        assert bound(k, n) == periodic_valuation_bound(exact, n).to_jsonable()
+    # i_0 > q is certified once the window reaches z^(q + 2)
+    with pytest.raises(ResitUndefined):
+        periodic_valuation_bound(germ("z + z^3 mod z^3", L3), 1)
+
+
 # -- cycle reports ---------------------------------------------------------
 
 def test_desk_cycle_report_fixed_points(L3):
@@ -230,8 +255,9 @@ def test_cycle_quotient_over_a_non_monomial_lead_is_exact(L2):
     # F_2[t][z], so its polygon is defined; sympy re-multiplies it
     f = germ("z + (1 + t)*z^2 + (1 + t)*z^3", L2)
     den, num = islice(_levels(f.series, 1), 2)
-    quot, integral = num.divide_exact(den)
-    assert integral and all(c.is_exact() for c in quot.coeffs)
+    quot = num.divide_exact(den)
+    assert all(c.is_exact() and c.valuation_lower_bound() >= 0
+               for c in quot.coeffs)
     t, z = sympy.symbols("t z")
 
     def as_poly(s):
