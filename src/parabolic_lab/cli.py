@@ -9,7 +9,8 @@ Exit codes: 0 for success (including a bound that degenerates to "no
 information"), 1 when a verification fails (a reported mismatch or a broken
 internal consistency such as a division that should have been exact), 2 for
 unusable input (bad literals, missing flags, windows too small to start,
-a Laurent field where a command needs a finite one, a --p that is not prime
+a germ not known to be integral where a command needs an integral one, a
+Laurent field where a command needs a finite one, a --p that is not prime
 or not the characteristic of --field, a flag the command or its closed-form
 --mode does not read, --coeffs together with --seed).  Only a failed
 verification exits 1.  Each command takes exactly the flags it reads;
@@ -37,6 +38,7 @@ from .coeff_rings import root_of_unity, smallest_field_with_root
 from .errors import (
     IndeterminateValuation,
     NonIntegralCoefficient,
+    NonIntegralGerm,
     NotDivisible,
     NotMinimallyRamifiedAtLevelZero,
     ParabolicLabError,
@@ -373,15 +375,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
-    except (NotDivisible, NonIntegralCoefficient) as e:
+    except (ParabolicLabError, TypeError, ValueError) as e:
         _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)
-        return VERIFICATION_FAILED
-    except ParabolicLabError as e:
-        _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)
-        return INPUT_ERROR
-    except (TypeError, ValueError) as e:
-        _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)
-        return INPUT_ERROR
+        failed = (isinstance(e, (NotDivisible, NonIntegralCoefficient))
+                  and not isinstance(e, NonIntegralGerm))
+        return VERIFICATION_FAILED if failed else INPUT_ERROR
     _emit(doc, args.json_out)
     return code
 

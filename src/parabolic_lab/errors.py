@@ -60,6 +60,13 @@ class NonIntegralCoefficient(ParabolicLabError):
     """A coefficient has negative valuation where an integral one is required."""
 
 
+class NonIntegralGerm(NonIntegralCoefficient):
+    """An input germ has a coefficient not known to be integral where the
+    operation needs a germ over the valuation ring.  That is unusable input;
+    a non-integral coefficient that a theorem excludes, as in a cycle
+    quotient, is a failed check and raises the parent type itself."""
+
+
 class TruncationTooSmall(ParabolicLabError):
     """The stored truncation is too short for the requested computation."""
 

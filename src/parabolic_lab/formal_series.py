@@ -26,8 +26,16 @@ t-precision; a product's rows take theirs by a min-plus rule and are
 clipped to it, which gives exactly what scalar LaurentScalar arithmetic
 would.  When every row of both operands is exact, every row of the
 product is, and that work is skipped.
-Series still store coefficient objects: arrays are packed once per product
-or composition and unpacked once at its end.
+
+A series stores its packed array, read-only, and every operation reads and
+returns that form: the (N, 1, d) array over GF(p^d), the (M, base, tp)
+triple over GF(p^d)((t)).  Sums are one numpy operation mod p.
+Coefficient objects are packed only where they enter (the constructor,
+`series`) and made only where they leave: `coeffs` (built on first access
+and kept), `coeff`, the printers and the scalar division recurrence.
+Inside a finite-field composition the digits stay one big integer from
+step to step, reduced mod p in place, and become an array once, at the
+end.
 
 Division over GF(p^d)((t)) is packed too: a Newton reciprocal built from
 the same products, then one product by the numerator; exact division of
@@ -43,7 +51,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import zip_longest
 
 import numpy as np
 
@@ -52,7 +59,6 @@ from .coeff_rings import (
     FiniteField,
     LaurentRing,
     LaurentScalar,
-    _make_laurent,
     _series_quotient,
     _square_and_multiply,
 )
@@ -79,9 +85,9 @@ __all__ = [
 
 # Packed t-precision of an exact row: far above any t-exponent a series
 # carries, and far enough below the int64 limit that sums of two stay exact.
-# Packing refuses t-exponents and precisions of magnitude _EXPONENT_LIMIT or
-# more, so no sum along a Horner run can come near _EXACT / 2, the
-# threshold that reads as exact.
+# No stored series has a t-exponent or precision of magnitude
+# _EXPONENT_LIMIT or more (_check_exponents), so no sum along a Horner run
+# can come near _EXACT / 2, the threshold that reads as exact.
 _EXACT = 1 << 60
 _EXPONENT_LIMIT = 1 << 32
 
@@ -203,17 +209,41 @@ def _bk_block(rows, powers, k, j):
     return sum(c * x for c, x in zip(rows[j * k:(j + 1) * k], powers) if c)
 
 
+def _reduce_int(field, x, rows, nbytes):
+    """The first rows*(2d - 1) digits of x reduced to coordinates over GF(p),
+    packed again with the same width: what _to_int(_from_int(...)) gives,
+    from bytes to bytes without an int64 array in between."""
+    p, d = field.p, field.d
+    X = 2 * d - 1
+    if nbytes > 8:
+        return _to_int(_from_int(field, x, rows, 1, nbytes), 1, X, nbytes)
+    size = rows * X
+    raw = x.to_bytes(max(size * nbytes, (x.bit_length() + 7) // 8), "little")
+    C = np.frombuffer(raw, dtype=f"<u{nbytes}", count=size) % p
+    if d > 1:
+        red = field._npred
+        C = C.reshape(rows, X).astype(np.int64)
+        if X * (p - 1) ** 2 >= 1 << 63:
+            C, red = C.astype(object), red.astype(object)
+        buf = np.zeros((rows, X), dtype=f"<u{nbytes}")
+        buf[:, :d] = (C @ red) % p
+        C = buf
+    return int.from_bytes(C.tobytes(), "little")
+
+
 def _compose_ff(field, F, G, limit):
     """Brent-Kung evaluation of F at G (constant term of G zero).
 
-    Everything runs on the packed integers of _kron_mul (_to_int and
-    _from_int), all with one digit width.  The baby powers G^2 .. G^k are
-    products by the packed G, each read back once and packed once.  A
+    Everything runs on the packed integers of _kron_mul, all with one digit
+    width, and stays packed: the baby powers G^2 .. G^k are products by the
+    packed G, and each giant step multiplies by the packed G^k, each
+    product reduced digit by digit in one pass (_reduce_int).  A
     coefficient of F is a plain integer of d digits, so F[jk+i]*G^i is a
     small multiple of the packed G^i, and each block is added to a giant
-    step's product before its digits are read back.  A digit sums at most
+    step's product before it is reduced.  A digit sums at most
     rows(G^k)*d products below p^2 from a baby or giant step and at most
     k*d more from a block, so the width holds (rows(G^k) + k)*d*(p - 1)^2.
+    Digits are read back into an array once, at the end (_from_int).
     """
     if limit is not None:
         G = G[:limit]
@@ -230,23 +260,30 @@ def _compose_ff(field, F, G, limit):
     g = _to_int(G, 1, X, nbytes)
     packed = [1, g]
     for i in range(2, k + 1):
-        packed.append(_to_int(_from_int(field, packed[-1] * g, rows[i], 1,
-                                        nbytes), 1, X, nbytes))
+        packed.append(_reduce_int(field, packed[-1] * g, rows[i], nbytes))
     consts = _row_ints(_to_int(F, 1, X, nbytes), n, X * nbytes)
-    R = _from_int(field, _bk_block(consts, packed, k, m - 1), rows[top - 1], 1,
-                  nbytes)
+    R, r = _bk_block(consts, packed, k, m - 1), rows[top - 1]
     for j in range(m - 2, -1, -1):
-        r = R.shape[0] + rows[k] - 1
+        R = _reduce_int(field, R, r, nbytes) * packed[k]
+        R += _bk_block(consts, packed, k, j)
+        r += rows[k] - 1
         if limit is not None:
             r = min(r, limit)
-        R = _from_int(field, _to_int(R, 1, X, nbytes) * packed[k]
-                      + _bk_block(consts, packed, k, j), r, 1, nbytes)
-    return R
+    return _from_int(field, R, r, 1, nbytes)
 
 
 # Over GF(p^d)((t)) a series packs to (M, base, tp): coefficient i is
 # sum_w M[i, w]*t^(base + w), known below t^tp[i] (_EXACT when exact).  Rows
 # are clipped, so no slot at or above a row's precision is nonzero.
+
+def _check_exponents(base, top, precs):
+    """Refuse t-exponents and precisions of magnitude _EXPONENT_LIMIT or
+    more: sums of them along a run of products then stay far below the
+    _EXACT sentinel."""
+    if max(abs(base), abs(top), *map(abs, precs)) >= _EXPONENT_LIMIT:
+        raise ParabolicLabError(
+            "t-exponents of a series must stay below 2^32 in magnitude")
+
 
 def _pack_laurent(ring, coeffs):
     field = ring.field
@@ -254,10 +291,7 @@ def _pack_laurent(ring, coeffs):
     base = min((c.v0 for c in live), default=0)
     top = max((c.v0 + len(c.coeffs) for c in live), default=base + 1)
     precs = [c.tprec for c in coeffs if c.tprec is not None]
-    if max(abs(e) for e in (base, top, *precs)) >= _EXPONENT_LIMIT:
-        raise ParabolicLabError(
-            "t-exponents must stay below 2^32 in magnitude in series "
-            "products and compositions")
+    _check_exponents(base, top, precs)
     M = np.zeros((len(coeffs), top - base, field.d),
                  dtype=_coord_dtype(field.p))
     for i, c in enumerate(coeffs):
@@ -272,17 +306,17 @@ def _pack_laurent(ring, coeffs):
 def _unpack_laurent(ring, R):
     M, base, tp = R
     field = ring.field
-    live = M.any(axis=2)
     out = []
-    for row, mask, t in zip(M.tolist(), live, tp.tolist()):
+    for row, t in zip(M.tolist(), tp.tolist()):
         t = None if t >= _EXACT else t
-        if not mask.any():
+        live = [w for w, c in enumerate(row) if any(c)]
+        if not live:
             out.append(LaurentScalar(ring, 0, (), t))
             continue
-        lo = int(mask.argmax())
-        hi = len(mask) - int(mask[::-1].argmax())
-        out.append(_make_laurent(ring, base + lo, [
-            FieldElement(field, tuple(c)) for c in row[lo:hi]], t))
+        # rows are clipped, so the live slots are the canonical scalar
+        out.append(LaurentScalar(ring, base + live[0], tuple(
+            FieldElement(field, tuple(c))
+            for c in row[live[0]:live[-1] + 1]), t))
     return out
 
 
@@ -361,10 +395,12 @@ def _clip(M, base, tp):
 def _trim(M, base, tp):
     """Drop the empty slots at both ends (one slot is kept when nothing is
     left)."""
-    live = M.any(axis=(0, 2))
-    if not live.any():
+    if np.count_nonzero(M[:, 0]) and np.count_nonzero(M[:, -1]):
+        return M, base, tp
+    live = np.flatnonzero(M.any(axis=(0, 2)))
+    if not len(live):
         return M[:, :1], base, tp
-    lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
+    lo, hi = int(live[0]), int(live[-1]) + 1
     return M[:, lo:hi], base + lo, tp
 
 
@@ -466,11 +502,12 @@ def _compose_laurent(field, F, G, limit):
     return R
 
 
-def _divide_laurent(ring, num, den, L, exact):
-    """The quotient coefficients num/den below z^L over a Laurent ring, den[0]
-    certified nonzero; for exact polynomials, the certified exact quotient.
+def _divide_laurent(ring, N, D, lead, L, exact):
+    """The packed quotient N/D below z^L over a Laurent ring, for packed N
+    and D whose first row `lead` is certified nonzero; for exact
+    polynomials, the certified exact quotient.
 
-    Truncated inputs seed the reciprocal with the scalar inverse of den[0],
+    Truncated inputs seed the reciprocal with the scalar inverse of lead,
     so every coefficient carries the precision its inputs support.
 
     Exact inputs with exact coefficients divide in F[t, 1/t][z].  Scaled by
@@ -487,16 +524,13 @@ def _divide_laurent(ring, num, den, L, exact):
     by a single term c*z^b, which every candidate numerator is divisible by;
     any other divisibility cannot be decided and raises.
     """
-    n = None if exact else L
-    N, D = _pack_laurent(ring, num[:n]), _pack_laurent(ring, den[:n])
     if not exact or (N[2] < _EXACT).any() or (D[2] < _EXACT).any():
-        if exact and len(den) > 1:
+        if exact and len(D[2]) > 1:
             raise IndeterminateValuation(
                 "exact division by a polynomial of several terms needs "
                 "coefficients known exactly, not to O(t^k)")
-        return _unpack_laurent(
-            ring, _quotient_laurent(ring, N, D, den[0].inverse(), L))
-    field, lead = ring.field, den[0]
+        return _quotient_laurent(ring, N, D, lead.inverse(), L)
+    field = ring.field
     B = N[0].shape[1] - D[0].shape[1]
     if B < 0:
         raise NotDivisible("t-degree of the numerator below the denominator's")
@@ -507,38 +541,109 @@ def _divide_laurent(ring, num, den, L, exact):
     r = B + 1 + L * (lead.v0 - D[1])
     M, base, tp = _quotient_laurent(ring, N, D, lead.inverse(r), L)
     M, base, _ = _clip(M, base, np.full(len(tp), top, dtype=np.int64))
-    Q = (M, base, np.full(len(tp), _EXACT, dtype=np.int64))
+    Q = (M, base, _exact_rows(len(tp)))
     rem = _add_laurent(field, N, _mul_laurent(field, D, Q, None), sign=-1)
     if rem[0].any():
         raise NotDivisible("nonzero remainder")
-    return _unpack_laurent(ring, Q)
+    return Q
 
 
 def _is_ff(ring):
     return isinstance(ring, FiniteField)
 
 
+def _fit(ring, arr, n_trunc):
+    """arr made the storage of a series mod z^n_trunc: cut, or padded with
+    exact zero rows, to n_trunc rows; for an exact series (None), cut after
+    the last row that is not an exact zero.  Over a Laurent ring the slots
+    are trimmed too, an all-zero array sits at base 0, so that equal series
+    have equal arrays, and the exponents are checked.  The arrays are made
+    read-only: series share them (truncate gives views)."""
+    M, base, tp = (arr, 0, None) if _is_ff(ring) else arr
+    n = len(M)
+    if n_trunc is None:
+        n_trunc = n
+        if n and not np.count_nonzero(M[-1]) and (tp is None
+                                                   or tp[-1] >= _EXACT):
+            live = M.any(axis=(1, 2))
+            if tp is not None:
+                live |= tp < _EXACT
+            live = np.flatnonzero(live)
+            n_trunc = int(live[-1]) + 1 if len(live) else 0
+    if n >= n_trunc:
+        M = M[:n_trunc]
+    else:
+        M = np.concatenate(
+            [M, np.zeros((n_trunc - n,) + M.shape[1:], dtype=M.dtype)])
+    M.flags.writeable = False
+    if tp is None:
+        return M
+    tp = tp[:n_trunc] if n >= n_trunc else np.concatenate(
+        [tp, _exact_rows(n_trunc - n)])
+    tp.flags.writeable = False
+    M, base, tp = _trim(M, base, tp)
+    if M.shape[1] == 1 and not np.count_nonzero(M):
+        base = 0
+    _check_exponents(base, base + M.shape[1], tp[tp < _EXACT].tolist())
+    return M, base, tp
+
+
+def _array_key(M):
+    return M.shape, (M.tobytes() if M.dtype != object
+                     else tuple(M.ravel().tolist()))
+
+
 class TruncatedSeries:
-    __slots__ = ("ring", "coeffs", "n_trunc")
+    """A series over a finite field or a Laurent ring, stored packed: the
+    (n, 1, d) coordinate array over GF(p^d), the (M, base, tp) triple over
+    GF(p^d)((t)).  Stored arrays are read-only, since operations share them
+    (truncate returns views).  `coeffs` is the tuple of coefficient objects,
+    built on first access."""
+
+    __slots__ = ("ring", "n_trunc", "_arr", "_coeffs")
 
     def __init__(self, ring, coeffs, n_trunc):
         """Normalize: dense of length n_trunc when truncated, stripped when exact."""
-        coeffs = list(coeffs)
-        if n_trunc is not None:
-            if n_trunc < 1:
-                raise ParabolicLabError(f"truncation must be >= 1, got {n_trunc}")
-            if len(coeffs) > n_trunc:
-                coeffs = coeffs[:n_trunc]
-            while len(coeffs) < n_trunc:
-                coeffs.append(ring.zero())
-        else:
-            while coeffs and coeffs[-1].is_certified_zero():
-                coeffs.pop()
+        coeffs = list(coeffs)[:n_trunc]
+        pack = _pack if _is_ff(ring) else _pack_laurent
+        self._set(ring, pack(ring, coeffs), n_trunc)
+
+    def _set(self, ring, arr, n_trunc):
+        if n_trunc is not None and n_trunc < 1:
+            raise ParabolicLabError(f"truncation must be >= 1, got {n_trunc}")
         self.ring = ring
-        self.coeffs = tuple(coeffs)
         self.n_trunc = n_trunc
+        self._arr = _fit(ring, arr, n_trunc)
+        self._coeffs = None
+
+    @classmethod
+    def _from_packed(cls, ring, arr, n_trunc):
+        """The series over ring stored as arr (see the class docstring),
+        normalized like the constructor's coefficients."""
+        s = cls.__new__(cls)
+        s._set(ring, arr, n_trunc)
+        return s
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            if _is_ff(self.ring):
+                self._coeffs = _unpack(self.ring, self._arr)
+            else:
+                self._coeffs = tuple(_unpack_laurent(self.ring, self._arr))
+        return self._coeffs
 
     # -- basics ------------------------------------------------------------
+
+    def _rows(self):
+        return len(self._arr) if _is_ff(self.ring) else len(self._arr[2])
+
+    def _vanishes_at_0(self):
+        """Whether the constant term is certified zero."""
+        if _is_ff(self.ring):
+            return not len(self._arr) or not self._arr[0].any()
+        M, _, tp = self._arr
+        return not len(tp) or (tp[0] >= _EXACT and not M[0].any())
 
     def is_exact(self) -> bool:
         return self.n_trunc is None
@@ -547,7 +652,7 @@ class TruncatedSeries:
         """Degree of an exact polynomial (-inf for the zero polynomial)."""
         if self.n_trunc is not None:
             raise ParabolicLabError("degree of a truncated series is undefined")
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+        return self._rows() - 1 if self._rows() else -math.inf
 
     def coeff(self, i: int):
         if i < 0:
@@ -555,9 +660,14 @@ class TruncatedSeries:
         if self.n_trunc is not None and i >= self.n_trunc:
             raise TruncationTooSmall(
                 f"coefficient {i} requested, stored modulo z^{self.n_trunc}")
-        if i >= len(self.coeffs):
+        if i >= self._rows():
             return self.ring.zero()
-        return self.coeffs[i]
+        if self._coeffs is not None:
+            return self._coeffs[i]
+        if _is_ff(self.ring):
+            return FieldElement(self.ring, tuple(self._arr[i, 0].tolist()))
+        M, base, tp = self._arr
+        return _unpack_laurent(self.ring, (M[i:i + 1], base, tp[i:i + 1]))[0]
 
     def order(self):
         """Index of the first certified-nonzero coefficient.
@@ -567,13 +677,17 @@ class TruncatedSeries:
         Raises IndeterminateValuation if a coefficient that is zero only to
         its stored t-precision is hit first.
         """
-        for i, c in enumerate(self.coeffs):
-            if c.is_certified_nonzero():
-                return i
-            if not c.is_certified_zero():
-                raise IndeterminateValuation(
-                    f"coefficient of z^{i} is zero only to stored precision")
-        return math.inf if self.n_trunc is None else None
+        ff = _is_ff(self.ring)
+        live = (self._arr if ff else self._arr[0]).any(axis=(1, 2))
+        # a row is certified zero when empty and, over a Laurent ring, exact
+        first = np.flatnonzero(live if ff else live | (self._arr[2] < _EXACT))
+        if not len(first):
+            return math.inf if self.n_trunc is None else None
+        i = int(first[0])
+        if not live[i]:
+            raise IndeterminateValuation(
+                f"coefficient of z^{i} is zero only to stored precision")
+        return i
 
     def truncate(self, n: int) -> "TruncatedSeries":
         if self.n_trunc is not None:
@@ -582,7 +696,12 @@ class TruncatedSeries:
                     f"cannot extend truncation {self.n_trunc} to {n}")
             if n == self.n_trunc:
                 return self
-        return TruncatedSeries(self.ring, self.coeffs[:n], n)
+        return self._with_window(n)
+
+    def _with_window(self, n):
+        """The same coefficients claimed modulo z^n: cut, or padded with
+        zeros."""
+        return TruncatedSeries._from_packed(self.ring, self._arr, n)
 
     def _meet(self, other):
         if self.n_trunc is None:
@@ -599,21 +718,35 @@ class TruncatedSeries:
 
     # -- linear structure --------------------------------------------------
 
-    def _termwise(self, other, op):
+    def _termwise(self, other, sign):
         self._check_ring(other)
-        zero = self.ring.zero()
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
-        return TruncatedSeries(self.ring, [op(a, b) for a, b in pairs],
-                               self._meet(other))
+        ring, n = self.ring, self._meet(other)
+        if not _is_ff(ring):
+            return TruncatedSeries._from_packed(
+                ring, _add_laurent(ring.field, self._arr, other._arr,
+                                   sign=sign), n)
+        A, B = self._arr, other._arr
+        rows = max(len(A), len(B)) if n is None else n
+        A, B = A[:rows], B[:rows]
+        out = np.zeros((rows, 1, ring.d), dtype=A.dtype)
+        out[:len(A)] = A
+        out[:len(B)] += sign * B
+        return TruncatedSeries._from_packed(ring, out % ring.p, n)
 
     def __add__(self, other):
-        return self._termwise(other, operator.add)
+        return self._termwise(other, 1)
 
     def __sub__(self, other):
-        return self._termwise(other, operator.sub)
+        return self._termwise(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.n_trunc)
+        ring = self.ring
+        if _is_ff(ring):
+            return TruncatedSeries._from_packed(
+                ring, -self._arr % ring.p, self.n_trunc)
+        M, base, tp = self._arr
+        return TruncatedSeries._from_packed(
+            ring, (-M % ring.field.p, base, tp), self.n_trunc)
 
     # -- multiplication and composition ------------------------------------
 
@@ -622,12 +755,10 @@ class TruncatedSeries:
         n = self._meet(other)
         ring = self.ring
         if _is_ff(ring):
-            arr = _kron_mul(ring, _pack(ring, self.coeffs),
-                            _pack(ring, other.coeffs), n)
-            return TruncatedSeries(ring, _unpack(ring, arr), n)
-        R = _mul_laurent(ring.field, _pack_laurent(ring, self.coeffs),
-                         _pack_laurent(ring, other.coeffs), n)
-        return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
+            arr = _kron_mul(ring, self._arr, other._arr, n)
+        else:
+            arr = _mul_laurent(ring.field, self._arr, other._arr, n)
+        return TruncatedSeries._from_packed(ring, arr, n)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); the inner series must vanish at 0.
@@ -639,17 +770,15 @@ class TruncatedSeries:
         and certifies the precision the scalar oracle gives.
         """
         self._check_ring(inner)
-        if inner.coeffs and not inner.coeffs[0].is_certified_zero():
+        if not inner._vanishes_at_0():
             raise NonzeroConstantTerm("inner series has nonzero constant term")
         n = self._meet(inner)
         ring = self.ring
         if _is_ff(ring):
-            arr = _compose_ff(ring, _pack(ring, self.coeffs),
-                              _pack(ring, inner.coeffs), n)
-            return TruncatedSeries(ring, _unpack(ring, arr), n)
-        R = _compose_laurent(ring.field, _pack_laurent(ring, self.coeffs),
-                             _pack_laurent(ring, inner.coeffs), n)
-        return TruncatedSeries(ring, _unpack_laurent(ring, R), n)
+            arr = _compose_ff(ring, self._arr, inner._arr, n)
+        else:
+            arr = _compose_laurent(ring.field, self._arr, inner._arr, n)
+        return TruncatedSeries._from_packed(ring, arr, n)
 
     def iterate(self, m: int) -> "TruncatedSeries":
         """m-fold compositional iterate, by binary powering.
@@ -661,7 +790,7 @@ class TruncatedSeries:
             raise ParabolicLabError(f"iterate count must be >= 0, got {m}")
         if m == 0:
             return identity(self.ring, self.n_trunc)
-        if self.coeffs and not self.coeffs[0].is_certified_zero():
+        if not self._vanishes_at_0():
             raise NonzeroConstantTerm("iteration needs a series fixing 0")
         return _square_and_multiply(self, m, TruncatedSeries.compose, None)
 
@@ -679,20 +808,40 @@ class TruncatedSeries:
             raise ParabolicLabError(f"stretch factor must be >= 1, got {q}")
         n = None if self.n_trunc is None else (self.n_trunc - 1) * q + 1
         # a truncated series is dense, so its stretch has length n exactly
-        coeffs = [self.ring.zero()] * max(0, (len(self.coeffs) - 1) * q + 1)
-        coeffs[::q] = self.coeffs
-        return TruncatedSeries(self.ring, coeffs, n)
+        ff = _is_ff(self.ring)
+        M = self._arr if ff else self._arr[0]
+        out = np.zeros((max(0, (len(M) - 1) * q + 1),) + M.shape[1:],
+                       dtype=M.dtype)
+        out[::q] = M
+        if ff:
+            return TruncatedSeries._from_packed(self.ring, out, n)
+        tp = _exact_rows(len(out))
+        tp[::q] = self._arr[2]
+        return TruncatedSeries._from_packed(
+            self.ring, (out, self._arr[1], tp), n)
 
     def derivative(self) -> "TruncatedSeries":
         """f' mod z^(N-1); mod z^1 nothing of f' is known, not even f'(0)."""
         if self.n_trunc == 1:
             raise TruncationTooSmall("the derivative of a series mod z^1 "
                                      "is unknown")
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.ring.from_int(i) * self.coeffs[i])
         n = None if self.n_trunc is None else self.n_trunc - 1
-        return TruncatedSeries(self.ring, out, n)
+        ring = self.ring
+        ff = _is_ff(ring)
+        M = self._arr if ff else self._arr[0]
+        p, rows = ring.char, len(M)
+        # row i - 1 of f' is i times row i of f, coordinate by coordinate
+        k = np.arange(1, max(rows, 1), dtype=np.int64)
+        if p < rows:
+            k %= p
+        if (p - 1) * rows >= 1 << 63:
+            M, k = M.astype(object), k.astype(object)
+        D = (M[1:] * k[:, None, None] % p).astype(_coord_dtype(p))
+        if ff:
+            return TruncatedSeries._from_packed(ring, D, n)
+        # i * c is the exact zero when p divides i
+        tp = np.where(k == 0, _EXACT, self._arr[2][1:])
+        return TruncatedSeries._from_packed(ring, (D, self._arr[1], tp), n)
 
     def inverse(self, n_trunc: int | None = None) -> "TruncatedSeries":
         """Compositional inverse, by Newton iteration on h -> h - (f(h)-z)/f'(h).
@@ -702,7 +851,7 @@ class TruncatedSeries:
         beyond the linear one have order >= 2m (binomial expansion, no division
         by integers involved), so each round doubles the correct window.
         """
-        if self.coeffs and not self.coeffs[0].is_certified_zero():
+        if not self._vanishes_at_0():
             raise NonzeroConstantTerm("compositional inverse needs f(0) = 0")
         c1 = self.coeff(1)
         if not c1.is_certified_nonzero():
@@ -721,7 +870,7 @@ class TruncatedSeries:
         prec = 2
         while prec < N:
             prec = min(2 * prec, N)
-            hp = TruncatedSeries(self.ring, h.coeffs, prec)
+            hp = h._with_window(prec)
             err = self.compose(hp) - identity(self.ring, prec)
             dcomp = fprime.compose(hp)
             one = series(self.ring, {0: 1}, dcomp.n_trunc)
@@ -729,8 +878,7 @@ class TruncatedSeries:
             # f' is only known one index short of f, but the correction term
             # err * recip has ord(err) >= 2, so the top coefficient of the
             # reciprocal never reaches indices below prec; pad the claim.
-            recip = TruncatedSeries(self.ring, recip.coeffs, prec)
-            h = hp - err * recip
+            h = hp - err * recip._with_window(prec)
         return h
 
     # -- division ----------------------------------------------------------
@@ -770,7 +918,7 @@ class TruncatedSeries:
 
         exact = self.n_trunc is None and den.n_trunc is None
         if exact:
-            L = len(self.coeffs) - len(den.coeffs) + 1
+            L = self._rows() - den._rows() + 1
             if L <= 0:
                 raise NotDivisible("numerator degree below denominator degree")
         else:
@@ -781,27 +929,40 @@ class TruncatedSeries:
             if L < 1:
                 raise TruncationTooSmall("no quotient coefficients below truncation")
         ring = self.ring
+        n_out = None if exact else L
         if _is_ff(ring):
             qc = _series_quotient(self.coeffs[b:], den.coeffs[b:], L)
-            quot = TruncatedSeries(ring, qc, None if exact else L)
+            quot = TruncatedSeries(ring, qc, n_out)
             if exact and den * quot != self:
                 raise NotDivisible("nonzero remainder")
             return quot
-        qc = _divide_laurent(ring, self.coeffs[b:], den.coeffs[b:], L, exact)
-        return TruncatedSeries(ring, qc, None if exact else L)
+        stop = None if exact else b + L
+        N, D = ((_trim(M[b:stop], base, tp[b:stop]))
+                for M, base, tp in (self._arr, den._arr))
+        Q = _divide_laurent(ring, N, D, den.coeff(b), L, exact)
+        return TruncatedSeries._from_packed(ring, Q, n_out)
 
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.ring == other.ring
-                and self.n_trunc == other.n_trunc and self.coeffs == other.coeffs)
+        if not (isinstance(other, TruncatedSeries) and self.ring == other.ring
+                and self.n_trunc == other.n_trunc):
+            return False
+        if _is_ff(self.ring):
+            return np.array_equal(self._arr, other._arr)
+        (M, base, tp), (M2, base2, tp2) = self._arr, other._arr
+        return (base == base2 and np.array_equal(tp, tp2)
+                and np.array_equal(M, M2))
 
     def __hash__(self):
-        return hash((self.ring, self.n_trunc, self.coeffs))
+        arr = self._arr
+        key = (_array_key(arr) if _is_ff(self.ring)
+               else (_array_key(arr[0]), arr[1], arr[2].tobytes()))
+        return hash((self.ring, self.n_trunc, key))
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if len(self.coeffs) > 8 else ""
+        head = ", ".join(str(self.coeff(i)) for i in range(min(8, self._rows())))
+        tail = ", ..." if self._rows() > 8 else ""
         mod = "exact" if self.n_trunc is None else f"mod z^{self.n_trunc}"
         return f"TruncatedSeries([{head}{tail}] {mod} over {self.ring!r})"
 
@@ -810,17 +971,34 @@ def series(ring, entries, n_trunc) -> TruncatedSeries:
     """Build a series from {exponent: coefficient}; ints and field elements
     are coerced into the ring."""
     length = (max(entries) + 1 if entries else 0) if n_trunc is None else n_trunc
-    coeffs = [ring.zero()] * length
+    rows, coeffs = [], []
     for e, c in entries.items():
         if e < 0:
             raise ParabolicLabError(f"negative z-exponent {e}")
         if e < length:
-            coeffs[e] = ring(c)
-    return TruncatedSeries(ring, coeffs, n_trunc)
+            rows.append(e)
+            coeffs.append(ring(c))
+    length = max(length, 0)  # a window below 1 is refused by the series
+    # only the given coefficients are packed, then scattered into zeros
+    if _is_ff(ring):
+        A = np.zeros((length, 1, ring.d), dtype=_coord_dtype(ring.p))
+        A[rows] = _pack(ring, coeffs)
+        return TruncatedSeries._from_packed(ring, A, n_trunc)
+    M, base, tp = _pack_laurent(ring, coeffs)
+    A = np.zeros((length,) + M.shape[1:], dtype=M.dtype)
+    A[rows] = M
+    t = _exact_rows(length)
+    t[rows] = tp
+    return TruncatedSeries._from_packed(ring, (A, base, t), n_trunc)
 
 
 def identity(ring, n_trunc) -> TruncatedSeries:
-    return series(ring, {1: 1}, n_trunc)
+    """z, built packed: no coefficient object is made."""
+    field = ring if _is_ff(ring) else ring.field
+    A = np.zeros((2, 1, field.d), dtype=_coord_dtype(field.p))
+    A[1, 0, 0] = 1
+    arr = A if _is_ff(ring) else (A, 0, _exact_rows(2))
+    return TruncatedSeries._from_packed(ring, arr, n_trunc)
 
 
 def monomial(ring, c, e: int, n_trunc) -> TruncatedSeries:
@@ -841,9 +1019,17 @@ def reduce_and_wideg(f: TruncatedSeries):
     """
     if not isinstance(f.ring, LaurentRing):
         raise ScalarRingMismatch("reduction needs a series over a Laurent ring")
-    field = f.ring.field
-    red = [c.residue() for c in f.coeffs]
-    reduced = TruncatedSeries(field, red, f.n_trunc)
+    M, base, tp = f._arr
+    # a residue is undetermined below precision t^1 and undefined at a
+    # negative valuation; the first such coefficient raises its own error
+    bad = np.flatnonzero((tp < 1) | (M.any(axis=(1, 2)) & (_lowest(f._arr) < 0)))
+    if len(bad):
+        f.coeff(int(bad[0])).residue()
+    if 0 <= -base < M.shape[1]:
+        red = M[:, -base:1 - base]
+    else:
+        red = np.zeros((len(tp), 1, M.shape[2]), dtype=M.dtype)
+    reduced = TruncatedSeries._from_packed(f.ring.field, red, f.n_trunc)
     return reduced, reduced.order()
 
 

@@ -33,6 +33,7 @@ from .coeff_rings import LaurentRing
 from .errors import (
     IndeterminateValuation,
     NonIntegralCoefficient,
+    NonIntegralGerm,
     ParabolicLabError,
     ResitUndefined,
     ScalarRingMismatch,
@@ -179,10 +180,13 @@ def _wideg_verdict(wideg, expected: int, window: int | None):
 
 
 def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
+    """The bound on points of minimal period q p^n, for a germ over the
+    valuation ring (NonIntegralGerm otherwise), with its equality case."""
     if not isinstance(f.ring, LaurentRing):
         raise ScalarRingMismatch("periodic point bounds live over a Laurent ring")
     if n < 0:
         raise ParabolicLabError(f"level must be >= 0, got {n}")
+    _require_integral(f.series, NonIntegralGerm)
     q, p = f.q, f.char
     base_diff, i0, delta0 = _level_zero_jump(f)
     vd0 = delta0.valuation()
@@ -292,11 +296,10 @@ class CycleReport:
         }
 
 
-def _require_integral(s: TruncatedSeries):
+def _require_integral(s: TruncatedSeries, error=NonIntegralCoefficient):
     for i, c in enumerate(s.coeffs):
         if c.valuation_lower_bound() < 0:
-            raise NonIntegralCoefficient(
-                f"coefficient of z^{i} has negative valuation")
+            raise error(f"coefficient of z^{i} has negative valuation")
 
 
 def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleReport:
@@ -306,9 +309,10 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
     valuations and the big iterate must be computed without truncation.  N is
     a safety cap on that iterate's degree, not a precision.
 
-    The divisor f^(q p^(n-1))(z) - z (just z at level zero) is certified to
-    divide with an integral quotient; failure of either raises, since both
-    are theorems for germs over the valuation ring.
+    The germ must be integral (NonIntegralGerm otherwise).  The divisor
+    f^(q p^(n-1))(z) - z (just z at level zero) is certified to divide with
+    an integral quotient; failure of either raises, since both are theorems
+    for germs over the valuation ring.
     """
     if not isinstance(f.ring, LaurentRing):
         raise ScalarRingMismatch("cycle valuations live over a Laurent ring")
@@ -320,7 +324,7 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
     d = s.degree()
     if d < 2:
         raise ParabolicLabError("a linear germ has no nonlinear periodic structure")
-    _require_integral(s)
+    _require_integral(s, NonIntegralGerm)
     q, p = f.q, f.char
     m = q * p ** n
     if N is not None and d ** m + 1 > N:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from parabolic_lab import cli
+from parabolic_lab import TruncatedSeries, cli, series
 from parabolic_lab.cli import build_parser, main
 
 
@@ -190,11 +190,31 @@ def test_cycle_valuations_over_a_non_monomial_lead(capsys):
     assert doc["root_valuations"] == [{"valuation": "1/4", "count": 4}]
 
 
-def test_exit_one_on_verification_failure(capsys):
+def test_exit_one_on_verification_failure(capsys, monkeypatch):
+    # the cycle quotient of an integral germ is integral (a theorem); one
+    # made non-integral on purpose is a failed verification
+    divide = TruncatedSeries.divide_exact
+
+    def skewed(num, den):
+        quot = divide(num, den)
+        return quot * series(quot.ring, {0: quot.ring.t(-100)}, None)
+
+    monkeypatch.setattr(TruncatedSeries, "divide_exact", skewed)
     code, doc = run_json(["cycle-valuations", "--field", "Laurent(GF(3))",
-                          "--series", "z + t^-1*z^2", "--n", "0"], capsys)
+                          "--series", "z + t*z^2", "--n", "0"], capsys)
     assert code == 1
     assert doc["kind"] == "NonIntegralCoefficient"
+
+
+def test_exit_two_on_a_non_integral_germ(capsys):
+    # the germ itself is input: not over the valuation ring, it is unusable
+    for argv in (["bounds", "--n", "0"], ["bounds", "--n", "1"],
+                 ["cycle-valuations", "--n", "0"]):
+        code, doc = run_json(argv + ["--field", "Laurent(GF(3))", "--series",
+                                     "z + t^-1*z^2"], capsys)
+        assert code == 2
+        assert doc == {"error": "coefficient of z^2 has negative valuation",
+                       "kind": "NonIntegralGerm"}
 
 
 def test_exit_two_on_bad_input(capsys):

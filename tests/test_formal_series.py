@@ -6,10 +6,12 @@ fields and over Laurent rings alike; the tests below run the scalar loops of
 """
 
 import math
+from contextlib import ExitStack
 from functools import lru_cache
 from itertools import zip_longest
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from parabolic_lab import (
     identity,
     monomial,
     parse_series,
+    ramification_profile,
     reduce_and_wideg,
     series,
     zero_series,
@@ -286,6 +289,165 @@ def test_products_past_the_int64_limit_stay_exact():
     g = series(F, {1: F.element((-1, 0)), 2: F.element((0, -1))}, 4)
     assert a * a == TruncatedSeries(F, _gconv(F, a.coeffs, a.coeffs, 4), 4)
     assert a.compose(g) == TruncatedSeries(F, _gcompose(F, a.coeffs, g.coeffs, 4), 4)
+
+
+# -- packed storage ---------------------------------------------------------
+
+def _normal(ring, coeffs, n):
+    """The coefficients a series stores: dense of length n when truncated,
+    without trailing exact zeros when exact."""
+    coeffs = list(coeffs)
+    if n is not None:
+        return tuple(coeffs[:n] + [ring.zero()] * (n - len(coeffs)))
+    while coeffs and coeffs[-1].is_certified_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _scalar_order(coeffs, n):
+    """order() read off coefficient objects, one at a time."""
+    for i, c in enumerate(coeffs):
+        if c.is_certified_nonzero():
+            return i
+        if not c.is_certified_zero():
+            return IndeterminateValuation
+    return math.inf if n is None else None
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ParabolicLabError as e:
+        return type(e)
+
+
+@st.composite
+def storage_operands(draw):
+    """(ring, (coefficients, window) twice): over a kernel field (p up to
+    2^64 + 13, d = 2), or over Laurent(GF(2/3/4/5)) with exact zeros, zeros
+    known to O(t^k), negative v0 and truncated coefficients; each series
+    exact or truncated, the window above or below its length."""
+    if draw(st.booleans()):
+        ring = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+        p = ring.p
+        coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        scalar = st.lists(coord, min_size=ring.d, max_size=ring.d).map(
+            ring.element)
+    else:
+        ring = LaurentRing(_kernel_field(*draw(st.sampled_from(LAURENT_FIELDS))))
+        scalar = laurent_scalar(ring)
+    return ring, *((draw(st.lists(scalar, max_size=7)),
+                    draw(st.sampled_from([None, 1, 2, 4, 7])))
+                   for _ in range(2))
+
+
+def _three_ways(ring, coeffs, n, slack):
+    """The series built from coefficient objects, from an array packed here
+    with `slack` empty t-slots at both ends and `slack` exact zero rows past
+    the end, and from the kernel's array of its product by 1."""
+    objects = TruncatedSeries(ring, coeffs, n)
+    if isinstance(ring, LaurentRing):
+        M, base, tp = formal_series._pack_laurent(ring, coeffs)
+        rows, W, d = M.shape
+        wide = np.zeros((rows + slack, W + 2 * slack, d), dtype=M.dtype)
+        wide[:rows, slack:slack + W] = M
+        arr = (wide, base - slack,
+               np.concatenate([tp, formal_series._exact_rows(slack)]))
+    else:
+        A = formal_series._pack(ring, coeffs)
+        arr = np.concatenate([A, np.zeros((slack,) + A.shape[1:], A.dtype)])
+    packed = TruncatedSeries._from_packed(ring, arr, n)
+    return objects, packed, objects * series(ring, {0: 1}, None)
+
+
+@given(ops=storage_operands(), slack=st.integers(0, 2), q=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_packed_storage_matches_coefficient_objects(ops, slack, q):
+    ring, (ca, na), (cb, nb) = ops
+    zero = ring.zero()
+    want_a, want_b = _normal(ring, ca, na), _normal(ring, cb, nb)
+    meet = nb if na is None else na if nb is None else min(na, nb)
+    for a, b in zip(_three_ways(ring, ca, na, slack),
+                    _three_ways(ring, cb, nb, slack)):
+        assert a.coeffs == want_a and b.coeffs == want_b
+        top = len(want_a) + 2 if na is None else na
+        assert [a.coeff(i) for i in range(top)] == list(
+            want_a + (zero,) * (top - len(want_a)))
+        if na is not None:
+            with pytest.raises(TruncationTooSmall):
+                a.coeff(na)
+        assert _outcome(a.order) == _scalar_order(want_a, na)
+        assert _outcome(a.degree) == (
+            ParabolicLabError if na is not None
+            else len(want_a) - 1 if want_a else -math.inf)
+        assert (-a).coeffs == _normal(ring, [-c for c in want_a], na)
+        pairs = list(zip_longest(want_a, want_b, fillvalue=zero))
+        assert (a + b).coeffs == _normal(ring, [x + y for x, y in pairs], meet)
+        assert (a - b).coeffs == _normal(ring, [x - y for x, y in pairs], meet)
+        assert (a == b) == (want_a == want_b and na == nb)
+        for m in range(1, top + 1 if na is None else na + 1):
+            assert a.truncate(m).coeffs == _normal(ring, want_a[:m], m)
+        stretched = [zero] * max(0, (len(want_a) - 1) * q + 1)
+        stretched[::q] = want_a
+        assert a.stretch(q).coeffs == _normal(
+            ring, stretched, None if na is None else (na - 1) * q + 1)
+        if na == 1:
+            with pytest.raises(TruncationTooSmall):
+                a.derivative()
+        else:
+            assert a.derivative().coeffs == _normal(
+                ring, [ring.from_int(i) * c for i, c in enumerate(want_a)][1:],
+                None if na is None else na - 1)
+    objects, packed, kernel = _three_ways(ring, ca, na, slack)
+    for s in (packed, kernel):
+        assert s == objects and hash(s) == hash(objects)
+        assert repr(s) == repr(objects)
+
+
+def test_stored_arrays_are_read_only():
+    # truncate and the kernels' slot trimming return views, so a write into
+    # a stored array, such as the in-place clip of _mul_laurent, would
+    # change every series sharing it
+    for ring in (F3, LaurentRing(F3)):
+        s = parse_series("z + 2*z^2 + z^4 mod z^6", ring)
+        for t in (s, s.truncate(3), s * s, s - s, s.compose(s)):
+            arrays = (t._arr,) if ring is F3 else (t._arr[0], t._arr[2])
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
+    M, base, tp = series(LaurentRing(F3), {0: 1, 1: 1}, 6)._arr
+    with pytest.raises(ValueError, match="read-only"):
+        formal_series._clip(M, base, np.zeros_like(tp))
+
+
+def test_the_tower_stays_packed_between_compositions():
+    # ramification_profile over GF(5) with q = 4 (window N = 129): no
+    # coefficient object is packed or unpacked on the way up the tower, and
+    # each composition reads its digits back into an array once
+    F = F5
+    f = ParabolicGerm(series(F, {1: 2, 2: 1, 5: 3, 6: 1}, None))
+    assert f.q == 4
+    calls = dict.fromkeys(("_pack", "_unpack", "_pack_laurent",
+                           "_unpack_laurent", "_from_int", "_compose_ff"), 0)
+
+    def counted(name):
+        fn = getattr(formal_series, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with ExitStack() as stack:
+        for name in calls:
+            stack.enter_context(patch.object(formal_series, name,
+                                             counted(name)))
+        prof = ramification_profile(f, 2)
+    assert prof.N == 129
+    assert calls["_compose_ff"] > 0
+    assert calls["_from_int"] == calls["_compose_ff"]
+    assert calls["_pack"] == calls["_unpack"] == 0
+    assert calls["_pack_laurent"] == calls["_unpack_laurent"] == 0
 
 
 def test_packed_laurent_precision_never_reads_as_exact():
