@@ -7,11 +7,12 @@
 The committed files of --parent are extracted into a temporary directory
 (`git archive`, so only what the parent commit holds is measured and no
 worktree is registered).  Then `perfbench/run.py` runs there and in this
-checkout in turn, --pairs times per workload, at one --seed; the side that
-runs first alternates from pair to pair, so a drift of the machine's speed
-does not favour either side.  For each end-to-end metric of BENCHMARK.json
-it prints the median of each side, the parent's quartiles and the number of
-pairs the change won, and writes that summary and every run to --out.
+checkout in turn, --pairs times per workload, at perfbench's default seed
+(0); the side that runs first alternates from pair to pair, so a drift of
+the machine's speed does not favour either side.  For each end-to-end
+metric of BENCHMARK.json it prints the median of each side, the parent's
+quartiles and the number of pairs the change won, and writes that summary
+and every run to --out.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ def extract(rev: str, dest: Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """One perfbench run in tree: its last stdout line, parsed."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
@@ -71,14 +72,13 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                             check=True, capture_output=True,
                             text=True).stdout.strip()
-    doc = {"parent": commit, "seed": args.seed, "seconds": args.seconds,
+    doc = {"parent": commit, "seed": 0, "seconds": args.seconds,
            "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,8 +92,7 @@ def main(argv=None) -> int:
                     sides.reverse()
                 pair = {"first": sides[0][0]}
                 for side, tree in sides:
-                    pair[side] = run_once(tree, workload, args.seed,
-                                          args.seconds)
+                    pair[side] = run_once(tree, workload, args.seconds)
                     ok = ok and pair[side]["correct"] and not pair[side]["failed"]
                 runs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(

@@ -51,6 +51,7 @@ from .literals import (
     parse_field,
     parse_scalar,
     parse_series,
+    parse_terms,
     scalar_to_jsonable,
 )
 from .normal_form import mq_evaluate, to_normal_form
@@ -61,8 +62,8 @@ from .ramification import (
 )
 from .valuation_geometry import (
     cycle_valuations,
-    newton_polygon,
     periodic_valuation_bound,
+    terms_polygon,
 )
 
 # exit codes
@@ -271,8 +272,8 @@ def _cmd_cycle_valuations(args):
 def _cmd_newton(args):
     _require(field=args.field, poly=args.poly)
     ring = parse_field(args.field)
-    poly = parse_series(args.poly, ring)
-    pg = newton_polygon(poly)
+    entries, n_trunc = parse_terms(args.poly, ring)
+    pg = terms_polygon(ring, sorted(entries.items()), n_trunc)
     doc = pg.to_jsonable()
     doc["root_valuations"] = [
         {"valuation": fraction_to_str(v), "count": c}

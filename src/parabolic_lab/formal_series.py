@@ -85,9 +85,11 @@ __all__ = [
 
 # Packed t-precision of an exact row: far above any t-exponent a series
 # carries, and far enough below the int64 limit that sums of two stay exact.
-# No stored series has a t-exponent or precision of magnitude
-# _EXPONENT_LIMIT or more (_check_exponents), so no sum along a Horner run
-# can come near _EXACT / 2, the threshold that reads as exact.
+# A stored series holds t-exponents and precisions below _EXACT in magnitude,
+# its coefficients spanning fewer than _EXPONENT_LIMIT t-slots (_pack_laurent
+# refuses the rest).  The operands of a product, composition or quotient
+# hold them below _EXPONENT_LIMIT (_check_operands), so no sum along a Horner
+# run can come near _EXACT / 2, the threshold that reads as exact.
 _EXACT = 1 << 60
 _EXPONENT_LIMIT = 1 << 32
 
@@ -121,26 +123,34 @@ def _to_int(M, S, X, nbytes, offset=0):
     return int.from_bytes(buf.tobytes(), "little")
 
 
-def _from_int(field, x, rows, S, nbytes):
-    """The first rows*S slots of 2d - 1 digits of x, reduced to coordinates
-    over GF(p): an array of shape (rows, S, d)."""
+def _digits(field, x, count, nbytes):
+    """The first count slots of 2d - 1 digits of x, each nbytes wide,
+    reduced to coordinates over GF(p): an array of shape (count, d), flat
+    and of the digits' unsigned dtype when d = 1 and nbytes <= 8."""
     p, d = field.p, field.d
     X = 2 * d - 1
-    size = rows * S * X
+    size = count * X
     raw = x.to_bytes(max(size * nbytes, (x.bit_length() + 7) // 8), "little")
     if nbytes > 8:
         C = np.array([int.from_bytes(raw[i:i + nbytes], "little") % p
                       for i in range(0, size * nbytes, nbytes)], dtype=object)
     else:
         C = np.frombuffer(raw, dtype=f"<u{nbytes}", count=size) % p
-    C = C.astype(_coord_dtype(p)).reshape(rows, S, X)
     if d == 1:
         return C
     # the x^k -> power basis reduction sums X products below p^2
     red = field._npred
+    C = C.reshape(count, X).astype(_coord_dtype(p))
     if X * (p - 1) ** 2 >= 1 << 63:
         C, red = C.astype(object), red.astype(object)
-    return ((C @ red) % p).astype(_coord_dtype(p))
+    return (C @ red) % p
+
+
+def _from_int(field, x, rows, S, nbytes):
+    """The first rows*S slots of 2d - 1 digits of x, reduced to coordinates
+    over GF(p): an array of shape (rows, S, d)."""
+    C = _digits(field, x, rows * S, nbytes)
+    return C.astype(_coord_dtype(field.p)).reshape(rows, S, field.d)
 
 
 def _kron_mul(field, A, B, limit):
@@ -213,20 +223,14 @@ def _reduce_int(field, x, rows, nbytes):
     """The first rows*(2d - 1) digits of x reduced to coordinates over GF(p),
     packed again with the same width: what _to_int(_from_int(...)) gives,
     from bytes to bytes without an int64 array in between."""
-    p, d = field.p, field.d
+    d = field.d
     X = 2 * d - 1
+    C = _digits(field, x, rows, nbytes)
     if nbytes > 8:
-        return _to_int(_from_int(field, x, rows, 1, nbytes), 1, X, nbytes)
-    size = rows * X
-    raw = x.to_bytes(max(size * nbytes, (x.bit_length() + 7) // 8), "little")
-    C = np.frombuffer(raw, dtype=f"<u{nbytes}", count=size) % p
+        return _to_int(C.reshape(rows, 1, d), 1, X, nbytes)
     if d > 1:
-        red = field._npred
-        C = C.reshape(rows, X).astype(np.int64)
-        if X * (p - 1) ** 2 >= 1 << 63:
-            C, red = C.astype(object), red.astype(object)
         buf = np.zeros((rows, X), dtype=f"<u{nbytes}")
-        buf[:, :d] = (C @ red) % p
+        buf[:, :d] = C
         C = buf
     return int.from_bytes(C.tobytes(), "little")
 
@@ -276,22 +280,35 @@ def _compose_ff(field, F, G, limit):
 # sum_w M[i, w]*t^(base + w), known below t^tp[i] (_EXACT when exact).  Rows
 # are clipped, so no slot at or above a row's precision is nonzero.
 
-def _check_exponents(base, top, precs):
-    """Refuse t-exponents and precisions of magnitude _EXPONENT_LIMIT or
-    more: sums of them along a run of products then stay far below the
-    _EXACT sentinel."""
-    if max(abs(base), abs(top), *map(abs, precs)) >= _EXPONENT_LIMIT:
-        raise ParabolicLabError(
-            "t-exponents of a series must stay below 2^32 in magnitude")
+def _check_operands(*Rs):
+    """Refuse packed kernel operands with a t-exponent or precision of
+    magnitude _EXPONENT_LIMIT or more: sums of them along a run of products
+    then stay far below the _EXACT sentinel."""
+    for M, base, tp in Rs:
+        lo = min(base, int(tp.min(initial=0)))
+        hi = max(base + M.shape[1], int(tp[tp < _EXACT].max(initial=0)))
+        if max(-lo, hi) >= _EXPONENT_LIMIT:
+            raise ParabolicLabError(
+                "t-exponents must stay below 2^32 in magnitude in series "
+                "products and compositions")
 
 
 def _pack_laurent(ring, coeffs):
+    """Packed coefficient objects.  t-exponents and precisions of magnitude
+    _EXACT or more have no packed form, and a t-frame of _EXPONENT_LIMIT
+    slots or more is not allocated: both are refused."""
     field = ring.field
     live = [c for c in coeffs if c.coeffs]
     base = min((c.v0 for c in live), default=0)
     top = max((c.v0 + len(c.coeffs) for c in live), default=base + 1)
     precs = [c.tprec for c in coeffs if c.tprec is not None]
-    _check_exponents(base, top, precs)
+    if max(abs(base), abs(top), *map(abs, precs)) >= _EXACT:
+        raise ParabolicLabError(
+            "t-exponents must stay below 2^60 in magnitude in a series, "
+            "and below 2^32 in series products and compositions")
+    if top - base >= _EXPONENT_LIMIT:
+        raise ParabolicLabError(
+            "the t-exponents of a series must span fewer than 2^32 slots")
     M = np.zeros((len(coeffs), top - base, field.d),
                  dtype=_coord_dtype(field.p))
     for i, c in enumerate(coeffs):
@@ -431,6 +448,7 @@ def _quotient_laurent(ring, N, D, lead_inv, L):
     """
     field = ring.field
     R = _pack_laurent(ring, [lead_inv])
+    _check_operands(R)
     h = 1
     while h < L:
         h2 = min(2 * h, L)
@@ -464,6 +482,7 @@ def _compose_laurent(field, F, G, limit):
     The giant steps are _mul_laurent products by G^k, each followed by an
     add of a block.
     """
+    _check_operands(F, G)
     MF, bF, tF = F
     if limit is not None:
         # G vanishes at 0, so F[i]*G^i vanishes below z^limit for i >= limit
@@ -524,6 +543,7 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     by a single term c*z^b, which every candidate numerator is divisible by;
     any other divisibility cannot be decided and raises.
     """
+    _check_operands(N, D)
     if not exact or (N[2] < _EXACT).any() or (D[2] < _EXACT).any():
         if exact and len(D[2]) > 1:
             raise IndeterminateValuation(
@@ -556,9 +576,9 @@ def _fit(ring, arr, n_trunc):
     """arr made the storage of a series mod z^n_trunc: cut, or padded with
     exact zero rows, to n_trunc rows; for an exact series (None), cut after
     the last row that is not an exact zero.  Over a Laurent ring the slots
-    are trimmed too, an all-zero array sits at base 0, so that equal series
-    have equal arrays, and the exponents are checked.  The arrays are made
-    read-only: series share them (truncate gives views)."""
+    are trimmed too, and an all-zero array sits at base 0, so that equal
+    series have equal arrays.  The arrays are made read-only: series share
+    them (truncate gives views)."""
     M, base, tp = (arr, 0, None) if _is_ff(ring) else arr
     n = len(M)
     if n_trunc is None:
@@ -584,7 +604,6 @@ def _fit(ring, arr, n_trunc):
     M, base, tp = _trim(M, base, tp)
     if M.shape[1] == 1 and not np.count_nonzero(M):
         base = 0
-    _check_exponents(base, base + M.shape[1], tp[tp < _EXACT].tolist())
     return M, base, tp
 
 
@@ -757,6 +776,7 @@ class TruncatedSeries:
         if _is_ff(ring):
             arr = _kron_mul(ring, self._arr, other._arr, n)
         else:
+            _check_operands(self._arr, other._arr)
             arr = _mul_laurent(ring.field, self._arr, other._arr, n)
         return TruncatedSeries._from_packed(ring, arr, n)
 

@@ -227,7 +227,9 @@ class _Parser:
         return functools.reduce(operator.add, (
             c for c, _ in self._signed_terms(ring, allow_z=False)))
 
-    def series(self, ring) -> TruncatedSeries:
+    def terms(self, ring):
+        """The series' {z exponent: coefficient} and its window (None for a
+        polynomial)."""
         entries: dict = {}
         for coeff, zexp in self._signed_terms(ring, allow_z=True):
             prev = entries.get(zexp)
@@ -238,7 +240,10 @@ class _Parser:
             self._expect_name("z")
             self._expect_op("^")
             n_trunc = self._expect_int()
-        return make_series(ring, entries, n_trunc)
+        return entries, n_trunc
+
+    def series(self, ring) -> TruncatedSeries:
+        return make_series(ring, *self.terms(ring))
 
 
 def parse_field(text: str):
@@ -255,6 +260,15 @@ def parse_series(text: str, ring) -> TruncatedSeries:
     s = p.series(ring)
     p._expect_end()
     return s
+
+
+def parse_terms(text: str, ring):
+    """The {z exponent: coefficient} of a series literal over the given ring
+    and its window (None for a polynomial), without building the series."""
+    p = _Parser(text)
+    out = p.terms(ring)
+    p._expect_end()
+    return out
 
 
 def parse_scalar(text: str, ring):

@@ -106,16 +106,22 @@ def newton_polygon(poly: TruncatedSeries) -> NewtonPolygon:
     valuation and poison the hull, hence IndeterminateValuation; certified
     zeros simply contribute no point.
     """
-    if not isinstance(poly.ring, LaurentRing):
+    return terms_polygon(poly.ring, enumerate(poly.coeffs), poly.n_trunc)
+
+
+def terms_polygon(ring, terms, n_trunc) -> NewtonPolygon:
+    """newton_polygon of the sum of c*z^i over the (i, c) of terms, in
+    increasing i, taken mod z^n_trunc (exact for None).  It reads the terms
+    themselves, so a polynomial whose coefficients lie 2^32 or more apart in
+    t, too far for the one t-frame a series is stored in, has a polygon
+    too."""
+    if not isinstance(ring, LaurentRing):
         raise ScalarRingMismatch("Newton polygons need Laurent series coefficients")
-    if poly.n_trunc is not None:
+    if n_trunc is not None:
         raise TruncationTooSmall(
             "Newton polygons need an exact polynomial, not a truncated series")
-    pts = []
-    for i, c in enumerate(poly.coeffs):
-        if c.is_certified_zero():
-            continue
-        pts.append((i, Fraction(c.valuation())))
+    pts = [(i, Fraction(c.valuation())) for i, c in terms
+           if not c.is_certified_zero()]
     if not pts:
         raise ParabolicLabError("the zero polynomial has no Newton polygon")
     hull = []

@@ -174,6 +174,17 @@ def test_newton_document(capsys):
     assert doc["root_valuations"] == [{"valuation": "1/1", "count": 1}]
 
 
+def test_newton_reads_a_polynomial_too_wide_in_t_for_a_series(capsys):
+    # no series holds coefficients 5*10^9 t-slots apart, and the polygon
+    # needs none: it is read off the parsed terms
+    code, doc = run_json(["newton", "--field", "Laurent(GF(3))", "--poly",
+                          "t^5000000000*z + z^2"], capsys)
+    assert code == 0
+    assert doc["vertices"] == [[1, "5000000000/1"], [2, "0/1"]]
+    assert doc["root_valuations"] == [{"valuation": "5000000000/1",
+                                       "count": 1}]
+
+
 def test_cycle_valuations_document(capsys):
     code, doc = run_json(["cycle-valuations", "--field", "Laurent(GF(3))",
                           "--series", "z + t*z^2 + z^3", "--n", "0"], capsys)

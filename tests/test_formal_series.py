@@ -6,6 +6,7 @@ fields and over Laurent rings alike; the tests below run the scalar loops of
 """
 
 import math
+import random
 from contextlib import ExitStack
 from functools import lru_cache
 from itertools import zip_longest
@@ -291,6 +292,25 @@ def test_products_past_the_int64_limit_stay_exact():
     assert a.compose(g) == TruncatedSeries(F, _gcompose(F, a.coeffs, g.coeffs, 4), 4)
 
 
+def test_composition_reduces_every_step_to_coordinates():
+    # GF(9) by x^2 + x + 2, so x^2 = 2x + 1: a digit of the x^k basis folds
+    # into a coordinate up to 2 + 2*2 = 6, not 2, unless reduced mod 3.  At
+    # N = 25 (k = 5) the digit bound (25 + 5)*2*2^2 = 240 fills one byte, so
+    # a baby or giant step left unreduced carries into the next digit.
+    F = FiniteField(3, 2, modulus=(2, 1, 1))
+    N, k = 25, 5
+    assert formal_series._bk_shape(N)[0] == k
+    assert formal_series._digit_bytes((N + k) * 2 * 2 ** 2) == 1
+    rng = random.Random(0)
+    for _ in range(8):
+        a, g = ([F.element((rng.randrange(3), rng.randrange(3)))
+                 for _ in range(N)] for _ in range(2))
+        g[0] = F.zero()
+        a, g = TruncatedSeries(F, a, N), TruncatedSeries(F, g, N)
+        assert a.compose(g) == TruncatedSeries(
+            F, _gcompose(F, a.coeffs, g.coeffs, N), N)
+
+
 # -- packed storage ---------------------------------------------------------
 
 def _normal(ring, coeffs, n):
@@ -448,6 +468,24 @@ def test_the_tower_stays_packed_between_compositions():
     assert calls["_from_int"] == calls["_compose_ff"]
     assert calls["_pack"] == calls["_unpack"] == 0
     assert calls["_pack_laurent"] == calls["_unpack_laurent"] == 0
+
+
+def test_large_t_exponents_are_stored_but_not_multiplied():
+    # a series holds any t-exponent below 2^60 while its coefficients span
+    # fewer than 2^32 t-slots; products and compositions take operands below
+    # 2^32 in magnitude, whatever they produce
+    ring = LaurentRing(F3)
+    s = series(ring, {1: ring.t(5 * 10 ** 9), 2: ring.t(5 * 10 ** 9 + 1)}, None)
+    assert s.order() == 1 and s.coeff(1) == ring.t(5 * 10 ** 9)
+    assert (s - s).order() == math.inf and -(-s) == s
+    with pytest.raises(ParabolicLabError, match="2\\^32 in magnitude"):
+        s * s
+    with pytest.raises(ParabolicLabError, match="2\\^32 in magnitude"):
+        s.compose(identity(ring, None))
+    with pytest.raises(ParabolicLabError, match="span fewer than 2\\^32"):
+        series(ring, {1: 1, 2: ring.t(5 * 10 ** 9)}, None)
+    a = series(ring, {1: ring.t(2 ** 31)}, None)
+    assert (a * a).coeff(2) == ring.t(2 ** 32)
 
 
 def test_packed_laurent_precision_never_reads_as_exact():
