@@ -12,8 +12,9 @@ unusable input (bad literals, missing flags, windows too small to start,
 a germ not known to be integral where a command needs an integral one, a
 Laurent field where a command needs a finite one, a --p that is not prime
 or not the characteristic of --field, a flag the command or its closed-form
---mode does not read, --coeffs together with --seed).  Only a failed
-verification exits 1.  Each command takes exactly the flags it reads;
+--mode does not read, --coeffs together with --seed, work past the series
+kernel's work limit, a --json-out path that cannot be written).  Only a
+failed verification exits 1.  Each command takes exactly the flags it reads;
 argparse refuses any other with usage on stderr and no JSON document.  The
 flags a closed-form --mode does not read are refused with a JSON document.
 """
@@ -266,7 +267,7 @@ def _cmd_bounds(args):
 def _cmd_cycle_valuations(args):
     _require(n=args.n)
     f = _germ(args)
-    return cycle_valuations(f, args.n, N=args.N).to_jsonable(), OK
+    return cycle_valuations(f, args.n).to_jsonable(), OK
 
 
 def _cmd_newton(args):
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cycle-valuations",
                         help="root valuations of the period-q*p^n quotient")
-    _add_common(sp, "field", "series", "n", "N")
+    _add_common(sp, "field", "series", "n")
     sp.set_defaults(fn=_cmd_cycle_valuations)
 
     sp = sub.add_parser("newton", help="Newton polygon of a polynomial")
@@ -372,16 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _error_doc(e):
+    return {"error": str(e), "kind": type(e).__name__}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
     except (ParabolicLabError, TypeError, ValueError) as e:
-        _emit({"error": str(e), "kind": type(e).__name__}, args.json_out)
+        doc = _error_doc(e)
         failed = (isinstance(e, (NotDivisible, NonIntegralCoefficient))
                   and not isinstance(e, NonIntegralGerm))
-        return VERIFICATION_FAILED if failed else INPUT_ERROR
-    _emit(doc, args.json_out)
+        code = VERIFICATION_FAILED if failed else INPUT_ERROR
+    try:
+        _emit(doc, args.json_out)
+    except OSError as e:
+        # a --json-out path that cannot be written is unusable input
+        _emit(_error_doc(e), None)
+        return INPUT_ERROR
     return code
 
 

@@ -71,6 +71,12 @@ class TruncationTooSmall(ParabolicLabError):
     """The stored truncation is too short for the requested computation."""
 
 
+class WorkBudgetExceeded(ParabolicLabError):
+    """A series operation would make a packed array or Kronecker integer
+    larger than the kernel's size limit: the input asks for more work than
+    the library does."""
+
+
 class NotMinimallyRamifiedAtLevelZero(ParabolicLabError):
     """i_0(f^q) > q, so the iterative residue is undefined."""
 

@@ -45,6 +45,9 @@ less than packing at the windows it meets: a packed Newton reciprocal lost
 at the windows `inverse` uses (N = 4, 8, 15) and won only from about N = 40
 (0.5-0.8 ms against 2.0-3.3 ms there, 0.9-1.2 ms against 18-28 ms at
 N = 129).
+
+How much work an operation may do is decided in one place, _WORK_LIMIT:
+past it the kernel raises WorkBudgetExceeded (see _check_size).
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .errors import (
     ParabolicLabError,
     ScalarRingMismatch,
     TruncationTooSmall,
+    WorkBudgetExceeded,
 )
 
 __all__ = [
@@ -85,13 +89,31 @@ __all__ = [
 
 # Packed t-precision of an exact row: far above any t-exponent a series
 # carries, and far enough below the int64 limit that sums of two stay exact.
-# A stored series holds t-exponents and precisions below _EXACT in magnitude,
-# its coefficients spanning fewer than _EXPONENT_LIMIT t-slots (_pack_laurent
-# refuses the rest).  The operands of a product, composition or quotient
-# hold them below _EXPONENT_LIMIT (_check_operands), so no sum along a Horner
-# run can come near _EXACT / 2, the threshold that reads as exact.
+# A stored series holds t-exponents and precisions below _EXACT in magnitude
+# (_pack_laurent refuses the rest).  The operands of a product, composition
+# or quotient hold them below _EXPONENT_LIMIT (_check_operands), so no sum
+# along a Horner run can come near _EXACT / 2, the threshold that reads as
+# exact.
 _EXACT = 1 << 60
 _EXPONENT_LIMIT = 1 << 32
+
+# The one limit on how much work a series operation may do: no Kronecker
+# integer the kernel packs or reads back, and no array whose size an input
+# sets (a window, a t-frame), may be larger than this many bytes.  A
+# product's cost grows with the byte size of its operands, so an input that
+# would run away is refused at its first product past the limit, and a
+# window or t-frame before it is allocated.
+_WORK_LIMIT = 1 << 18
+
+
+def _check_size(nbytes, what):
+    """Refuse, with WorkBudgetExceeded, anything larger than _WORK_LIMIT.
+    The per-product sites (_to_int, _digits) compare before they call it,
+    since a call costs more than the comparison and runs on every product."""
+    if nbytes > _WORK_LIMIT:
+        raise WorkBudgetExceeded(
+            f"{what} of {nbytes} bytes is over the work limit of "
+            f"{_WORK_LIMIT} bytes")
 
 
 def _coord_dtype(p):
@@ -110,6 +132,8 @@ def _to_int(M, S, X, nbytes, offset=0):
     """Pack an (n, W, d) array into one integer: entry (i, w, c) becomes the
     digit (i*S + offset + w)*X + c, each digit nbytes wide."""
     n, W, d = M.shape
+    if n * S * X * nbytes > _WORK_LIMIT:
+        _check_size(n * S * X * nbytes, "a packed operand")
     if nbytes > 8:
         buf = np.zeros((n, S, X), dtype=object)
         buf[:, offset:offset + W, :d] = M
@@ -130,7 +154,10 @@ def _digits(field, x, count, nbytes):
     p, d = field.p, field.d
     X = 2 * d - 1
     size = count * X
-    raw = x.to_bytes(max(size * nbytes, (x.bit_length() + 7) // 8), "little")
+    length = max(size * nbytes, (x.bit_length() + 7) // 8)
+    if length > _WORK_LIMIT:
+        _check_size(length, "a product")
+    raw = x.to_bytes(length, "little")
     if nbytes > 8:
         C = np.array([int.from_bytes(raw[i:i + nbytes], "little") % p
                       for i in range(0, size * nbytes, nbytes)], dtype=object)
@@ -295,8 +322,8 @@ def _check_operands(*Rs):
 
 def _pack_laurent(ring, coeffs):
     """Packed coefficient objects.  t-exponents and precisions of magnitude
-    _EXACT or more have no packed form, and a t-frame of _EXPONENT_LIMIT
-    slots or more is not allocated: both are refused."""
+    _EXACT or more have no packed form, and a t-frame over the work limit is
+    not allocated: both are refused."""
     field = ring.field
     live = [c for c in coeffs if c.coeffs]
     base = min((c.v0 for c in live), default=0)
@@ -306,11 +333,10 @@ def _pack_laurent(ring, coeffs):
         raise ParabolicLabError(
             "t-exponents must stay below 2^60 in magnitude in a series, "
             "and below 2^32 in series products and compositions")
-    if top - base >= _EXPONENT_LIMIT:
-        raise ParabolicLabError(
-            "the t-exponents of a series must span fewer than 2^32 slots")
-    M = np.zeros((len(coeffs), top - base, field.d),
-                 dtype=_coord_dtype(field.p))
+    dtype = np.dtype(_coord_dtype(field.p))
+    _check_size(len(coeffs) * (top - base) * field.d * dtype.itemsize,
+                "a t-frame")
+    M = np.zeros((len(coeffs), top - base, field.d), dtype=dtype)
     for i, c in enumerate(coeffs):
         if c.coeffs:
             M[i, c.v0 - base:c.v0 - base + len(c.coeffs)] = [
@@ -428,6 +454,9 @@ def _add_laurent(field, A, B, shift=0, sign=1):
     rows = max(len(tA), shift + len(tB))
     lo = min(bA, bB)
     W = max(bA + MA.shape[1], bB + MB.shape[1]) - lo
+    if W > MA.shape[1] + MB.shape[1]:
+        # the operands' t-frames lie apart, and the input sets the gap
+        _check_size(rows * W * field.d * MA.itemsize, "a t-frame")
     M = np.zeros((rows, W, field.d), dtype=MA.dtype)
     tp = np.full(rows, _EXACT, dtype=np.int64)
     M[:len(tA), bA - lo:bA - lo + MA.shape[1]] = MA
@@ -593,6 +622,8 @@ def _fit(ring, arr, n_trunc):
     if n >= n_trunc:
         M = M[:n_trunc]
     else:
+        _check_size(n_trunc * math.prod(M.shape[1:]) * M.itemsize,
+                    "a series window")
         M = np.concatenate(
             [M, np.zeros((n_trunc - n,) + M.shape[1:], dtype=M.dtype)])
     M.flags.writeable = False
@@ -1001,10 +1032,14 @@ def series(ring, entries, n_trunc) -> TruncatedSeries:
     length = max(length, 0)  # a window below 1 is refused by the series
     # only the given coefficients are packed, then scattered into zeros
     if _is_ff(ring):
-        A = np.zeros((length, 1, ring.d), dtype=_coord_dtype(ring.p))
+        dtype = np.dtype(_coord_dtype(ring.p))
+        _check_size(length * ring.d * dtype.itemsize, "a series window")
+        A = np.zeros((length, 1, ring.d), dtype=dtype)
         A[rows] = _pack(ring, coeffs)
         return TruncatedSeries._from_packed(ring, A, n_trunc)
     M, base, tp = _pack_laurent(ring, coeffs)
+    _check_size(length * math.prod(M.shape[1:]) * M.itemsize,
+                "a series window")
     A = np.zeros((length,) + M.shape[1:], dtype=M.dtype)
     A[rows] = M
     t = _exact_rows(length)

@@ -39,6 +39,7 @@ from .errors import (
     ScalarRingMismatch,
     TruncationTooSmall,
     UnboundedBound,
+    WorkBudgetExceeded,
 )
 from .formal_series import (
     ParabolicGerm,
@@ -54,14 +55,6 @@ from .ramification import (
     _resit_pair,
     ramification_lower_bound,
 )
-
-
-# Largest window the equality-case check will compute for an exact input.
-# Laurent-coefficient composition is quadratic in the window with coefficient
-# sizes growing alongside, and the certificate's bound does not depend on the
-# check, so past this the tri-state reports "indeterminate" instead of
-# stalling.  Truncated inputs bring their own window and bypass the budget.
-_EQUALITY_WINDOW_BUDGET = 40
 
 
 def _cross(o, a, b):
@@ -229,17 +222,13 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
         else:
             # The Weierstrass degree test only looks below i_n + q*p^n + 1,
             # so it runs in a window sized for a germ with minimal jumps
-            # rather than on full iterates.  Exact inputs did not choose a
-            # window, so they also get a work budget: past it the verdict is
-            # an honest "indeterminate" (the bound itself is already final).
+            # rather than on full iterates.  Past the kernel's work limit
+            # the verdict is an honest "indeterminate" (the bound itself is
+            # already final).
             W = ramification_lower_bound(p, q, n) + q * p ** n + q + 2
             s = f.series
             if s.n_trunc is not None:
                 W = min(W, s.n_trunc)
-            elif W > _EQUALITY_WINDOW_BUDGET:
-                raise TruncationTooSmall(
-                    f"deciding the equality case needs window {W}, "
-                    f"over the budget {_EQUALITY_WINDOW_BUDGET}")
             den, num = islice(_levels(s.truncate(W), q), n - 1, n + 1)
             i_n, _ = _jump(num)
             i_prev, _ = _jump(den)
@@ -252,7 +241,8 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
         details["wideg"] = index_to_jsonable(wideg)
         details["expected_wideg"] = expected
         verdict = _wideg_verdict(wideg, expected, red.n_trunc)
-    except (TruncationTooSmall, IndeterminateValuation) as e:
+    except (TruncationTooSmall, IndeterminateValuation,
+            WorkBudgetExceeded) as e:
         verdict = "indeterminate"
         details["indeterminate_reason"] = str(e)
 
@@ -308,12 +298,13 @@ def _require_integral(s: TruncatedSeries, error=NonIntegralCoefficient):
             raise error(f"coefficient of z^{i} has negative valuation")
 
 
-def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleReport:
+def cycle_valuations(f: ParabolicGerm, n: int) -> CycleReport:
     """Exact root-valuation multiset for points of period dividing q p^n.
 
     Only polynomial germs are accepted: the polygon needs exact coefficient
-    valuations and the big iterate must be computed without truncation.  N is
-    a safety cap on that iterate's degree, not a precision.
+    valuations and the big iterate must be computed without truncation.  Its
+    degree is d^(q p^n); an iterate or quotient whose packed product would
+    pass the kernel's work limit raises WorkBudgetExceeded.
 
     The germ must be integral (NonIntegralGerm otherwise).  The divisor
     f^(q p^(n-1))(z) - z (just z at level zero) is certified to divide with
@@ -327,15 +318,11 @@ def cycle_valuations(f: ParabolicGerm, n: int, N: int | None = None) -> CycleRep
     s = f.series
     if s.n_trunc is not None:
         raise TruncationTooSmall("cycle valuations need an exact polynomial germ")
-    d = s.degree()
-    if d < 2:
+    if s.degree() < 2:
         raise ParabolicLabError("a linear germ has no nonlinear periodic structure")
     _require_integral(s, NonIntegralGerm)
     q, p = f.q, f.char
     m = q * p ** n
-    if N is not None and d ** m + 1 > N:
-        raise TruncationTooSmall(
-            f"the iterate would reach degree {d ** m}, above the cap {N}")
 
     if n == 0:
         num = next(_levels(s, q))

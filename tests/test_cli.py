@@ -278,6 +278,34 @@ def test_exit_two_on_bad_input(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # exact iterates of degree 6^5 = 7776 and 3^9
+    ["cycle-valuations", "--n", "1", "--field", "Laurent(GF(5))", "--series",
+     "z + (1 + t)*z^6"],
+    ["cycle-valuations", "--n", "1", "--field", "Laurent(GF(5))", "--series",
+     "z + t^2*z^3 + 1*z^5 + 1*z^6"],
+    ["cycle-valuations", "--n", "2", "--field", "Laurent(GF(3))", "--series",
+     "z + t*z^2 + z^3"],
+    # a default window of about 4.3e9 rows, a t-frame of about 4.3e9 slots
+    ["ramify", "--field", "GF(65537)", "--series", "z + z^2"],
+    ["ramify", "--field", "Laurent(GF(3))", "--series", "z + t^4294967290*z^2"],
+])
+def test_work_past_the_kernel_limit_is_refused(argv, capsys):
+    code, doc = run_json(argv, capsys)
+    assert code == 2
+    assert doc["kind"] == "WorkBudgetExceeded"
+    assert "work limit" in doc["error"]
+
+
+def test_json_out_to_a_path_that_cannot_be_written(tmp_path, capsys):
+    path = tmp_path / "missing" / "doc.json"
+    code, doc = run_json(["ramify", "--field", "GF(2)", "--series", "z + z^2",
+                          "--json-out", str(path)], capsys)
+    assert code == 2
+    assert doc["kind"] == "FileNotFoundError" and str(path) in doc["error"]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "main-lemma", "--p", "3", "--q", "1", "--n", "1",
      "--coeffs", "1,0"],
     ["verify", "main-lemma", "--p", "3", "--q", "1", "--n", "1",
@@ -391,8 +419,7 @@ PARSER_DEFAULTS = {
     ("verify", "quasi-invariance"): {"p": None, "q": None, "nmax": 1,
                                      "N": None, "seed": None},
     ("bounds",): {"field": None, "series": None, "n": None},
-    ("cycle-valuations",): {"field": None, "series": None, "n": None,
-                            "N": None},
+    ("cycle-valuations",): {"field": None, "series": None, "n": None},
     ("newton",): {"field": None, "poly": None},
 }
 

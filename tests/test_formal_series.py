@@ -27,6 +27,7 @@ from parabolic_lab import (
     ParabolicGerm,
     ParabolicLabError,
     TruncationTooSmall,
+    WorkBudgetExceeded,
     coeff_rings,
     formal_series,
     identity,
@@ -471,9 +472,9 @@ def test_the_tower_stays_packed_between_compositions():
 
 
 def test_large_t_exponents_are_stored_but_not_multiplied():
-    # a series holds any t-exponent below 2^60 while its coefficients span
-    # fewer than 2^32 t-slots; products and compositions take operands below
-    # 2^32 in magnitude, whatever they produce
+    # a series holds any t-exponent below 2^60 while its t-frame stays under
+    # the work limit; products and compositions take operands below 2^32 in
+    # magnitude, whatever they produce
     ring = LaurentRing(F3)
     s = series(ring, {1: ring.t(5 * 10 ** 9), 2: ring.t(5 * 10 ** 9 + 1)}, None)
     assert s.order() == 1 and s.coeff(1) == ring.t(5 * 10 ** 9)
@@ -482,10 +483,28 @@ def test_large_t_exponents_are_stored_but_not_multiplied():
         s * s
     with pytest.raises(ParabolicLabError, match="2\\^32 in magnitude"):
         s.compose(identity(ring, None))
-    with pytest.raises(ParabolicLabError, match="span fewer than 2\\^32"):
+    with pytest.raises(WorkBudgetExceeded, match="t-frame .* work limit"):
         series(ring, {1: 1, 2: ring.t(5 * 10 ** 9)}, None)
     a = series(ring, {1: ring.t(2 ** 31)}, None)
     assert (a * a).coeff(2) == ring.t(2 ** 32)
+
+
+def test_work_past_the_limit_is_refused():
+    # a window or t-frame that the input sets is refused before it is
+    # allocated (8 and 16 MB here), a product when it is read back
+    ring = LaurentRing(F3)
+    with pytest.raises(WorkBudgetExceeded, match="series window .* limit"):
+        identity(F3, 2 ** 20)
+    with pytest.raises(WorkBudgetExceeded, match="t-frame .* limit"):
+        series(ring, {1: 1, 2: ring.t(2 ** 20)}, None)
+    # two series far apart in t: the frame of their sum spans the gap
+    far = series(ring, {1: ring.t(2 ** 40)}, None)
+    with pytest.raises(WorkBudgetExceeded, match="t-frame .* limit"):
+        far + identity(ring, None)
+    s = series(F3, {i: 1 for i in range(1, 40)}, None)
+    with patch.object(formal_series, "_WORK_LIMIT", 64):
+        with pytest.raises(WorkBudgetExceeded, match="product of 79 bytes"):
+            s * s
 
 
 def test_packed_laurent_precision_never_reads_as_exact():

@@ -17,6 +17,7 @@ from parabolic_lab import (
     ScalarRingMismatch,
     TruncationTooSmall,
     UnboundedBound,
+    WorkBudgetExceeded,
     cycle_valuations,
     newton_polygon,
     parse_series,
@@ -168,12 +169,14 @@ def test_level_zero_jump_must_equal_q(L3):
 
 
 def test_equality_verdict_degrades_to_indeterminate_past_budget(L3):
-    rng = Random(11)
-    f = random_minimal_polynomial_germ(rng, L3, 1)
-    b = periodic_valuation_bound(f, 3)
-    assert b.bound_valuation == Fraction(1, 3)
-    assert b.equality_condition_holds == "indeterminate"
-    assert "budget" in b.details["indeterminate_reason"]
+    # level 3 is decided on exact germs; level 4 passes the kernel's limit
+    for f in (random_minimal_polynomial_germ(Random(11), L3, 1),
+              germ("z + t*z^2 + z^3", L3)):
+        assert periodic_valuation_bound(f, 3).equality_condition_holds == "no"
+        b = periodic_valuation_bound(f, 4)
+        assert b.bound_valuation == Fraction(1, 3)
+        assert b.equality_condition_holds == "indeterminate"
+        assert "work limit" in b.details["indeterminate_reason"]
 
 
 def test_bound_is_n_independent_for_odd_p(L3):
@@ -339,7 +342,10 @@ def test_cycle_rejects_non_polynomial_and_non_integral(L3):
         cycle_valuations(germ("z + t^-1*z^2", L3), 0)
 
 
-def test_cycle_rejects_oversized_requests(L3):
+def test_cycle_rejects_oversized_requests(L2, L3):
     f = germ("z + t*z^2 + z^3", L3)
-    with pytest.raises(TruncationTooSmall):
-        cycle_valuations(f, 1, N=10)  # degree 3^3 + 1 exceeds the cap
+    with pytest.raises(WorkBudgetExceeded, match="work limit"):
+        cycle_valuations(f, 2)  # an iterate of degree 3^9
+    # an iterate of degree 2^8 stays under the limit
+    rep = cycle_valuations(germ("z + (1 + t)*z^2", L2), 3)
+    assert (rep.m, rep.wideg, rep.equality_condition_holds) == (8, 240, "no")
