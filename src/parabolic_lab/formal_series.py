@@ -20,27 +20,31 @@ the scalar oracle pins Horner's.  All of them run on one kernel,
 (z-rows, t-slots, coordinates over GF(p)), and a product of two arrays is
 a single Python big-integer multiply by Kronecker substitution.
 Digits are sized from the operands, so the kernel is exact for every p.
-Over GF(p^d) the array has one t-slot (W = 1).  Over GF(p^d)((t)) the
-coefficients share one lowest exponent and each row carries its own
+The coefficients share one lowest exponent and each row carries its own
 t-precision; a product's rows take theirs by a min-plus rule and are
 clipped to it, which gives exactly what scalar LaurentScalar arithmetic
 would.  When every row of both operands is exact, every row of the
 product is, and that work is skipped.
 
-A series stores its packed array, read-only, and every operation reads and
-returns that form: the (N, 1, d) array over GF(p^d), the (M, base, tp)
-triple over GF(p^d)((t)).  Sums are one numpy operation mod p.
+A series over either ring stores one packed form, read-only, which every
+operation reads and returns: the triple (M, base, tp), tp None when every
+row is exact.  Over GF(p^d) it is (M, 0, None) with one t-slot, the triple
+of its coefficients as exact constants over GF(p^d)((t)), so sums and
+products of both rings run on _add_laurent and _mul_laurent.  Composition
+and division keep finite-field kernels, measured faster there (below).
 Coefficient objects are packed only where they enter (the constructor,
 `series`) and made only where they leave: `coeffs` (built on first access
 and kept), `coeff`, the printers and the scalar division recurrence.
-Inside a finite-field composition the digits stay one big integer from
-step to step, reduced mod p in place, and become an array once, at the
-end.
+Inside a finite-field composition (_compose_ff) the digits stay one big
+integer from step to step, reduced mod p in place, and become an array
+once, at the end; run through _compose_laurent, the ff-profile benchmark
+did 17 jobs/s against 43.
 
 Division over GF(p^d)((t)) is packed too: a Newton reciprocal built from
 the same products, then one product by the numerator; exact division of
-polynomials there is divisibility in GF(p^d)[t, 1/t][z], certified by one
-more product.  Over GF(p^d) division is the scalar recurrence, which costs
+polynomials there is divisibility in GF(p^d)[t, 1/t][z].  In both rings an
+exact quotient is certified by one more product, den * quot == num.  Over
+GF(p^d) division is the scalar recurrence, which costs
 less than packing at the windows it meets: a packed Newton reciprocal lost
 at the windows `inverse` uses (N = 4, 8, 15) and won only from about N = 40
 (0.5-0.8 ms against 2.0-3.3 ms there, 0.9-1.2 ms against 18-28 ms at
@@ -208,15 +212,15 @@ def _kron_mul(field, A, B, limit):
                      rows, S, nbytes)
 
 
-# Over a finite field a series packs to an (n, 1, d) array.
+# Over a finite field a series packs to (M, 0, None): one t-slot, all exact.
 
 def _pack(field, coeffs):
-    return np.array([c.coords for c in coeffs],
-                    dtype=_coord_dtype(field.p)).reshape(len(coeffs), 1, field.d)
+    return np.array([c.coords for c in coeffs], dtype=_coord_dtype(
+        field.p)).reshape(len(coeffs), 1, field.d), 0, None
 
 
-def _unpack(field, arr):
-    return tuple(FieldElement(field, tuple(row)) for row in arr[:, 0].tolist())
+def _unpack(field, R):
+    return tuple(FieldElement(field, tuple(c)) for c in R[0][:, 0].tolist())
 
 
 # Brent-Kung evaluation (Brent and Kung, J. ACM 25, 1978), shared by both
@@ -305,15 +309,18 @@ def _compose_ff(field, F, G, limit):
 
 # Over GF(p^d)((t)) a series packs to (M, base, tp): coefficient i is
 # sum_w M[i, w]*t^(base + w), known below t^tp[i] (_EXACT when exact).  Rows
-# are clipped, so no slot at or above a row's precision is nonzero.
+# are clipped, so no slot at or above a row's precision is nonzero.  tp is
+# None when every row is exact, and the kernels then skip precision work.
 
 def _check_operands(*Rs):
     """Refuse packed kernel operands with a t-exponent or precision of
     magnitude _EXPONENT_LIMIT or more: sums of them along a run of products
     then stay far below the _EXACT sentinel."""
     for M, base, tp in Rs:
-        lo = min(base, int(tp.min(initial=0)))
-        hi = max(base + M.shape[1], int(tp[tp < _EXACT].max(initial=0)))
+        lo, hi = base, base + M.shape[1]
+        if tp is not None:
+            lo = int(tp.min(initial=lo))
+            hi = int(tp[tp < _EXACT].max(initial=hi))
         if max(-lo, hi) >= _EXPONENT_LIMIT:
             raise ParabolicLabError(
                 "t-exponents must stay below 2^32 in magnitude in series "
@@ -342,15 +349,15 @@ def _pack_laurent(ring, coeffs):
             M[i, c.v0 - base:c.v0 - base + len(c.coeffs)] = [
                 e.coords for e in c.coeffs]
     tp = np.array([_EXACT if c.tprec is None else c.tprec for c in coeffs],
-                  dtype=np.int64)
+                  dtype=np.int64) if precs else None
     return M, base, tp
 
 
 def _unpack_laurent(ring, R):
-    M, base, tp = R
+    M, base, _ = R
     field = ring.field
     out = []
-    for row, t in zip(M.tolist(), tp.tolist()):
+    for row, t in zip(M.tolist(), _precisions(R).tolist()):
         t = None if t >= _EXACT else t
         live = [w for w, c in enumerate(row) if any(c)]
         if not live:
@@ -363,12 +370,21 @@ def _unpack_laurent(ring, R):
     return out
 
 
+def _exact_rows(n):
+    return np.full(n, _EXACT, dtype=np.int64)
+
+
+def _precisions(R):
+    """Per row: the t-precision, _EXACT when exact."""
+    return _exact_rows(len(R[0])) if R[2] is None else R[2]
+
+
 def _lowest(R):
     """Per row: the first nonzero t-exponent, else the row's precision (a
     zero known to O(t^k) has valuation at least k; an exact zero, _EXACT)."""
-    M, base, tp = R
-    live = M.any(axis=2)
-    return np.where(live.any(axis=1), base + live.argmax(axis=1), tp)
+    live = R[0].any(axis=2)
+    return np.where(live.any(axis=1), R[1] + live.argmax(axis=1),
+                    _precisions(R))
 
 
 # Entries per block of the min-plus matrix in _antidiagonal_min: a giant
@@ -397,11 +413,13 @@ def _antidiagonal_min(tA, vA, tB, vB):
 
 def _all_exact(tp):
     """Whether every row of a packed Laurent series is exact in t."""
-    return tp.min(initial=_EXACT) >= _EXACT
+    return tp is None or tp.min(initial=_EXACT) >= _EXACT
 
 
-def _exact_rows(n):
-    return np.full(n, _EXACT, dtype=np.int64)
+def _cut(R, start, stop):
+    """Rows start .. stop-1 of a packed series."""
+    M, base, tp = R
+    return M[start:stop], base, None if tp is None else tp[start:stop]
 
 
 def _mul_laurent(field, A, B, limit):
@@ -414,23 +432,25 @@ def _mul_laurent(field, A, B, limit):
     reads as exact again.  When every row of both operands is exact, so is
     every row of the product, and none of this needs computing.
     """
-    (MA, bA, tA), (MB, bB, tB) = A, B
     if limit is not None:
-        MA, tA, MB, tB = MA[:limit], tA[:limit], MB[:limit], tB[:limit]
+        A, B = _cut(A, 0, limit), _cut(B, 0, limit)
+    (MA, bA, tA), (MB, bB, tB) = A, B
     M = _kron_mul(field, MA, MB, limit)
-    rows = M.shape[0]
-    if rows == 0:
-        return M, 0, np.zeros(0, dtype=np.int64)
+    if not len(M):
+        return M, 0, None
     if _all_exact(tA) and _all_exact(tB):
-        return _trim(M, bA + bB, _exact_rows(rows))
-    vA, vB = _lowest((MA, bA, tA)), _lowest((MB, bB, tB))
-    tp = _antidiagonal_min(tA, vA, tB, vB)[:rows]
+        return _trim(M, bA + bB, None)
+    tp = _antidiagonal_min(_precisions(A), _lowest(A), _precisions(B),
+                           _lowest(B))[:len(M)]
     tp[tp >= _EXACT // 2] = _EXACT
     return _clip(M, bA + bB, tp)
 
 
 def _clip(M, base, tp):
-    """Zero each row at and above its precision, then _trim."""
+    """Zero each row at and above its precision, then _trim; a tp of exact
+    rows only becomes None."""
+    if _all_exact(tp):
+        return _trim(M, base, None)
     M[np.arange(M.shape[1])[None, :] >= (tp - base)[:, None]] = 0
     return _trim(M, base, tp)
 
@@ -438,7 +458,8 @@ def _clip(M, base, tp):
 def _trim(M, base, tp):
     """Drop the empty slots at both ends (one slot is kept when nothing is
     left)."""
-    if np.count_nonzero(M[:, 0]) and np.count_nonzero(M[:, -1]):
+    if M.shape[1] == 1 or (np.count_nonzero(M[:, 0])
+                           and np.count_nonzero(M[:, -1])):
         return M, base, tp
     live = np.flatnonzero(M.any(axis=(0, 2)))
     if not len(live):
@@ -451,19 +472,23 @@ def _add_laurent(field, A, B, shift=0, sign=1):
     """Packed A + sign*z^shift*B.  A missing row is an exact zero; a sum is
     known below the least precision of its terms."""
     (MA, bA, tA), (MB, bB, tB) = A, B
-    rows = max(len(tA), shift + len(tB))
+    nA, nB = len(MA), len(MB)
+    rows = max(nA, shift + nB)
     lo = min(bA, bB)
     W = max(bA + MA.shape[1], bB + MB.shape[1]) - lo
     if W > MA.shape[1] + MB.shape[1]:
         # the operands' t-frames lie apart, and the input sets the gap
         _check_size(rows * W * field.d * MA.itemsize, "a t-frame")
     M = np.zeros((rows, W, field.d), dtype=MA.dtype)
-    tp = np.full(rows, _EXACT, dtype=np.int64)
-    M[:len(tA), bA - lo:bA - lo + MA.shape[1]] = MA
-    tp[:len(tA)] = tA
-    M[shift:shift + len(tB), bB - lo:bB - lo + MB.shape[1]] += sign * MB
-    np.minimum(tp[shift:shift + len(tB)], tB, out=tp[shift:shift + len(tB)])
-    return _clip(M % field.p, lo, tp)
+    M[:nA, bA - lo:bA - lo + MA.shape[1]] = MA
+    M[shift:shift + nB, bB - lo:bB - lo + MB.shape[1]] += sign * MB
+    M %= field.p
+    if tA is None and tB is None:
+        return _trim(M, lo, None)
+    tp = _exact_rows(rows)
+    tp[:nA] = _precisions(A)
+    np.minimum(tp[shift:shift + nB], _precisions(B), out=tp[shift:shift + nB])
+    return _clip(M, lo, tp)
 
 
 def _quotient_laurent(ring, N, D, lead_inv, L):
@@ -481,10 +506,10 @@ def _quotient_laurent(ring, N, D, lead_inv, L):
     h = 1
     while h < L:
         h2 = min(2 * h, L)
-        M, base, tp = _mul_laurent(field, D, R, h2)
-        if len(tp) <= h:
+        E = _mul_laurent(field, D, R, h2)
+        if len(E[0]) <= h:
             break
-        R = _add_laurent(field, R, _mul_laurent(field, R, (M[h:], base, tp[h:]),
+        R = _add_laurent(field, R, _mul_laurent(field, R, _cut(E, h, None),
                                                 h2 - h), shift=h, sign=-1)
         h = h2
     return _mul_laurent(field, N, R, L)
@@ -512,20 +537,20 @@ def _compose_laurent(field, F, G, limit):
     add of a block.
     """
     _check_operands(F, G)
-    MF, bF, tF = F
     if limit is not None:
         # G vanishes at 0, so F[i]*G^i vanishes below z^limit for i >= limit
-        MF, tF, G = MF[:limit], tF[:limit], (G[0][:limit], G[1], G[2][:limit])
-    n, nG = MF.shape[0], G[0].shape[0]
+        F, G = _cut(F, 0, limit), _cut(G, 0, limit)
+    (MF, bF, tF), n, nG = F, len(F[0]), len(G[0])
     if n == 0 or nG == 0:
-        return MF[:1], bF, tF[:1]
+        return _cut(F, 0, 1)
     p, d = field.p, field.d
     X = 2 * d - 1
     exact = _all_exact(tF) and _all_exact(G[2])
     k, m, top = _bk_shape(n) if exact else (1, n, 1)
+    tF = _precisions(F)
     one = np.zeros((1, 1, d), dtype=MF.dtype)
     one[0, 0, 0] = 1
-    powers = [(one, 0, _exact_rows(1)), G]
+    powers = [(one, 0, None), G]
     for _ in range(2, k + 1 if m > 1 else k):  # G^k only for giant steps
         powers.append(_mul_laurent(field, powers[-1], G, limit))
     live = [(M, base) for M, base, _ in powers[:k] if M.any()]
@@ -541,7 +566,7 @@ def _compose_laurent(field, F, G, limit):
     def block(j, count):
         rows = max(powers[i][0].shape[0] for i in range(count))
         M = _from_int(field, _bk_block(consts, packed, k, j), rows, S, nbytes)
-        return _trim(M, bF + lo, _exact_rows(rows) if exact else tF[j:j + 1])
+        return _trim(M, bF + lo, None if exact else tF[j:j + 1])
 
     R = block(m - 1, top)
     for j in range(m - 2, -1, -1):
@@ -553,7 +578,7 @@ def _compose_laurent(field, F, G, limit):
 def _divide_laurent(ring, N, D, lead, L, exact):
     """The packed quotient N/D below z^L over a Laurent ring, for packed N
     and D whose first row `lead` is certified nonzero; for exact
-    polynomials, the certified exact quotient.
+    polynomials, the candidate exact quotient, which divide_exact certifies.
 
     Truncated inputs seed the reciprocal with the scalar inverse of lead,
     so every coefficient carries the precision its inputs support.
@@ -562,8 +587,9 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     powers of t to num', den' in F[t][z] with some coefficient prime to t,
     a quotient Q' = num'/den' lies in F[t][z] with deg_t Q' = B =
     deg_t num' - deg_t den' (Gauss's lemma: the t-adic valuation and the
-    t-degree are additive).  So Q' is computed to t-precision B + 1, each
-    coefficient is cut there and made exact, and den*Q == num certifies it.
+    t-degree are additive).  So Q' is computed to t-precision B + 1 and
+    each coefficient is cut there and made exact; if num is divisible, that
+    is the quotient.
     Every iterate quotient of cycle_valuations lies in F[t, 1/t][z]:
     f^m(z) - z is the sum of h(f^k(z)) over k < m, h = f - id, and
     h(y) - h(z) is divisible by y - z.
@@ -573,13 +599,12 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     any other divisibility cannot be decided and raises.
     """
     _check_operands(N, D)
-    if not exact or (N[2] < _EXACT).any() or (D[2] < _EXACT).any():
-        if exact and len(D[2]) > 1:
+    if not (exact and _all_exact(N[2]) and _all_exact(D[2])):
+        if exact and len(D[0]) > 1:
             raise IndeterminateValuation(
                 "exact division by a polynomial of several terms needs "
                 "coefficients known exactly, not to O(t^k)")
         return _quotient_laurent(ring, N, D, lead.inverse(), L)
-    field = ring.field
     B = N[0].shape[1] - D[0].shape[1]
     if B < 0:
         raise NotDivisible("t-degree of the numerator below the denominator's")
@@ -588,36 +613,34 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
     # through the Newton steps), so each row of Q' is known below B + 1.
     r = B + 1 + L * (lead.v0 - D[1])
-    M, base, tp = _quotient_laurent(ring, N, D, lead.inverse(r), L)
-    M, base, _ = _clip(M, base, np.full(len(tp), top, dtype=np.int64))
-    Q = (M, base, _exact_rows(len(tp)))
-    rem = _add_laurent(field, N, _mul_laurent(field, D, Q, None), sign=-1)
-    if rem[0].any():
-        raise NotDivisible("nonzero remainder")
-    return Q
+    M, base, _ = _quotient_laurent(ring, N, D, lead.inverse(r), L)
+    M, base, _ = _clip(M, base, np.full(len(M), top, dtype=np.int64))
+    return M, base, None
 
 
 def _is_ff(ring):
     return isinstance(ring, FiniteField)
 
 
-def _fit(ring, arr, n_trunc):
+def _field(ring):
+    return ring if _is_ff(ring) else ring.field
+
+
+def _fit(arr, n_trunc):
     """arr made the storage of a series mod z^n_trunc: cut, or padded with
     exact zero rows, to n_trunc rows; for an exact series (None), cut after
-    the last row that is not an exact zero.  Over a Laurent ring the slots
-    are trimmed too, and an all-zero array sits at base 0, so that equal
-    series have equal arrays.  The arrays are made read-only: series share
-    them (truncate gives views)."""
-    M, base, tp = (arr, 0, None) if _is_ff(ring) else arr
+    the last row that is not an exact zero.  The slots are trimmed, an
+    all-zero array sits at base 0, and a tp of exact rows only is stored as
+    None, so that equal series have equal arrays.  The arrays are made
+    read-only: series share them (truncate gives views)."""
+    M, base, tp = arr
     n = len(M)
     if n_trunc is None:
         n_trunc = n
         if n and not np.count_nonzero(M[-1]) and (tp is None
                                                    or tp[-1] >= _EXACT):
-            live = M.any(axis=(1, 2))
-            if tp is not None:
-                live |= tp < _EXACT
-            live = np.flatnonzero(live)
+            live = np.flatnonzero(M.any(axis=(1, 2))
+                                  | (_precisions(arr) < _EXACT))
             n_trunc = int(live[-1]) + 1 if len(live) else 0
     if n >= n_trunc:
         M = M[:n_trunc]
@@ -627,13 +650,13 @@ def _fit(ring, arr, n_trunc):
         M = np.concatenate(
             [M, np.zeros((n_trunc - n,) + M.shape[1:], dtype=M.dtype)])
     M.flags.writeable = False
-    if tp is None:
-        return M
-    tp = tp[:n_trunc] if n >= n_trunc else np.concatenate(
-        [tp, _exact_rows(n_trunc - n)])
-    tp.flags.writeable = False
+    if tp is None or _all_exact(tp[:n_trunc]):
+        tp = None
+    else:
+        tp = np.concatenate([tp[:n_trunc], _exact_rows(max(0, n_trunc - n))])
+        tp.flags.writeable = False
     M, base, tp = _trim(M, base, tp)
-    if M.shape[1] == 1 and not np.count_nonzero(M):
+    if base and M.shape[1] == 1 and not np.count_nonzero(M):
         base = 0
     return M, base, tp
 
@@ -644,11 +667,11 @@ def _array_key(M):
 
 
 class TruncatedSeries:
-    """A series over a finite field or a Laurent ring, stored packed: the
-    (n, 1, d) coordinate array over GF(p^d), the (M, base, tp) triple over
-    GF(p^d)((t)).  Stored arrays are read-only, since operations share them
-    (truncate returns views).  `coeffs` is the tuple of coefficient objects,
-    built on first access."""
+    """A series over GF(p^d) or GF(p^d)((t)), stored packed as the triple
+    (M, base, tp) of the module docstring; over GF(p^d) it is (M, 0, None).
+    Stored arrays are read-only, since operations share them (truncate
+    returns views).  `coeffs` is the tuple of coefficient objects, built on
+    first access."""
 
     __slots__ = ("ring", "n_trunc", "_arr", "_coeffs")
 
@@ -663,7 +686,7 @@ class TruncatedSeries:
             raise ParabolicLabError(f"truncation must be >= 1, got {n_trunc}")
         self.ring = ring
         self.n_trunc = n_trunc
-        self._arr = _fit(ring, arr, n_trunc)
+        self._arr = _fit(arr, n_trunc)
         self._coeffs = None
 
     @classmethod
@@ -677,23 +700,20 @@ class TruncatedSeries:
     @property
     def coeffs(self):
         if self._coeffs is None:
-            if _is_ff(self.ring):
-                self._coeffs = _unpack(self.ring, self._arr)
-            else:
-                self._coeffs = tuple(_unpack_laurent(self.ring, self._arr))
+            unpack = _unpack if _is_ff(self.ring) else _unpack_laurent
+            self._coeffs = tuple(unpack(self.ring, self._arr))
         return self._coeffs
 
     # -- basics ------------------------------------------------------------
 
     def _rows(self):
-        return len(self._arr) if _is_ff(self.ring) else len(self._arr[2])
+        return len(self._arr[0])
 
     def _vanishes_at_0(self):
         """Whether the constant term is certified zero."""
-        if _is_ff(self.ring):
-            return not len(self._arr) or not self._arr[0].any()
         M, _, tp = self._arr
-        return not len(tp) or (tp[0] >= _EXACT and not M[0].any())
+        return not len(M) or (not M[0].any() and (tp is None
+                                                  or tp[0] >= _EXACT))
 
     def is_exact(self) -> bool:
         return self.n_trunc is None
@@ -715,9 +735,8 @@ class TruncatedSeries:
         if self._coeffs is not None:
             return self._coeffs[i]
         if _is_ff(self.ring):
-            return FieldElement(self.ring, tuple(self._arr[i, 0].tolist()))
-        M, base, tp = self._arr
-        return _unpack_laurent(self.ring, (M[i:i + 1], base, tp[i:i + 1]))[0]
+            return FieldElement(self.ring, tuple(self._arr[0][i, 0].tolist()))
+        return _unpack_laurent(self.ring, _cut(self._arr, i, i + 1))[0]
 
     def order(self):
         """Index of the first certified-nonzero coefficient.
@@ -727,10 +746,10 @@ class TruncatedSeries:
         Raises IndeterminateValuation if a coefficient that is zero only to
         its stored t-precision is hit first.
         """
-        ff = _is_ff(self.ring)
-        live = (self._arr if ff else self._arr[0]).any(axis=(1, 2))
-        # a row is certified zero when empty and, over a Laurent ring, exact
-        first = np.flatnonzero(live if ff else live | (self._arr[2] < _EXACT))
+        M, _, tp = self._arr
+        live = M.any(axis=(1, 2))
+        # a row is certified zero when empty and exact
+        first = np.flatnonzero(live if tp is None else live | (tp < _EXACT))
         if not len(first):
             return math.inf if self.n_trunc is None else None
         i = int(first[0])
@@ -770,18 +789,10 @@ class TruncatedSeries:
 
     def _termwise(self, other, sign):
         self._check_ring(other)
-        ring, n = self.ring, self._meet(other)
-        if not _is_ff(ring):
-            return TruncatedSeries._from_packed(
-                ring, _add_laurent(ring.field, self._arr, other._arr,
-                                   sign=sign), n)
-        A, B = self._arr, other._arr
-        rows = max(len(A), len(B)) if n is None else n
-        A, B = A[:rows], B[:rows]
-        out = np.zeros((rows, 1, ring.d), dtype=A.dtype)
-        out[:len(A)] = A
-        out[:len(B)] += sign * B
-        return TruncatedSeries._from_packed(ring, out % ring.p, n)
+        ring = self.ring
+        return TruncatedSeries._from_packed(
+            ring, _add_laurent(_field(ring), self._arr, other._arr, sign=sign),
+            self._meet(other))
 
     def __add__(self, other):
         return self._termwise(other, 1)
@@ -790,26 +801,18 @@ class TruncatedSeries:
         return self._termwise(other, -1)
 
     def __neg__(self):
-        ring = self.ring
-        if _is_ff(ring):
-            return TruncatedSeries._from_packed(
-                ring, -self._arr % ring.p, self.n_trunc)
         M, base, tp = self._arr
         return TruncatedSeries._from_packed(
-            ring, (-M % ring.field.p, base, tp), self.n_trunc)
+            self.ring, (-M % _field(self.ring).p, base, tp), self.n_trunc)
 
     # -- multiplication and composition ------------------------------------
 
     def __mul__(self, other):
         self._check_ring(other)
         n = self._meet(other)
-        ring = self.ring
-        if _is_ff(ring):
-            arr = _kron_mul(ring, self._arr, other._arr, n)
-        else:
-            _check_operands(self._arr, other._arr)
-            arr = _mul_laurent(ring.field, self._arr, other._arr, n)
-        return TruncatedSeries._from_packed(ring, arr, n)
+        _check_operands(self._arr, other._arr)
+        return TruncatedSeries._from_packed(self.ring, _mul_laurent(
+            _field(self.ring), self._arr, other._arr, n), n)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); the inner series must vanish at 0.
@@ -826,7 +829,7 @@ class TruncatedSeries:
         n = self._meet(inner)
         ring = self.ring
         if _is_ff(ring):
-            arr = _compose_ff(ring, self._arr, inner._arr, n)
+            arr = _compose_ff(ring, self._arr[0], inner._arr[0], n), 0, None
         else:
             arr = _compose_laurent(ring.field, self._arr, inner._arr, n)
         return TruncatedSeries._from_packed(ring, arr, n)
@@ -859,17 +862,14 @@ class TruncatedSeries:
             raise ParabolicLabError(f"stretch factor must be >= 1, got {q}")
         n = None if self.n_trunc is None else (self.n_trunc - 1) * q + 1
         # a truncated series is dense, so its stretch has length n exactly
-        ff = _is_ff(self.ring)
-        M = self._arr if ff else self._arr[0]
+        M, base, tp = self._arr
         out = np.zeros((max(0, (len(M) - 1) * q + 1),) + M.shape[1:],
                        dtype=M.dtype)
         out[::q] = M
-        if ff:
-            return TruncatedSeries._from_packed(self.ring, out, n)
-        tp = _exact_rows(len(out))
-        tp[::q] = self._arr[2]
-        return TruncatedSeries._from_packed(
-            self.ring, (out, self._arr[1], tp), n)
+        if tp is not None:
+            tp, tq = _exact_rows(len(out)), tp
+            tp[::q] = tq
+        return TruncatedSeries._from_packed(self.ring, (out, base, tp), n)
 
     def derivative(self) -> "TruncatedSeries":
         """f' mod z^(N-1); mod z^1 nothing of f' is known, not even f'(0)."""
@@ -877,10 +877,8 @@ class TruncatedSeries:
             raise TruncationTooSmall("the derivative of a series mod z^1 "
                                      "is unknown")
         n = None if self.n_trunc is None else self.n_trunc - 1
-        ring = self.ring
-        ff = _is_ff(ring)
-        M = self._arr if ff else self._arr[0]
-        p, rows = ring.char, len(M)
+        M, base, tp = self._arr
+        p, rows = self.ring.char, len(M)
         # row i - 1 of f' is i times row i of f, coordinate by coordinate
         k = np.arange(1, max(rows, 1), dtype=np.int64)
         if p < rows:
@@ -888,11 +886,10 @@ class TruncatedSeries:
         if (p - 1) * rows >= 1 << 63:
             M, k = M.astype(object), k.astype(object)
         D = (M[1:] * k[:, None, None] % p).astype(_coord_dtype(p))
-        if ff:
-            return TruncatedSeries._from_packed(ring, D, n)
-        # i * c is the exact zero when p divides i
-        tp = np.where(k == 0, _EXACT, self._arr[2][1:])
-        return TruncatedSeries._from_packed(ring, (D, self._arr[1], tp), n)
+        if tp is not None:
+            # i * c is the exact zero when p divides i
+            tp = np.where(k == 0, _EXACT, tp[1:])
+        return TruncatedSeries._from_packed(self.ring, (D, base, tp), n)
 
     def inverse(self, n_trunc: int | None = None) -> "TruncatedSeries":
         """Compositional inverse, by Newton iteration on h -> h - (f(h)-z)/f'(h).
@@ -939,14 +936,15 @@ class TruncatedSeries:
 
         Returns the quotient.  For truncated inputs it is computed modulo
         z^(N - ord(den)).  For exact polynomial inputs the division is
-        certified: a nonzero remainder raises NotDivisible.
+        certified, in both rings by multiplying back: den * quot != self
+        raises NotDivisible.
 
         Over a finite field the quotient comes from the scalar recurrence.
         Over a Laurent ring it is one packed routine, _divide_laurent: a
         Newton reciprocal of den times self.  There exact division means
         divisibility in F[t, 1/t][z]; the quotient is then a polynomial in z
         and t whose t-degrees the inputs bound, so it is computed to that
-        t-precision, made exact and checked by multiplying back.
+        t-precision and made exact.
         """
         self._check_ring(den)
         b = den.order()
@@ -982,16 +980,19 @@ class TruncatedSeries:
         ring = self.ring
         n_out = None if exact else L
         if _is_ff(ring):
-            qc = _series_quotient(self.coeffs[b:], den.coeffs[b:], L)
-            quot = TruncatedSeries(ring, qc, n_out)
-            if exact and den * quot != self:
-                raise NotDivisible("nonzero remainder")
-            return quot
-        stop = None if exact else b + L
-        N, D = ((_trim(M[b:stop], base, tp[b:stop]))
-                for M, base, tp in (self._arr, den._arr))
-        Q = _divide_laurent(ring, N, D, den.coeff(b), L, exact)
-        return TruncatedSeries._from_packed(ring, Q, n_out)
+            quot = TruncatedSeries(ring, _series_quotient(
+                self.coeffs[b:], den.coeffs[b:], L), n_out)
+        else:
+            stop = None if exact else b + L
+            N, D = (_trim(*_cut(s._arr, b, stop)) for s in (self, den))
+            quot = TruncatedSeries._from_packed(ring, _divide_laurent(
+                ring, N, D, den.coeff(b), L, exact), n_out)
+        # with a coefficient known only to O(t^k) the divisor is a single
+        # term, which divides every candidate numerator (_divide_laurent)
+        if (exact and self._arr[2] is None and den._arr[2] is None
+                and den * quot != self):
+            raise NotDivisible("nonzero remainder")
+        return quot
 
     # -- misc --------------------------------------------------------------
 
@@ -999,17 +1000,14 @@ class TruncatedSeries:
         if not (isinstance(other, TruncatedSeries) and self.ring == other.ring
                 and self.n_trunc == other.n_trunc):
             return False
-        if _is_ff(self.ring):
-            return np.array_equal(self._arr, other._arr)
         (M, base, tp), (M2, base2, tp2) = self._arr, other._arr
         return (base == base2 and np.array_equal(tp, tp2)
                 and np.array_equal(M, M2))
 
     def __hash__(self):
-        arr = self._arr
-        key = (_array_key(arr) if _is_ff(self.ring)
-               else (_array_key(arr[0]), arr[1], arr[2].tobytes()))
-        return hash((self.ring, self.n_trunc, key))
+        M, base, tp = self._arr
+        return hash((self.ring, self.n_trunc, _array_key(M), base,
+                     None if tp is None else tp.tobytes()))
 
     def __repr__(self):
         head = ", ".join(str(self.coeff(i)) for i in range(min(8, self._rows())))
@@ -1031,29 +1029,24 @@ def series(ring, entries, n_trunc) -> TruncatedSeries:
             coeffs.append(ring(c))
     length = max(length, 0)  # a window below 1 is refused by the series
     # only the given coefficients are packed, then scattered into zeros
-    if _is_ff(ring):
-        dtype = np.dtype(_coord_dtype(ring.p))
-        _check_size(length * ring.d * dtype.itemsize, "a series window")
-        A = np.zeros((length, 1, ring.d), dtype=dtype)
-        A[rows] = _pack(ring, coeffs)
-        return TruncatedSeries._from_packed(ring, A, n_trunc)
-    M, base, tp = _pack_laurent(ring, coeffs)
+    pack = _pack if _is_ff(ring) else _pack_laurent
+    M, base, tp = pack(ring, coeffs)
     _check_size(length * math.prod(M.shape[1:]) * M.itemsize,
                 "a series window")
     A = np.zeros((length,) + M.shape[1:], dtype=M.dtype)
     A[rows] = M
-    t = _exact_rows(length)
-    t[rows] = tp
-    return TruncatedSeries._from_packed(ring, (A, base, t), n_trunc)
+    if tp is not None:
+        tp, given = _exact_rows(length), tp
+        tp[rows] = given
+    return TruncatedSeries._from_packed(ring, (A, base, tp), n_trunc)
 
 
 def identity(ring, n_trunc) -> TruncatedSeries:
     """z, built packed: no coefficient object is made."""
-    field = ring if _is_ff(ring) else ring.field
+    field = _field(ring)
     A = np.zeros((2, 1, field.d), dtype=_coord_dtype(field.p))
     A[1, 0, 0] = 1
-    arr = A if _is_ff(ring) else (A, 0, _exact_rows(2))
-    return TruncatedSeries._from_packed(ring, arr, n_trunc)
+    return TruncatedSeries._from_packed(ring, (A, 0, None), n_trunc)
 
 
 def monomial(ring, c, e: int, n_trunc) -> TruncatedSeries:
@@ -1076,15 +1069,19 @@ def reduce_and_wideg(f: TruncatedSeries):
         raise ScalarRingMismatch("reduction needs a series over a Laurent ring")
     M, base, tp = f._arr
     # a residue is undetermined below precision t^1 and undefined at a
-    # negative valuation; the first such coefficient raises its own error
-    bad = np.flatnonzero((tp < 1) | (M.any(axis=(1, 2)) & (_lowest(f._arr) < 0)))
+    # negative valuation (a clipped row with a nonzero slot has its lowest
+    # exponent below its precision); the first such coefficient raises its
+    # own error
+    bad = np.flatnonzero(np.minimum(_lowest(f._arr), _precisions(f._arr) - 1)
+                         < 0)
     if len(bad):
         f.coeff(int(bad[0])).residue()
     if 0 <= -base < M.shape[1]:
         red = M[:, -base:1 - base]
     else:
-        red = np.zeros((len(tp), 1, M.shape[2]), dtype=M.dtype)
-    reduced = TruncatedSeries._from_packed(f.ring.field, red, f.n_trunc)
+        red = np.zeros((len(M), 1, M.shape[2]), dtype=M.dtype)
+    reduced = TruncatedSeries._from_packed(f.ring.field, (red, 0, None),
+                                           f.n_trunc)
     return reduced, reduced.order()
 
 

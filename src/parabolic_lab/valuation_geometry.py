@@ -153,10 +153,9 @@ class BoundCertificate:
         }
 
 
-def _level_zero_jump(f: ParabolicGerm):
-    """(f^q - z, i_0, delta_0) with i_0 = q enforced."""
-    q = f.q
-    diff = next(_levels(f.series, q))
+def _level_zero_jump(s: TruncatedSeries, q: int):
+    """(s^q - z, i_0, delta_0) with i_0 = q enforced."""
+    diff = next(_levels(s, q))
     i0, delta0 = _jump(diff)
     if i0 is math.inf:
         raise ResitUndefined("f^q is the identity; there is no level-zero jump")
@@ -187,7 +186,12 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
         raise ParabolicLabError(f"level must be >= 0, got {n}")
     _require_integral(f.series, NonIntegralGerm)
     q, p = f.q, f.char
-    base_diff, i0, delta0 = _level_zero_jump(f)
+    s = f.series
+    if n:
+        # i_0 and delta_0 lie below z^(q+2); the exact f^q of a germ of
+        # high degree may be past the kernel's work limit
+        s = s.truncate(min(q + 2, s.n_trunc or q + 2))
+    base_diff, i0, delta0 = _level_zero_jump(s, q)
     vd0 = delta0.valuation()
     details = {"i0": i0, "v_delta0": vd0}
 
@@ -226,10 +230,8 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
             # the verdict is an honest "indeterminate" (the bound itself is
             # already final).
             W = ramification_lower_bound(p, q, n) + q * p ** n + q + 2
-            s = f.series
-            if s.n_trunc is not None:
-                W = min(W, s.n_trunc)
-            den, num = islice(_levels(s.truncate(W), q), n - 1, n + 1)
+            W = min(W, f.series.n_trunc or W)
+            den, num = islice(_levels(f.series.truncate(W), q), n - 1, n + 1)
             i_n, _ = _jump(num)
             i_prev, _ = _jump(den)
             if not (isinstance(i_n, int) and isinstance(i_prev, int)):

@@ -41,6 +41,17 @@ def test_ramify_resit_note_when_undefined(capsys):
     assert "resit_note" in doc
 
 
+def test_bounds_of_an_exact_germ_of_high_degree(capsys):
+    # its exact f^q is past the work limit, but the bound reads f only
+    # through a window: the document is that of the germ mod z^60
+    argv = ["bounds", "--field", "Laurent(GF(5))", "--series",
+            "2*z + t*z^2 + z^3 + z^40", "--n", "1"]
+    exact = run(argv, capsys)
+    argv[4] += " mod z^60"
+    assert exact == run(argv, capsys)
+    assert exact[0] == 0
+
+
 def test_minimal_document(capsys):
     code, doc = run_json(["minimal", "--field", "GF(3)", "--series",
                           "z + z^2 + 2*z^3 mod z^30"], capsys)

@@ -20,6 +20,7 @@ from parabolic_lab import (
     FiniteField,
     IndeterminateValuation,
     LaurentRing,
+    NonIntegralCoefficient,
     NonUnitLinearTerm,
     NonzeroConstantTerm,
     NotDivisible,
@@ -367,16 +368,14 @@ def _three_ways(ring, coeffs, n, slack):
     with `slack` empty t-slots at both ends and `slack` exact zero rows past
     the end, and from the kernel's array of its product by 1."""
     objects = TruncatedSeries(ring, coeffs, n)
-    if isinstance(ring, LaurentRing):
-        M, base, tp = formal_series._pack_laurent(ring, coeffs)
-        rows, W, d = M.shape
-        wide = np.zeros((rows + slack, W + 2 * slack, d), dtype=M.dtype)
-        wide[:rows, slack:slack + W] = M
-        arr = (wide, base - slack,
-               np.concatenate([tp, formal_series._exact_rows(slack)]))
-    else:
-        A = formal_series._pack(ring, coeffs)
-        arr = np.concatenate([A, np.zeros((slack,) + A.shape[1:], A.dtype)])
+    pack = (formal_series._pack_laurent if isinstance(ring, LaurentRing)
+            else formal_series._pack)
+    M, base, tp = pack(ring, coeffs)
+    rows, W, d = M.shape
+    wide = np.zeros((rows + slack, W + 2 * slack, d), dtype=M.dtype)
+    wide[:rows, slack:slack + W] = M
+    arr = (wide, base - slack, None if tp is None
+           else np.concatenate([tp, formal_series._exact_rows(slack)]))
     packed = TruncatedSeries._from_packed(ring, arr, n)
     return objects, packed, objects * series(ring, {0: 1}, None)
 
@@ -429,16 +428,22 @@ def test_stored_arrays_are_read_only():
     # truncate and the kernels' slot trimming return views, so a write into
     # a stored array, such as the in-place clip of _mul_laurent, would
     # change every series sharing it
-    for ring in (F3, LaurentRing(F3)):
-        s = parse_series("z + 2*z^2 + z^4 mod z^6", ring)
+    # (an exact Laurent series stores no precision array, so the last
+    # series has a row known only to O(t^3))
+    L3 = LaurentRing(F3)
+    for ring, text in ((F3, "z + 2*z^2 + z^4 mod z^6"),
+                       (L3, "z + 2*z^2 + z^4 mod z^6"),
+                       (L3, "z + 2*z^2 + O(t^3)*z^3 + z^4 mod z^6")):
+        s = parse_series(text, ring)
         for t in (s, s.truncate(3), s * s, s - s, s.compose(s)):
-            arrays = (t._arr,) if ring is F3 else (t._arr[0], t._arr[2])
-            for arr in arrays:
+            M, _, tp = t._arr
+            for arr in (M,) if tp is None else (M, tp):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 1
-    M, base, tp = series(LaurentRing(F3), {0: 1, 1: 1}, 6)._arr
+    assert s._arr[2] is not None
+    M, base, tp = series(L3, {0: 1, 1: 1}, 6)._arr
     with pytest.raises(ValueError, match="read-only"):
-        formal_series._clip(M, base, np.zeros_like(tp))
+        formal_series._clip(M, base, np.zeros(len(M), dtype=np.int64))
 
 
 def test_the_tower_stays_packed_between_compositions():
@@ -658,6 +663,16 @@ def test_divide_exact_detects_non_multiples():
         num.divide_exact(den)
 
 
+def test_exact_division_is_certified_by_multiplying_back():
+    # 1 + 2z does not divide 1 + z: the scalar recurrence over GF(3) and the
+    # Newton quotient over GF(3)((t)) each give a candidate, which
+    # den * quot != num refuses in both rings
+    for ring in (F3, LaurentRing(F3)):
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
+            series(ring, {0: 1, 1: 1}, None).divide_exact(
+                series(ring, {0: 1, 1: 2}, None))
+
+
 def test_divide_exact_of_exact_zero():
     den = parse_series("z + z^2", F3)
     quot = zero_series(F3, None).divide_exact(den)
@@ -791,6 +806,46 @@ def test_reduce_and_wideg_truncated_vanishing_is_open():
     ring = LaurentRing(F3)
     red, deg = reduce_and_wideg(parse_series("t*z + t^2*z^4 mod z^9", ring))
     assert deg is None
+
+
+def test_reduce_and_wideg_refuses_coefficients_without_a_residue():
+    ring = LaurentRing(F3)
+    with pytest.raises(NonIntegralCoefficient):
+        reduce_and_wideg(parse_series("z + t^-1*z^2", ring))
+    with pytest.raises(IndeterminateValuation):
+        reduce_and_wideg(parse_series("z + O(t^0)*z^2", ring))
+    # a zero known to O(t^1) has residue 0
+    red, deg = reduce_and_wideg(parse_series("z + O(t^1)*z^2", ring))
+    assert red == identity(F3, None) and deg == 1
+
+
+# -- one storage form --------------------------------------------------------
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (2 ** 64 + 13, 1)])
+def test_finite_field_series_store_the_triple_of_their_constants(p, d):
+    # a series over GF(p^d) and its coefficients taken as exact constants
+    # over GF(p^d)((t)) store one triple (M, 0, None)
+    F = _kernel_field(p, d)
+    ring = LaurentRing(F)
+    entries = {1: F.one(), 2: F.element([p - 1] * d), 4: F.element([1] * d)}
+    for n in (None, 3, 7):
+        a = series(F, entries, n)
+        b = series(ring, {e: ring.embed(c) for e, c in entries.items()}, n)
+        (M, base, tp), (M2, base2, tp2) = a._arr, b._arr
+        assert base == base2 == 0 and tp is None and tp2 is None
+        assert M.dtype == M2.dtype and np.array_equal(M, M2)
+        assert [ring.embed(c) for c in a.coeffs] == list(b.coeffs)
+
+
+def test_a_precision_array_of_exact_rows_is_stored_as_none():
+    ring = LaurentRing(F3)
+    want = parse_series("z + (1 + t)*z^2 mod z^4", ring)
+    M, base, tp = want._arr
+    assert tp is None
+    s = TruncatedSeries._from_packed(
+        ring, (M, base, formal_series._exact_rows(len(M))), 4)
+    assert s._arr[2] is None
+    assert s == want and hash(s) == hash(want)
 
 
 # -- parabolic germs -------------------------------------------------------

@@ -179,6 +179,15 @@ def test_equality_verdict_degrades_to_indeterminate_past_budget(L3):
         assert "work limit" in b.details["indeterminate_reason"]
 
 
+def test_level_zero_holds_past_the_equality_window(L3):
+    # from n = 8 the equality window of the desk germ is over the work
+    # limit; level zero is read below z^(q+2), so the bound still stands
+    b = periodic_valuation_bound(germ("z + t*z^2 + z^3", L3), 8)
+    assert b.bound_valuation == Fraction(1, 3)
+    assert b.equality_condition_holds == "indeterminate"
+    assert "work limit" in b.details["indeterminate_reason"]
+
+
 def test_bound_is_n_independent_for_odd_p(L3):
     rng = Random(11)
     f = random_minimal_polynomial_germ(rng, L3, 1)
