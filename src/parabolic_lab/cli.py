@@ -12,8 +12,9 @@ unusable input (bad literals, missing flags, windows too small to start,
 a germ not known to be integral where a command needs an integral one, a
 Laurent field where a command needs a finite one, a --p that is not prime
 or not the characteristic of --field, a flag the command or its closed-form
---mode does not read, --coeffs together with --seed, work past the series
-kernel's work limit, a --json-out path that cannot be written).  Only a
+--mode does not read, --coeffs together with --seed, a --coeffs list
+that is not two values, work past the series kernel's work limit, a
+--json-out path that cannot be written).  Only a
 failed verification exits 1.  Each command takes exactly the flags it reads;
 argparse refuses any other with usage on stderr and no JSON document.  The
 flags a closed-form --mode does not read are refused with a JSON document.
@@ -98,7 +99,10 @@ def _require(**flags):
 def _coeff_list(text: str | None, field):
     if text is None:
         raise ParabolicLabError("this command needs --coeffs")
-    return [parse_scalar(part, field) for part in text.split(",")]
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParabolicLabError(f"--coeffs takes two values, got {len(parts)}")
+    return [parse_scalar(part, field) for part in parts]
 
 
 def _field_for(args, q: int):

@@ -156,26 +156,6 @@ def _square_and_multiply(x, n: int, op, one):
     return one if result is None else result
 
 
-def _series_quotient(num, den, length: int) -> list:
-    """The first `length` coefficients of the power series num/den, from the
-    bottom: q_k = (num_k - sum_(j<k) q_j*den_(k-j)) / den_0.
-
-    num and den are coefficient sequences (missing entries are zero) over
-    the ring of den[0], which must be a unit.
-    """
-    den0_inv = den[0].inverse()
-    zero = ring_of(den[0]).zero()
-    qc = []
-    for k in range(length):
-        acc = num[k] if k < len(num) else zero
-        for j in range(max(0, k - len(den) + 1), k):
-            dk = den[k - j]
-            if not dk.is_certified_zero():
-                acc = acc - qc[j] * dk
-        qc.append(acc * den0_inv)
-    return qc
-
-
 # Polynomials over F_p as little-endian int lists, used only for modulus checks.
 
 def _ptrim(a):
@@ -817,7 +797,8 @@ class LaurentScalar:
 
         The result is exact only for monomials; otherwise the geometric series
         is expanded to the relative precision the input supports, or, when
-        the input is exact, to rel (default: DEFAULT_TPREC).
+        the input is exact, to rel (default: DEFAULT_TPREC).  The expansion
+        is the Newton reciprocal that divides series, run along t.
         """
         if not self.coeffs:
             if self.tprec is None:
@@ -831,7 +812,9 @@ class LaurentScalar:
             r = self.tprec - v
         else:
             r = DEFAULT_TPREC if rel is None else rel
-        w = _series_quotient((self.field.one(),), self.coeffs[:r], r)
+        # imported here: formal_series imports this module when it loads
+        from .formal_series import _reciprocal
+        w = _reciprocal(self.field, self.coeffs, r)
         return _make_laurent(self.ring, -v, w, -v + r)
 
     def __truediv__(self, other):

@@ -29,26 +29,26 @@ product is, and that work is skipped.
 A series over either ring stores one packed form, read-only, which every
 operation reads and returns: the triple (M, base, tp), tp None when every
 row is exact.  Over GF(p^d) it is (M, 0, None) with one t-slot, the triple
-of its coefficients as exact constants over GF(p^d)((t)), so sums and
-products of both rings run on _add_laurent and _mul_laurent.  Composition
-and division keep finite-field kernels, measured faster there (below).
-Coefficient objects are packed only where they enter (the constructor,
-`series`) and made only where they leave: `coeffs` (built on first access
-and kept), `coeff`, the printers and the scalar division recurrence.
+of its coefficients as exact constants over GF(p^d)((t)), so sums,
+products and quotients of both rings run on _add_laurent, _mul_laurent and
+_divide.  Composition keeps a finite-field kernel, measured faster there
+(below).  Coefficient objects are packed only where they enter (the
+constructor, `series`) and made only where they leave: `coeffs` (built on
+first access and kept), `coeff`, the printers and the lead of a divisor
+(_divide).
 Inside a finite-field composition (_compose_ff) the digits stay one big
 integer from step to step, reduced mod p in place, and become an array
 once, at the end; run through _compose_laurent, the ff-profile benchmark
 did 17 jobs/s against 43.
 
-Division over GF(p^d)((t)) is packed too: a Newton reciprocal built from
-the same products, then one product by the numerator; exact division of
-polynomials there is divisibility in GF(p^d)[t, 1/t][z].  In both rings an
-exact quotient is certified by one more product, den * quot == num.  Over
-GF(p^d) division is the scalar recurrence, which costs
-less than packing at the windows it meets: a packed Newton reciprocal lost
-at the windows `inverse` uses (N = 4, 8, 15) and won only from about N = 40
-(0.5-0.8 ms against 2.0-3.3 ms there, 0.9-1.2 ms against 18-28 ms at
-N = 129).
+Division is packed in both rings: a Newton reciprocal built from the same
+products, seeded with the inverse of the divisor's lead read as a scalar
+over GF(p^d)((t)), then one product by the numerator.  Exact division of
+polynomials over GF(p^d)((t)) is divisibility in GF(p^d)[t, 1/t][z]; over
+GF(p^d) the lead is a constant, and so is its inverse.  In both rings an
+exact quotient is certified by one more product, den * quot == num.  The
+same Newton routine, run along t, expands the inverse of a Laurent scalar
+(_reciprocal).
 
 How much work an operation may do is decided in one place, _WORK_LIMIT:
 past it the kernel raises WorkBudgetExceeded (see _check_size).
@@ -66,7 +66,6 @@ from .coeff_rings import (
     FiniteField,
     LaurentRing,
     LaurentScalar,
-    _series_quotient,
     _square_and_multiply,
 )
 from .errors import (
@@ -491,17 +490,15 @@ def _add_laurent(field, A, B, shift=0, sign=1):
     return _clip(M, lo, tp)
 
 
-def _quotient_laurent(ring, N, D, lead_inv, L):
-    """N/D modulo z^L for packed N and D, D[0] a unit with inverse lead_inv.
+def _reciprocal_newton(field, D, R, L):
+    """1/D modulo z^L for packed D, from the packed seed R = 1/D[0].
 
-    The reciprocal R = 1/D comes from Newton's iteration (Kung 1974): if R
-    is right modulo z^h, then R - z^h*R*E is right modulo z^2h, E being the
-    rows h .. 2h-1 of D*R.  The rows below h are never recomputed, so they
-    keep their precision.  When D*R has no rows from h on, R is all of 1/D.
-    One more product gives N*R.
+    Newton's iteration (Kung 1974): if R is right modulo z^h, then
+    R - z^h*R*E is right modulo z^2h, E being the rows h .. 2h-1 of D*R.
+    The rows below h are never recomputed, so they keep their precision.
+    When D*R has no rows from h on, R is all of 1/D, and fewer than L rows
+    come back.
     """
-    field = ring.field
-    R = _pack_laurent(ring, [lead_inv])
     _check_operands(R)
     h = 1
     while h < L:
@@ -512,7 +509,16 @@ def _quotient_laurent(ring, N, D, lead_inv, L):
         R = _add_laurent(field, R, _mul_laurent(field, R, _cut(E, h, None),
                                                 h2 - h), shift=h, sign=-1)
         h = h2
-    return _mul_laurent(field, N, R, L)
+    return R
+
+
+def _reciprocal(field, coeffs, r):
+    """The first r coefficients of 1/c for c = sum_i coeffs[i]*z^i over
+    GF(p^d), coeffs[0] nonzero; fewer when 1/c is a polynomial.  This is
+    the expansion behind LaurentScalar.inverse, with z standing for t."""
+    R = _reciprocal_newton(field, _pack(field, coeffs[:r]),
+                           _pack(field, [coeffs[0].inverse()]), r)
+    return _unpack(field, R)
 
 
 def _compose_laurent(field, F, G, limit):
@@ -575,13 +581,17 @@ def _compose_laurent(field, F, G, limit):
     return R
 
 
-def _divide_laurent(ring, N, D, lead, L, exact):
-    """The packed quotient N/D below z^L over a Laurent ring, for packed N
-    and D whose first row `lead` is certified nonzero; for exact
-    polynomials, the candidate exact quotient, which divide_exact certifies.
+def _divide(field, N, D, L, exact):
+    """The packed quotient N/D below z^L, for packed N and D whose first
+    row, the lead, is certified nonzero; for exact polynomials, the
+    candidate exact quotient, which divide_exact certifies.  Both rings
+    divide here, a series over GF(p^d) as its exact constants over
+    GF(p^d)((t)).
 
-    Truncated inputs seed the reciprocal with the scalar inverse of lead,
-    so every coefficient carries the precision its inputs support.
+    The inverse of the lead, read as a scalar over GF(p^d)((t)), seeds the
+    Newton reciprocal of D, and one more product by N gives the quotient.
+    Truncated inputs invert the lead to the precision it supports, so every
+    coefficient carries the precision its inputs support.
 
     Exact inputs with exact coefficients divide in F[t, 1/t][z].  Scaled by
     powers of t to num', den' in F[t][z] with some coefficient prime to t,
@@ -589,7 +599,8 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     deg_t num' - deg_t den' (Gauss's lemma: the t-adic valuation and the
     t-degree are additive).  So Q' is computed to t-precision B + 1 and
     each coefficient is cut there and made exact; if num is divisible, that
-    is the quotient.
+    is the quotient.  Over GF(p^d), B = 0 and the lead is a constant, whose
+    inverse is exact.
     Every iterate quotient of cycle_valuations lies in F[t, 1/t][z]:
     f^m(z) - z is the sum of h(f^k(z)) over k < m, h = f - id, and
     h(y) - h(z) is divisible by y - z.
@@ -599,12 +610,19 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     any other divisibility cannot be decided and raises.
     """
     _check_operands(N, D)
+    ring = LaurentRing(field)
+    lead = _unpack_laurent(ring, _cut(D, 0, 1))[0]
+
+    def quotient(seed):
+        R = _reciprocal_newton(field, D, _pack_laurent(ring, [seed]), L)
+        return _mul_laurent(field, N, R, L)
+
     if not (exact and _all_exact(N[2]) and _all_exact(D[2])):
         if exact and len(D[0]) > 1:
             raise IndeterminateValuation(
                 "exact division by a polynomial of several terms needs "
                 "coefficients known exactly, not to O(t^k)")
-        return _quotient_laurent(ring, N, D, lead.inverse(), L)
+        return quotient(lead.inverse())
     B = N[0].shape[1] - D[0].shape[1]
     if B < 0:
         raise NotDivisible("t-degree of the numerator below the denominator's")
@@ -612,8 +630,7 @@ def _divide_laurent(ring, N, D, lead, L, exact):
     # With v' = v(lead') and a seed of relative precision r, row m of 1/den'
     # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
     # through the Newton steps), so each row of Q' is known below B + 1.
-    r = B + 1 + L * (lead.v0 - D[1])
-    M, base, _ = _quotient_laurent(ring, N, D, lead.inverse(r), L)
+    M, base, _ = quotient(lead.inverse(B + 1 + L * (lead.v0 - D[1])))
     M, base, _ = _clip(M, base, np.full(len(M), top, dtype=np.int64))
     return M, base, None
 
@@ -939,9 +956,9 @@ class TruncatedSeries:
         certified, in both rings by multiplying back: den * quot != self
         raises NotDivisible.
 
-        Over a finite field the quotient comes from the scalar recurrence.
-        Over a Laurent ring it is one packed routine, _divide_laurent: a
-        Newton reciprocal of den times self.  There exact division means
+        Both rings run one packed routine, _divide: a Newton reciprocal of
+        den times self, a series over GF(p^d) taken as its exact constants
+        over GF(p^d)((t)).  Over GF(p^d)((t)) exact division means
         divisibility in F[t, 1/t][z]; the quotient is then a polynomial in z
         and t whose t-degrees the inputs bound, so it is computed to that
         t-precision and made exact.
@@ -953,42 +970,30 @@ class TruncatedSeries:
         if b is None:
             raise IndeterminateValuation(
                 "denominator vanishes through its truncation window")
+        exact = self.n_trunc is None and den.n_trunc is None
+        # the window of a truncated quotient: once a is certified, b <= a <
+        # self.n_trunc and b < den.n_trunc make it at least 1
+        L = None if exact else min(n - b for n in (self.n_trunc, den.n_trunc)
+                                   if n is not None)
         a = self.order()
         if a is math.inf:
             # exactly zero numerator: the quotient is exactly zero
             return zero_series(self.ring, None)
         if a is None:
-            n_out = self.n_trunc - b
-            if den.n_trunc is not None:
-                n_out = min(n_out, den.n_trunc - b)
-            return zero_series(self.ring, max(n_out, 1))
+            return zero_series(self.ring, max(L, 1))
         if a < b:
             raise NotDivisible(f"ord(num) = {a} < ord(den) = {b}")
-
-        exact = self.n_trunc is None and den.n_trunc is None
         if exact:
             L = self._rows() - den._rows() + 1
             if L <= 0:
                 raise NotDivisible("numerator degree below denominator degree")
-        else:
-            L = (self.n_trunc - b) if self.n_trunc is not None else math.inf
-            if den.n_trunc is not None:
-                L = min(L, den.n_trunc - b)
-            L = int(L)
-            if L < 1:
-                raise TruncationTooSmall("no quotient coefficients below truncation")
-        ring = self.ring
         n_out = None if exact else L
-        if _is_ff(ring):
-            quot = TruncatedSeries(ring, _series_quotient(
-                self.coeffs[b:], den.coeffs[b:], L), n_out)
-        else:
-            stop = None if exact else b + L
-            N, D = (_trim(*_cut(s._arr, b, stop)) for s in (self, den))
-            quot = TruncatedSeries._from_packed(ring, _divide_laurent(
-                ring, N, D, den.coeff(b), L, exact), n_out)
+        stop = None if exact else b + L
+        N, D = (_trim(*_cut(s._arr, b, stop)) for s in (self, den))
+        quot = TruncatedSeries._from_packed(self.ring, _divide(
+            _field(self.ring), N, D, L, exact), n_out)
         # with a coefficient known only to O(t^k) the divisor is a single
-        # term, which divides every candidate numerator (_divide_laurent)
+        # term, which divides every candidate numerator (_divide)
         if (exact and self._arr[2] is None and den._arr[2] is None
                 and den * quot != self):
             raise NotDivisible("nonzero remainder")

@@ -1,9 +1,11 @@
-"""Scalar reference kernels for series products and compositions.
+"""Scalar reference kernels for series products, compositions and quotients.
 
-The library multiplies and composes series on packed arrays; these loops do
-the same on coefficient objects, one scalar operation at a time, and serve
-as the oracle the packed kernel is tested against.
+The library multiplies, composes and divides series on packed arrays; these
+loops do the same on coefficient objects, one scalar operation at a time,
+and serve as the oracle the packed kernel is tested against.
 """
+
+from parabolic_lab.coeff_rings import ring_of
 
 
 def _gconv(ring, A, B, limit):
@@ -37,3 +39,23 @@ def _gcompose(ring, F, G, limit):
             R = [ring.zero()]
         R[0] = R[0] + F[i]
     return R
+
+
+def _series_quotient(num, den, length):
+    """The first `length` coefficients of the power series num/den, from the
+    bottom: q_k = (num_k - sum_(j<k) q_j*den_(k-j)) / den_0.
+
+    num and den are coefficient sequences (missing entries are zero) over
+    the ring of den[0], which must be a unit.
+    """
+    den0_inv = den[0].inverse()
+    zero = ring_of(den[0]).zero()
+    qc = []
+    for k in range(length):
+        acc = num[k] if k < len(num) else zero
+        for j in range(max(0, k - len(den) + 1), k):
+            dk = den[k - j]
+            if not dk.is_certified_zero():
+                acc = acc - qc[j] * dk
+        qc.append(acc * den0_inv)
+    return qc

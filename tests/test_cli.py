@@ -260,6 +260,19 @@ def test_exit_two_on_bad_input(capsys):
         assert code == 2
         assert doc == {"error": "this command needs --coeffs",
                        "kind": "ParabolicLabError"}
+        # every --coeffs is a pair; another count is refused by name
+        for coeffs, count in (("1,0,2", 3), ("1", 1)):
+            code, doc = run_json(["closed-form", "--mode", *mode, "--p", "3",
+                                  "--coeffs", coeffs], capsys)
+            assert code == 2
+            assert doc == {"error": f"--coeffs takes two values, got {count}",
+                           "kind": "ParabolicLabError"}
+    for coeffs, count in (("1,0,2", 3), ("1", 1)):
+        code, doc = run_json(["verify", "main-lemma", "--p", "3", "--q", "1",
+                              "--n", "1", "--coeffs", coeffs], capsys)
+        assert code == 2
+        assert doc == {"error": f"--coeffs takes two values, got {count}",
+                       "kind": "ParabolicLabError"}
 
     # a window is taken as given: N = 0 is refused, not replaced by 12
     code, doc = run_json(["verify", "delta-tower", "--p", "3", "--seed", "1",

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parabolic_lab import (
+    DivisionByZero,
     FiniteField,
     IndeterminateValuation,
     LaurentRing,
@@ -29,7 +30,6 @@ from parabolic_lab import (
     ParabolicLabError,
     TruncationTooSmall,
     WorkBudgetExceeded,
-    coeff_rings,
     formal_series,
     identity,
     monomial,
@@ -39,8 +39,9 @@ from parabolic_lab import (
     series,
     zero_series,
 )
+from parabolic_lab.coeff_rings import DEFAULT_TPREC
 from parabolic_lab.formal_series import TruncatedSeries
-from series_oracle import _gcompose, _gconv
+from series_oracle import _gcompose, _gconv, _series_quotient
 
 
 F3 = FiniteField(3)
@@ -626,14 +627,16 @@ def test_iterate_zero_is_identity():
 
 @st.composite
 def division_operands(draw):
-    """(a, b) over a kernel field (p up to 2^64 + 13, d up to 2), both mod
-    z^8 or both exact, each vanishing at 0."""
+    """(a, b) over a kernel field (p up to 2^64 + 13, d up to 2), both
+    exact or both modulo one z^N, N in {1, 2, 8, 15, 40}: one row, and the
+    windows a compositional inverse divides at.  A constant term is often
+    nonzero, so the quotient keeps all N rows."""
     F = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
     coord = st.one_of(st.sampled_from([0, 1, F.p - 1]), st.integers(0, F.p - 1))
     scalar = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
-    n_trunc = draw(st.sampled_from([8, None]))
+    n_trunc = draw(st.sampled_from([1, 2, 8, 15, 40, None]))
     return tuple(draw(st.lists(scalar, min_size=1, max_size=8).map(
-        lambda cs: series(F, {i: c for i, c in enumerate(cs) if i}, n_trunc)))
+        lambda cs: series(F, dict(enumerate(cs)), n_trunc)))
         for _ in range(2))
 
 
@@ -664,13 +667,30 @@ def test_divide_exact_detects_non_multiples():
 
 
 def test_exact_division_is_certified_by_multiplying_back():
-    # 1 + 2z does not divide 1 + z: the scalar recurrence over GF(3) and the
-    # Newton quotient over GF(3)((t)) each give a candidate, which
-    # den * quot != num refuses in both rings
+    # 1 + 2z does not divide 1 + z: the Newton quotient gives a candidate
+    # over GF(3) and over GF(3)((t)), which den * quot != num refuses in
+    # both rings
     for ring in (F3, LaurentRing(F3)):
         with pytest.raises(NotDivisible, match="nonzero remainder"):
             series(ring, {0: 1, 1: 1}, None).divide_exact(
                 series(ring, {0: 1, 1: 2}, None))
+
+
+def test_division_and_inversion_refusals():
+    L3 = LaurentRing(F3)
+    for ring in (F3, L3):
+        num = series(ring, {1: 1}, 3)
+        with pytest.raises(DivisionByZero):
+            num.divide_exact(zero_series(ring, None))
+        # a divisor that is zero through its window has no certified order
+        with pytest.raises(IndeterminateValuation):
+            num.divide_exact(series(ring, {}, 3))
+    with pytest.raises(IndeterminateValuation):
+        L3.element({}, tprec=4).inverse()
+    with pytest.raises(NonzeroConstantTerm):
+        parse_series("1 + z mod z^5", F3).inverse()
+    with pytest.raises(ParabolicLabError, match="explicit truncation"):
+        parse_series("z + z^2", F3).inverse()
 
 
 def test_divide_exact_of_exact_zero():
@@ -699,6 +719,47 @@ def laurent_unit(draw, ring, exact):
         tprec = v0 + draw(st.integers(1, len(cs) + 3))
     return ring.element({v0 + i: F.element(c) for i, c in enumerate(cs)},
                         tprec)
+
+
+@st.composite
+def invertible_scalar(draw):
+    """(s, rel): a certified nonzero scalar over GF(p^d)((t)), p^d from
+    KERNEL_FIELDS, and the relative precision to invert it to (None for the
+    default).  s is an exact monomial, an exact non-monomial or known to
+    O(t^k); up to eight terms from t^v0 up (v0 may be negative)."""
+    F = _kernel_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    coord = st.one_of(st.sampled_from([0, 1, F.p - 1]), st.integers(0, F.p - 1))
+    scalar = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
+    kind = draw(st.sampled_from(["monomial", "exact", "O(t^k)"]))
+    cs = draw(st.lists(scalar, min_size=1,
+                       max_size=1 if kind == "monomial" else 8))
+    if cs[0].is_zero():
+        cs[0] = F.one()
+    v0 = draw(st.integers(-4, 4))
+    tprec = v0 + draw(st.integers(1, 12)) if kind == "O(t^k)" else None
+    s = LaurentRing(F).element({v0 + i: c for i, c in enumerate(cs)}, tprec)
+    return s, draw(st.sampled_from([None, 1, 2, 5, 15, 64, 100]))
+
+
+@given(data=invertible_scalar())
+@settings(max_examples=150, deadline=None)
+def test_scalar_inverse_matches_the_scalar_quotient(data):
+    # LaurentScalar.inverse runs the packed Newton reciprocal that divides
+    # series; the scalar recurrence on the FieldElement coefficients never
+    # touches the kernel.  The Laurent division test below inverts its
+    # oracle's lead this way, so this test anchors that one too.
+    s, rel = data
+    ring, v = s.ring, s.v0
+    inv = s.inverse() if rel is None else s.inverse(rel)
+    if s.tprec is None and len(s.coeffs) == 1:
+        want = ring.element({-v: s.coeffs[0].inverse()})
+    else:
+        r = (s.tprec - v if s.tprec is not None
+             else DEFAULT_TPREC if rel is None else rel)
+        w = _series_quotient([ring.field.one()], s.coeffs[:r], r)
+        want = ring.element({-v + i: c for i, c in enumerate(w)}, -v + r)
+    assert inv == want
+    assert not (s * inv - ring.one()).is_certified_nonzero()
 
 
 @st.composite
@@ -733,8 +794,7 @@ def test_laurent_division_matches_the_scalar_quotient(data):
     if quot.n_trunc is None:  # num is the exact zero polynomial
         assert quot.order() is math.inf
         return
-    oracle = coeff_rings._series_quotient(num.coeffs[b:], den.coeffs[b:],
-                                          quot.n_trunc)
+    oracle = _series_quotient(num.coeffs[b:], den.coeffs[b:], quot.n_trunc)
     for got, want in zip(quot.coeffs, oracle, strict=True):
         assert _prec(got) >= _prec(want)
         assert (got if want.tprec is None else got.clip(want.tprec)) == want
