@@ -17,6 +17,12 @@ class ReducibleModulus(ParabolicLabError):
     """Supplied modulus polynomial factors over the prime field."""
 
 
+class FieldDegreeTooLarge(ParabolicLabError):
+    """The extension degree of a requested field GF(p^d) is past the
+    library's bound on d: its modulus search and multiplication tables would
+    cost more than the library spends."""
+
+
 class NoSuchRoot(ParabolicLabError):
     """The field has no element of the requested multiplicative order."""
 

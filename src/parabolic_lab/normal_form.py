@@ -11,8 +11,9 @@ gamma^ell - 1, so integral Laurent coefficients stay integral.  The inverse
 of a move has a closed form (see _move_inverse), so no Newton iteration is
 needed.
 
-The resulting pair (a_1, a_2) feeds the genericity value m_q here and the
-minimality criterion in ramification.
+The resulting pair (a_1, a_2) feeds the genericity value m_q here.  The
+minimality criterion and resit in ramification read the same invariant off
+one residue of f^q instead; the pair is the test oracle of that route.
 """
 
 from __future__ import annotations

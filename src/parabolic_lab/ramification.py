@@ -5,7 +5,8 @@ identity and the jump i_n is the order of (f^(q*p^n)(z) - z)/z; delta_n is the
 coefficient sitting just above the jump.  These grow at least geometrically:
 i_n >= q(p^(n+1) - 1)/(p - 1), and a germ attaining equality at every level is
 minimally ramified.  The iterative residue turns that infinite family of
-equalities into one scalar test.
+equalities into one scalar test, and it is one residue of f^q, read off
+f^q mod z^(2q+2) (see _resit_pair); the reduced form is not needed for it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
 from .coeff_rings import DEFAULT_TPREC, LaurentRing, half_scalar, ring_of
 from .formal_series import ParabolicGerm, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
-from .normal_form import reduced_leading_pair, resit_numerators
 
 
 def ramification_lower_bound(p: int, q: int, n: int) -> int:
@@ -133,39 +133,84 @@ def _certified_nonzero(x, what: str) -> bool:
 
 
 def _resit_pair(f: ParabolicGerm):
-    """The reduced pair (a_1, a_2) of f, with a_1 certified nonzero.
+    """(c, S_q) read off f^q mod z^(2q+2), with c certified nonzero.
 
-    a_1 is nonzero exactly when i_0(f^q) = q; otherwise the iterative residue
-    does not exist and asking for it raises.
+    Write f^q - z = z^(q+1)*C(z), C = c + c_1 z + ... + c_q z^q.  The
+    iterative residue is one residue of f^q:
+
+        resit(f) = q*((q+1)/2 - Res_(z=0) dz/(z - f^q(z)))
+                 = q*((q+1)/2 + [z^q](1/C)),
+
+    Milnor's residu iteratif (Dynamics in One Complex Variable, 3rd ed.,
+    section 12) scaled by resit(f) = q*resit(f^q).  It holds in
+    characteristic p as well.  The residue of a differential is invariant
+    under automorphisms of k((z)) in every characteristic (Serre, Algebraic
+    Groups and Class Fields, II section 11).  For h tangent to the identity
+    the pull-back of dz/(z - g) by h differs from dz/(z - h^-1 g h) by a
+    holomorphic form, because (h(w) - h(z))/(w - z) has integral
+    Hasse-derivative coefficients, so nothing is divided by p.  Conjugating
+    f conjugates f^q, so the residue is that of the reduced form
+    gamma*z*(1 + a_1 z^q + a_2 z^(2q) + ...), where the formula gives
+    (q+1)/2 - a_2/a_1^2, the clearing algorithm's value.
+
+    c = q*a_1 is nonzero exactly when i_0(f^q) = q; otherwise the iterative
+    residue does not exist and asking for it raises.  S_q =
+    c^(q+1)*[z^q](1/C) comes from S_0 = 1 and
+    S_k = -sum_(j=1..k) c_j*c^(j-1)*S_(k-j), so nothing is divided.
     """
-    a1, a2 = reduced_leading_pair(f)
-    if not _certified_nonzero(a1, "a1"):
+    q = f.q
+    fq = f.series.truncate(2 * q + 2).iterate(q)
+    c, *cs = (fq.coeff(i) for i in range(q + 1, 2 * q + 2))
+    if not _certified_nonzero(c, "a1"):
         raise NotMinimallyRamifiedAtLevelZero(
             "i_0(f^q) > q, the iterative residue is undefined")
-    return a1, a2
+    terms = [cj * c ** j for j, cj in enumerate(cs)]  # c_(j+1)*c^j
+    s = [f.ring.one()]
+    for k in range(1, q + 1):
+        acc = terms[0] * s[k - 1]
+        for j in range(1, k):
+            acc = acc + terms[j] * s[k - 1 - j]
+        s.append(-acc)
+    return c, s[q]
+
+
+def _resit_numerators(q: int, c, s):
+    """(n, n') with n = c^(q+1)*resit/q = (q+1)/2*c^(q+1) + S_q and, in
+    characteristic two, n' = c^(q+1)*(1 - resit)/q = c^(q+1) - n (q is odd
+    there); n' is None in odd characteristic.  Neither divides, so both are
+    exact whenever f^q is.  n' is formed as (1 - q)/2*c^(q+1) - S_q rather
+    than as the difference, which would leave a zero known only to the
+    precision of a fuzzy c where resit = 1 exactly."""
+    ring = ring_of(c)
+    top = c ** (q + 1)
+    n = half_scalar(ring, q + 1) * top + s
+    if ring.char != 2:
+        return n, None
+    return n, half_scalar(ring, 1 - q) * top - s
 
 
 def resit(f: ParabolicGerm):
-    """The iterative residue (q+1)/2 - a_2/a_1^2 of the reduced form of f."""
+    """The iterative residue of f, (q+1)/2 - a_2/a_1^2 in the reduced form."""
     return _resit_value(f.q, *_resit_pair(f))
 
 
-def _resit_value(q: int, a1, a2):
-    """resit from the reduced pair.  Over a Laurent ring 1/a_1^2 is a series
-    in t, expanded far enough that resit = m/a_1^2 (m the resit numerator)
-    is known to relative precision at least DEFAULT_TPREC from its
-    valuation v(m) - 2v(a_1).  This value is only printed; decisions go
-    through resit_numerators, which does not divide."""
-    ring = ring_of(a1)
+def _resit_value(q: int, c, s):
+    """resit = q*((q+1)/2 + S_q/c^(q+1)) from _resit_pair.  Over a Laurent
+    ring 1/c^(q+1) is a series in t, expanded far enough that resit is known
+    to relative precision at least DEFAULT_TPREC from its valuation
+    v(n) - (q+1)v(c) (n the resit numerator).  This value is only printed;
+    decisions go through _resit_numerators, which does not divide."""
+    ring = ring_of(c)
     half = half_scalar(ring, q + 1)
+    top = c ** (q + 1)
     if not isinstance(ring, LaurentRing):
-        return half - a2 / (a1 * a1)
-    # a_2 * (1/a_1^2) is known to v(a_2) - 2v(a_1) + rel
+        return ring.from_int(q) * (half + s / top)
+    # S_q * (1/c^(q+1)) is known to v(S_q) - (q+1)v(c) + rel
     rel = DEFAULT_TPREC
-    m, _ = resit_numerators(a1, a2, q)
-    if m.is_certified_nonzero() and a2.is_certified_nonzero():
-        rel += max(0, m.v0 - a2.v0)
-    return half - a2 * (a1 * a1).inverse(rel)
+    n, _ = _resit_numerators(q, c, s)
+    if n.is_certified_nonzero() and s.is_certified_nonzero():
+        rel += max(0, n.v0 - s.v0)
+    return ring.from_int(q) * (half + s * top.inverse(rel))
 
 
 @dataclass
@@ -203,17 +248,17 @@ def is_minimally_ramified(f: ParabolicGerm, mode: str = "criterion",
 
 def _criterion_verdict(f: ParabolicGerm) -> Verdict:
     try:
-        a1, a2 = _resit_pair(f)
+        c, s = _resit_pair(f)
     except NotMinimallyRamifiedAtLevelZero:
         return Verdict(False, "criterion",
                        {"failed": "level-zero", "detail": "i_0(f^q) > q"})
-    m, m1 = resit_numerators(a1, a2, f.q)
-    if not _certified_nonzero(m, "the iterative residue"):
+    n, n1 = _resit_numerators(f.q, c, s)
+    if not _certified_nonzero(n, "the iterative residue"):
         return Verdict(False, "criterion", {"failed": "resit-zero"})
-    if m1 is not None and not _certified_nonzero(m1, "resit - 1"):
+    if n1 is not None and not _certified_nonzero(n1, "resit - 1"):
         one = scalar_to_jsonable(f.ring.one())
         return Verdict(False, "criterion", {"failed": "resit-one", "resit": one})
-    r = _resit_value(f.q, a1, a2)
+    r = _resit_value(f.q, c, s)
     return Verdict(True, "criterion", {"resit": scalar_to_jsonable(r)})
 
 

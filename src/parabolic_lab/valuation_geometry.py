@@ -48,10 +48,10 @@ from .formal_series import (
     reduce_and_wideg,
 )
 from .literals import fraction_to_str, index_to_jsonable
-from .normal_form import resit_numerators
 from .ramification import (
     _jump,
     _levels,
+    _resit_numerators,
     _resit_pair,
     ramification_lower_bound,
 )
@@ -199,23 +199,23 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
         branch = "fixed-point"
         bound = Fraction(vd0, q)
     else:
-        # v(resit) and v(1 - resit) from the numerators over a_1^2
-        a1, a2 = _resit_pair(f)
-        m, m1 = resit_numerators(a1, a2, q)
-        v1 = a1.valuation()
+        # v(resit) and v(1 - resit) from the numerators over c^(q+1)/q
+        c, s_q = _resit_pair(f)
+        m, m1 = _resit_numerators(q, c, s_q)
+        vc = (q + 1) * c.valuation()
         if p == 2 and n >= 2:
             branch = "p2-n-ge2"
             if m.is_certified_zero() or m1.is_certified_zero():
                 raise UnboundedBound(
                     "resit in {0, 1} gives no information in characteristic 2")
-            v_term = m.valuation() + m1.valuation() - 4 * v1
+            v_term = m.valuation() + m1.valuation() - 2 * vc
             details["v_resit_times_complement"] = v_term
             bound = Fraction(vd0, q) + Fraction(v_term, 4 * q)
         else:
             branch = "p-odd" if p != 2 else "p2-n1"
             if m.is_certified_zero():
                 raise UnboundedBound("resit = 0 gives no information")
-            v_term = m.valuation() - 2 * v1
+            v_term = m.valuation() - vc
             details["v_resit"] = v_term
             bound = Fraction(vd0, q) + Fraction(v_term, q * p)
 

@@ -12,6 +12,7 @@ import pytest
 
 from parabolic_lab import TruncatedSeries, cli, series
 from parabolic_lab.cli import build_parser, main
+from parabolic_lab.coeff_rings import MAX_FIELD_DEGREE
 
 
 def run(argv, capsys):
@@ -292,6 +293,17 @@ def test_exit_two_on_bad_input(capsys):
                           "--series", "z + z^2"], capsys)
     assert code == 2
     assert doc["kind"] == "ParabolicLabError"
+
+    # a field degree past the bound is refused before any modulus search,
+    # and so is the degree search for a root of unity of large order
+    for argv in (["ramify", "--field", "GF(3,1000)", "--series", "z + z^2",
+                  "--nmax", "1"],
+                 ["closed-form", "--mode", "chi-xi", "--p", "3",
+                  "--q", "1000003", "--n", "1", "--coeffs", "1,0"]):
+        code, doc = run_json(argv, capsys)
+        assert code == 2
+        assert doc["kind"] == "FieldDegreeTooLarge"
+        assert str(MAX_FIELD_DEGREE) in doc["error"]
 
     # z^2 is the first tail term, so a window of 2 holds no germ to sample
     code, doc = run_json(["verify", "quasi-invariance", "--p", "3", "--q", "1",
