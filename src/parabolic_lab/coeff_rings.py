@@ -812,24 +812,20 @@ class LaurentScalar:
         The result is exact only for monomials; otherwise the geometric series
         is expanded to the relative precision the input supports, or, when
         the input is exact, to rel (default: DEFAULT_TPREC).  The expansion
-        is the Newton reciprocal that divides series, run along t.
+        is the one a series division inverts its divisor's lead with: the
+        Newton reciprocal along t, on the coefficients from t^v0 up.
         """
         if not self.coeffs:
             if self.tprec is None:
                 raise DivisionByZero("inverse of the exact zero")
             raise IndeterminateValuation(
                 f"inverse of a zero known only to O(t^{self.tprec})")
-        v = self.v0
-        if self.tprec is None and len(self.coeffs) == 1:
-            return LaurentScalar(self.ring, -v, (self.coeffs[0].inverse(),), None)
-        if self.tprec is not None:
-            r = self.tprec - v
-        else:
-            r = DEFAULT_TPREC if rel is None else rel
         # imported here: formal_series imports this module when it loads
-        from .formal_series import _reciprocal
-        w = _reciprocal(self.field, self.coeffs, r)
-        return _make_laurent(self.ring, -v, w, -v + r)
+        from .formal_series import _coord_dtype, _inverse_row, _unpack_laurent
+        row = np.array([c.coords for c in self.coeffs],
+                       dtype=_coord_dtype(self.field.p))
+        return _unpack_laurent(self.ring, _inverse_row(
+            self.field, row, self.v0, self.tprec, rel))[0]
 
     def __truediv__(self, other):
         other = self._coerce(other)

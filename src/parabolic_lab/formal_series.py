@@ -34,24 +34,25 @@ products and quotients of both rings run on _add_laurent, _mul_laurent and
 _divide.  Composition keeps a finite-field kernel, measured faster there
 (below).  Coefficient objects are packed only where they enter (the
 constructor, `series`) and made only where they leave: `coeffs` (built on
-first access and kept), `coeff`, the printers and the lead of a divisor
-(_divide).
+first access and kept), `coeff` and the printers.
 Inside a finite-field composition (_compose_ff) the digits stay one big
 integer from step to step, reduced mod p in place, and become an array
 once, at the end; run through _compose_laurent, the ff-profile benchmark
 did 17 jobs/s against 43.
 
 Division is packed in both rings: a Newton reciprocal built from the same
-products, seeded with the inverse of the divisor's lead read as a scalar
-over GF(p^d)((t)), then one product by the numerator.  Exact division of
-polynomials over GF(p^d)((t)) is divisibility in GF(p^d)[t, 1/t][z]; over
-GF(p^d) the lead is a constant, and so is its inverse.  In both rings an
-exact quotient is certified by one more product, den * quot == num.  The
-same Newton routine, run along t, expands the inverse of a Laurent scalar
-(_reciprocal).
+products, seeded with the inverse of the divisor's lead, then one product
+by the numerator.  The lead is inverted on its packed row by the same
+Newton routine run along t (_inverse_row), which LaurentScalar.inverse
+calls too.  Exact division of polynomials over GF(p^d)((t)) is
+divisibility in GF(p^d)[t, 1/t][z]; over GF(p^d) the lead is a constant,
+and so is its inverse.  In both rings an exact quotient is certified by
+one more product, den * quot == num.
 
 How much work an operation may do is decided in one place, _WORK_LIMIT:
-past it the kernel raises WorkBudgetExceeded (see _check_size).
+it bounds the bytes of every Kronecker integer and of every array an input
+sizes, and the cells of every product's precision pass; past it the
+kernel raises WorkBudgetExceeded (see _check_size).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import operator
 import numpy as np
 
 from .coeff_rings import (
+    DEFAULT_TPREC,
     FieldElement,
     FiniteField,
     LaurentRing,
@@ -102,21 +104,22 @@ _EXPONENT_LIMIT = 1 << 32
 
 # The one limit on how much work a series operation may do: no Kronecker
 # integer the kernel packs or reads back, and no array whose size an input
-# sets (a window, a t-frame), may be larger than this many bytes.  A
+# sets (a window, a t-frame), may be larger than this many bytes, and no
+# precision pass of a product may pair more than this many rows.  A
 # product's cost grows with the byte size of its operands, so an input that
 # would run away is refused at its first product past the limit, and a
 # window or t-frame before it is allocated.
 _WORK_LIMIT = 1 << 18
 
 
-def _check_size(nbytes, what):
+def _check_size(size, what, unit="bytes"):
     """Refuse, with WorkBudgetExceeded, anything larger than _WORK_LIMIT.
-    The per-product sites (_to_int, _digits) compare before they call it,
-    since a call costs more than the comparison and runs on every product."""
-    if nbytes > _WORK_LIMIT:
+    The per-product sites compare before they call it, since a call costs
+    more than the comparison and runs on every product."""
+    if size > _WORK_LIMIT:
         raise WorkBudgetExceeded(
-            f"{what} of {nbytes} bytes is over the work limit of "
-            f"{_WORK_LIMIT} bytes")
+            f"{what} of {size} {unit} is over the work limit of "
+            f"{_WORK_LIMIT} {unit}")
 
 
 def _coord_dtype(p):
@@ -386,8 +389,8 @@ def _lowest(R):
                     _precisions(R))
 
 
-# Entries per block of the min-plus matrix in _antidiagonal_min: a giant
-# step over exact polynomials can pair thousands of rows with thousands.
+# Entries per block of the min-plus matrix in _antidiagonal_min: unblocked,
+# a long series by a short one would need far more than the cells it visits.
 _MINPLUS_CELLS = 1 << 18
 
 
@@ -395,8 +398,11 @@ def _antidiagonal_min(tA, vA, tB, vB):
     """For each k, the least min(tA[i] + vB[j], vA[i] + tB[j]) over
     i + j = k.  Each block of rows of A becomes a matrix whose row r is
     shifted right by r (padding _EXACT), so anti-diagonals become columns;
-    blocks of about _MINPLUS_CELLS entries keep the memory linear."""
+    blocks of about _MINPLUS_CELLS entries keep the memory linear, and the
+    work limit bounds the nA*nB cells visited."""
     nA, nB = len(tA), len(tB)
+    if nA * nB > _WORK_LIMIT:
+        _check_size(nA * nB, "a precision pass", "cells")
     out = np.full(nA + nB - 1, _EXACT, dtype=np.int64)
     step = max(1, _MINPLUS_CELLS // (nA + nB))
     for i in range(0, nA, step):
@@ -512,13 +518,33 @@ def _reciprocal_newton(field, D, R, L):
     return R
 
 
-def _reciprocal(field, coeffs, r):
-    """The first r coefficients of 1/c for c = sum_i coeffs[i]*z^i over
-    GF(p^d), coeffs[0] nonzero; fewer when 1/c is a polynomial.  This is
-    the expansion behind LaurentScalar.inverse, with z standing for t."""
-    R = _reciprocal_newton(field, _pack(field, coeffs[:r]),
-                           _pack(field, [coeffs[0].inverse()]), r)
-    return _unpack(field, R)
+def _unit_inverse(field, c):
+    """1/c = c^(p^d - 2) for a nonzero constant c of GF(p^d), from and to its
+    coordinates, packed (1, 1, d): by kernel products, by pow when d = 1."""
+    shape, dtype = (1, 1, field.d), _coord_dtype(field.p)
+    if field.d == 1:
+        return np.full(shape, pow(int(c[0]), field.p - 2, field.p), dtype)
+    one = np.zeros(shape, dtype=dtype)
+    one[0, 0, 0] = 1
+    return _square_and_multiply(c.reshape(shape), field.order - 2,
+                                lambda a, b: _kron_mul(field, a, b, None), one)
+
+
+def _inverse_row(field, row, base, tprec, rel=None):
+    """1/c, packed as one row, for c = sum_w row[w]*t^(base + w) over
+    GF(p^d)((t)), certified nonzero and known below t^tprec (None: exact).
+    An exact monomial has an exact inverse; otherwise 1/c is expanded to
+    relative precision tprec - v(c), or for an exact c to rel (default
+    DEFAULT_TPREC), by _reciprocal_newton along t on the slots of c from
+    t^v(c) up: only the result's base -v(c) carries the exponent."""
+    live = np.flatnonzero(row.any(axis=1))
+    v, C = base + int(live[0]), row[live[0]:live[-1] + 1]
+    inv = _unit_inverse(field, C[0])
+    if tprec is None and len(C) == 1:
+        return inv, -v, None
+    r = tprec - v if tprec is not None else DEFAULT_TPREC if rel is None else rel
+    M = _reciprocal_newton(field, (C[:r, None], 0, None), (inv, 0, None), r)[0]
+    return _clip(M.transpose(1, 0, 2), -v, np.array([r - v]))
 
 
 def _compose_laurent(field, F, G, limit):
@@ -588,8 +614,8 @@ def _divide(field, N, D, L, exact):
     divide here, a series over GF(p^d) as its exact constants over
     GF(p^d)((t)).
 
-    The inverse of the lead, read as a scalar over GF(p^d)((t)), seeds the
-    Newton reciprocal of D, and one more product by N gives the quotient.
+    The inverse of the lead, taken on its packed row (_inverse_row), seeds
+    the Newton reciprocal of D, and one more product by N gives the quotient.
     Truncated inputs invert the lead to the precision it supports, so every
     coefficient carries the precision its inputs support.
 
@@ -610,11 +636,11 @@ def _divide(field, N, D, L, exact):
     any other divisibility cannot be decided and raises.
     """
     _check_operands(N, D)
-    ring = LaurentRing(field)
-    lead = _unpack_laurent(ring, _cut(D, 0, 1))[0]
+    tp = int(_precisions(D)[0])
+    lead = D[0][0], D[1], None if tp >= _EXACT else tp
 
-    def quotient(seed):
-        R = _reciprocal_newton(field, D, _pack_laurent(ring, [seed]), L)
+    def quotient(rel=None):
+        R = _reciprocal_newton(field, D, _inverse_row(field, *lead, rel), L)
         return _mul_laurent(field, N, R, L)
 
     if not (exact and _all_exact(N[2]) and _all_exact(D[2])):
@@ -622,7 +648,7 @@ def _divide(field, N, D, L, exact):
             raise IndeterminateValuation(
                 "exact division by a polynomial of several terms needs "
                 "coefficients known exactly, not to O(t^k)")
-        return quotient(lead.inverse())
+        return quotient()
     B = N[0].shape[1] - D[0].shape[1]
     if B < 0:
         raise NotDivisible("t-degree of the numerator below the denominator's")
@@ -630,7 +656,8 @@ def _divide(field, N, D, L, exact):
     # With v' = v(lead') and a seed of relative precision r, row m of 1/den'
     # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
     # through the Newton steps), so each row of Q' is known below B + 1.
-    M, base, _ = quotient(lead.inverse(B + 1 + L * (lead.v0 - D[1])))
+    v1 = int(lead[0].any(axis=1).argmax())  # v', the lead's first live slot
+    M, base, _ = quotient(B + 1 + L * v1)
     M, base, _ = _clip(M, base, np.full(len(M), top, dtype=np.int64))
     return M, base, None
 

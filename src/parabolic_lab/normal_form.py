@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeff_rings import half_scalar, ring_of
 from .errors import ParabolicLabError, TruncationTooSmall
 from .formal_series import ParabolicGerm, TruncatedSeries, identity, series
+from .ramification import _resit_numerators
 
 
 def _move_inverse(ring, B, ell: int, N: int) -> TruncatedSeries:
@@ -116,33 +116,16 @@ def reduced_leading_pair(f: ParabolicGerm):
     return nf.a[0], nf.a[1]
 
 
-def resit_numerators(a1, a2, q: int):
-    """The numerators over a_1^2 of the iterative residue and its complement.
-
-    resit = (q+1)/2 - a_2/a_1^2 is m/a_1^2 with m = (q+1)/2*a_1^2 - a_2.  In
-    characteristic two (that of a_1's ring) 1 - resit = m'/a_1^2 with
-    m' = (1 - (q+1)/2)*a_1^2 + a_2 matters too; in odd characteristic m' is
-    None.  Both are built from a_1 and a_2 without dividing, so they are
-    exact whenever the pair is, whatever a_1.
-    """
-    ring = ring_of(a1)
-    sq = a1 * a1
-    m = half_scalar(ring, q + 1) * sq - a2
-    if ring.char != 2:
-        return m, None
-    return m, half_scalar(ring, 1 - q) * sq + a2
-
-
 def mq_evaluate(f: ParabolicGerm):
     """The genericity value of f: zero exactly when f is not minimally ramified.
 
     Evaluated through the reduced form as a_1*m in odd characteristic and
-    a_1*m*m' in characteristic two, m and m' being the resit numerators
-    (there m*m' = a_2*(a_1^2 - a_2)).  The value itself is the specific
-    representative produced by this clearing algorithm; only its vanishing
-    is meaningful.
+    a_1*m*m' in characteristic two, m and m' being the resit numerators at
+    (a_1^2, -a_2) (there m*m' = a_2*(a_1^2 - a_2)).  The value itself is
+    the specific representative produced by this clearing algorithm; only
+    its vanishing is meaningful.
     """
     a1, a2 = reduced_leading_pair(f)
-    m, m1 = resit_numerators(a1, a2, f.q)
+    m, m1 = _resit_numerators(f.q, a1 * a1, -a2)
     return a1 * m if m1 is None else a1 * m * m1
 

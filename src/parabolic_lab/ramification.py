@@ -174,15 +174,16 @@ def _resit_pair(f: ParabolicGerm):
     return c, s[q]
 
 
-def _resit_numerators(q: int, c, s):
-    """(n, n') with n = c^(q+1)*resit/q = (q+1)/2*c^(q+1) + S_q and, in
-    characteristic two, n' = c^(q+1)*(1 - resit)/q = c^(q+1) - n (q is odd
-    there); n' is None in odd characteristic.  Neither divides, so both are
-    exact whenever f^q is.  n' is formed as (1 - q)/2*c^(q+1) - S_q rather
-    than as the difference, which would leave a zero known only to the
-    precision of a fuzzy c where resit = 1 exactly."""
-    ring = ring_of(c)
-    top = c ** (q + 1)
+def _resit_numerators(q: int, top, s):
+    """The resit numerators (n, n'): n = (q+1)/2*top + s and, in
+    characteristic two, n' = (1 - q)/2*top - s (None otherwise).
+
+    At (top, s) = (c^(q+1), S_q) from _resit_pair they are top*resit/q and
+    top*(1 - resit)/q; at (a_1^2, -a_2) from the reduced pair, the m and m'
+    that chi and xi are made of.  Nothing is divided, so both are exact
+    whenever the inputs are.  n' is not formed as top - n, which would leave
+    a zero known only to the precision of a fuzzy top where resit = 1."""
+    ring = ring_of(top)
     n = half_scalar(ring, q + 1) * top + s
     if ring.char != 2:
         return n, None
@@ -207,7 +208,7 @@ def _resit_value(q: int, c, s):
         return ring.from_int(q) * (half + s / top)
     # S_q * (1/c^(q+1)) is known to v(S_q) - (q+1)v(c) + rel
     rel = DEFAULT_TPREC
-    n, _ = _resit_numerators(q, c, s)
+    n, _ = _resit_numerators(q, top, s)
     if n.is_certified_nonzero() and s.is_certified_nonzero():
         rel += max(0, n.v0 - s.v0)
     return ring.from_int(q) * (half + s * top.inverse(rel))
@@ -252,7 +253,7 @@ def _criterion_verdict(f: ParabolicGerm) -> Verdict:
     except NotMinimallyRamifiedAtLevelZero:
         return Verdict(False, "criterion",
                        {"failed": "level-zero", "detail": "i_0(f^q) > q"})
-    n, n1 = _resit_numerators(f.q, c, s)
+    n, n1 = _resit_numerators(f.q, c ** (f.q + 1), s)
     if not _certified_nonzero(n, "the iterative residue"):
         return Verdict(False, "criterion", {"failed": "resit-zero"})
     if n1 is not None and not _certified_nonzero(n1, "resit - 1"):

@@ -201,7 +201,7 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
     else:
         # v(resit) and v(1 - resit) from the numerators over c^(q+1)/q
         c, s_q = _resit_pair(f)
-        m, m1 = _resit_numerators(q, c, s_q)
+        m, m1 = _resit_numerators(q, c ** (q + 1), s_q)
         vc = (q + 1) * c.valuation()
         if p == 2 and n >= 2:
             branch = "p2-n-ge2"

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -330,6 +331,19 @@ def test_work_past_the_kernel_limit_is_refused(argv, capsys):
     assert code == 2
     assert doc["kind"] == "WorkBudgetExceeded"
     assert "work limit" in doc["error"]
+
+
+def test_a_precision_pass_past_the_work_limit_is_refused_at_once(capsys):
+    # the coefficient known only to O(t^5) sends the composition to Horner's
+    # rule, whose every product pairs each row with each row to find its
+    # t-precision: 17.6 s before the work limit counted those cells
+    argv = ["ramify", "--field", "Laurent(GF(3))", "--series",
+            "z + z^2 + O(t^5)*z^3 mod z^800", "--nmax", "1"]
+    start = time.perf_counter()
+    code, doc = run_json(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and doc["kind"] == "WorkBudgetExceeded"
+    assert "cells is over the work limit" in doc["error"]
 
 
 def test_json_out_to_a_path_that_cannot_be_written(tmp_path, capsys):

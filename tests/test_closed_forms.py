@@ -16,6 +16,7 @@ from parabolic_lab import (
     SupportViolation,
     TruncationTooSmall,
     chi_xi,
+    closed_forms,
     delta_tower,
     ell_iterate_quadratic,
     identity,
@@ -97,6 +98,26 @@ def test_main_lemma_sampled(p, q):
             a = random_coeff_tuple(rng, field)
             rep = verify_main_lemma(field, q, n, a)
             assert rep.ok
+
+
+@pytest.mark.parametrize("wrong", ["chi", "xi"])
+def test_main_lemma_reports_where_a_wrong_closed_form_differs(wrong,
+                                                              monkeypatch):
+    # a closed form off by one is caught at its own exponent, E + 1 for chi
+    # and E + q + 1 for xi, and at no lower one
+    right = closed_forms.chi_xi
+
+    def off_by_one(*args):
+        pair = right(*args)
+        setattr(pair, wrong, getattr(pair, wrong) + 1)
+        return pair
+
+    monkeypatch.setattr(closed_forms, "chi_xi", off_by_one)
+    q, n = 2, 1
+    E = ramification_lower_bound(3, q, n)
+    rep = verify_main_lemma(FiniteField(3), q, n, (1, 1))
+    assert not rep.ok
+    assert rep.mismatch == (E + 1 if wrong == "chi" else E + q + 1)
 
 
 def test_main_lemma_extension_field_case():

@@ -39,7 +39,7 @@ from parabolic_lab import (
     series,
     zero_series,
 )
-from parabolic_lab.coeff_rings import DEFAULT_TPREC
+from parabolic_lab.coeff_rings import DEFAULT_TPREC, LaurentScalar
 from parabolic_lab.formal_series import TruncatedSeries
 from series_oracle import _gcompose, _gconv, _series_quotient
 
@@ -477,6 +477,40 @@ def test_the_tower_stays_packed_between_compositions():
     assert calls["_pack_laurent"] == calls["_unpack_laurent"] == 0
 
 
+def test_division_inverts_the_lead_on_its_packed_row():
+    # an exact and a truncated Laurent division whose divisor's lead 1 + t
+    # is not a monomial: the lead is inverted on its packed row, so no
+    # coefficient object is packed, unpacked or inverted on the way
+    ring = LaurentRing(F3)
+    den = series(ring, {1: ring.element({0: 1, 1: 1}), 2: ring.t(1)}, None)
+    quot = series(ring, {0: 1, 1: ring.t(2), 3: ring.element({-1: 2, 1: 1})},
+                  None)
+    num = den * quot
+    calls = dict.fromkeys(("_pack_laurent", "_unpack_laurent", "inverse"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with ExitStack() as stack:
+        for owner, name in ((formal_series, "_pack_laurent"),
+                            (formal_series, "_unpack_laurent"),
+                            (LaurentScalar, "inverse")):
+            stack.enter_context(patch.object(owner, name,
+                                             counted(owner, name)))
+        exact = num.divide_exact(den)
+        truncated = num.truncate(8).divide_exact(den.truncate(8))
+    assert calls == {"_pack_laurent": 0, "_unpack_laurent": 0, "inverse": 0}
+    assert exact == quot
+    assert truncated.n_trunc == 7
+    assert not any(c.is_certified_nonzero()
+                   for c in (truncated - quot.truncate(7)).coeffs)
+
+
 def test_large_t_exponents_are_stored_but_not_multiplied():
     # a series holds any t-exponent below 2^60 while its t-frame stays under
     # the work limit; products and compositions take operands below 2^32 in
@@ -497,7 +531,8 @@ def test_large_t_exponents_are_stored_but_not_multiplied():
 
 def test_work_past_the_limit_is_refused():
     # a window or t-frame that the input sets is refused before it is
-    # allocated (8 and 16 MB here), a product when it is read back
+    # allocated (8 and 16 MB here), a product when it is read back, and the
+    # precision pass of a product by the row pairs it visits
     ring = LaurentRing(F3)
     with pytest.raises(WorkBudgetExceeded, match="series window .* limit"):
         identity(F3, 2 ** 20)
@@ -511,6 +546,11 @@ def test_work_past_the_limit_is_refused():
     with patch.object(formal_series, "_WORK_LIMIT", 64):
         with pytest.raises(WorkBudgetExceeded, match="product of 79 bytes"):
             s * s
+    t, u = np.zeros(512, dtype=np.int64), np.zeros(513, dtype=np.int64)
+    assert len(formal_series._antidiagonal_min(t, t, t, t)) == 1023
+    with pytest.raises(WorkBudgetExceeded,
+                       match="precision pass of 262656 cells"):
+        formal_series._antidiagonal_min(t, t, u, u)
 
 
 def test_packed_laurent_precision_never_reads_as_exact():
@@ -760,6 +800,18 @@ def test_scalar_inverse_matches_the_scalar_quotient(data):
         want = ring.element({-v + i: c for i, c in enumerate(w)}, -v + r)
     assert inv == want
     assert not (s * inv - ring.one()).is_certified_nonzero()
+
+
+def test_scalar_inverse_of_a_large_valuation():
+    # the expansion runs on the coefficients from t^v0 up, so an exponent
+    # past the 2^32 of series products, and past the 2^60 a series stores,
+    # reaches only the inverse's valuation
+    ring = LaurentRing(F3)
+    v = 2 ** 61
+    assert ring.t(v).inverse() == ring.t(-v)
+    inv = ring.element({v: 1, v + 1: 1}).inverse()
+    assert inv == ring.element({-v + i: (-1) ** i for i in range(64)},
+                               -v + DEFAULT_TPREC)
 
 
 @st.composite
