@@ -24,12 +24,7 @@ from .coeff_rings import (
     ring_of,
     root_of_unity,
 )
-from .errors import (
-    IndeterminateValuation,
-    NonzeroConstantTerm,
-    SupportViolation,
-    TruncationTooSmall,
-)
+from .errors import NonzeroConstantTerm, TruncationTooSmall
 from .formal_series import ParabolicGerm, TruncatedSeries, identity, series
 from .literals import field_to_str, scalar_to_jsonable
 from .ramification import _resit_numerators, ramification_lower_bound
@@ -141,38 +136,13 @@ class SemiconjugacyReport:
 def semiconj_check(g: ParabolicGerm, m: int) -> SemiconjugacyReport:
     """Check that raising g^m to the q-th power equals pushing forward first.
 
-    With pi(z) = z^q and ghat(w) = w*(1 + sum a_j w^j)^q the claim is
-    pi o g^m = ghat^m o pi.  The left side is the series power of g^m, the
-    right side the stretched iterate of ghat; both are compared through the
-    window their truncations support.
+    With pi(z) = z^q and ghat(w) = w*(1 + sum a_j w^j)^q (g.pushforward())
+    the claim is pi o g^m = ghat^m o pi.  The left side is the series power
+    of g^m, the right side the stretched iterate of ghat; both are compared
+    through the window their truncations support.
     """
-    q = g.q
-    s = g.series
-    gamma = g.gamma
-    N = s.n_trunc
-    top = (N - 2) if N is not None else int(s.degree()) - 1
-    unit_coeffs = {}
-    for e in range(2, top + 2):
-        c = s.coeff(e)
-        if c.is_certified_zero():
-            continue
-        j = e - 1
-        if j % q:
-            if c.is_certified_nonzero():
-                raise SupportViolation(
-                    f"exponent {e} is not congruent to 1 mod {q}")
-            raise IndeterminateValuation(
-                f"exponent {e} is zero only to stored precision")
-        unit_coeffs[j // q] = c / gamma
-    ring = s.ring
-    cap = None if N is None else (top // q) + 1
-    uhat = series(ring, {0: ring.one(), **unit_coeffs}, cap)
-    unit_pow = uhat.power(q)
-    # Multiplying by w shifts everything up one index, so ghat is known one
-    # index further than the unit power itself.
-    stored = cap if cap is not None else len(unit_pow.coeffs)
-    ghat = series(ring, {i + 1: unit_pow.coeff(i) for i in range(stored)},
-                  None if cap is None else cap + 1)
+    q, s = g.q, g.series
+    ghat = g.pushforward()
     lhs = s.iterate(m).power(q)
     rhs = ghat.iterate(m).stretch(q)
     diff = lhs - rhs

@@ -201,6 +201,27 @@ def _pmulmod(a, b, f, p):
     return _prem(prod, f, p)
 
 
+def _pinverse(a, f, p):
+    """1/a mod an irreducible f over F_p, for a nonzero a of lower degree,
+    by the extended Euclidean algorithm one leading term at a time: each
+    remainder r carries a cofactor s with s*a = r mod f, the higher of two
+    remainders loses its leading term to the lower, and the run stops at a
+    nonzero constant r, where 1/a = s/r."""
+    r0, s0 = list(f), []
+    r, s = _ptrim([c % p for c in a]), [1]
+    while True:
+        if len(r0) < len(r):
+            r0, s0, r, s = r, s, r0, s0
+        if len(r) == 1:
+            break
+        c = r0[-1] * pow(r[-1], -1, p)
+        pad = [0] * (len(r0) - len(r))
+        r0 = _psub(r0, pad + [c * x for x in r], p)
+        s0 = _psub(s0, pad + [c * x for x in s], p)
+    inv = pow(r[0], -1, p)
+    return [x * inv % p for x in s]
+
+
 def _is_irreducible(coeffs, p):
     """Rabin's test (Rabin, SIAM J. Comput. 9, 1980) for a monic f of degree
     d: f is irreducible iff f divides x^(p^d) - x and, for every prime r
@@ -320,6 +341,16 @@ class FiniteField:
             return self._one
         return FieldElement(self, (0, 1) + (0,) * (self.d - 2))
 
+    def _inverse_coords(self, coords):
+        """The coordinates of 1/c for a nonzero c given by its coordinates:
+        c^(p - 2) mod p when d = 1, else the extended Euclidean algorithm
+        against the modulus (_pinverse)."""
+        p = self.p
+        if self.d == 1:
+            return (pow(coords[0], p - 2, p),)
+        inv = _pinverse(coords, self.modulus, p)
+        return tuple(inv) + (0,) * (self.d - len(inv))
+
     def half(self, m: int) -> "FieldElement":
         """The field value of the integer m/2: exact halving when m is even,
         multiplication by the inverse of 2 otherwise (odd characteristic only)."""
@@ -438,7 +469,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        return self ** (self.field.order - 2)
+        field = self.field
+        return FieldElement(field, field._inverse_coords(self.coords))
 
     def __truediv__(self, other):
         other = self._coerce(other)

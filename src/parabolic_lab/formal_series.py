@@ -38,13 +38,16 @@ first access and kept), `coeff` and the printers.
 Inside a finite-field composition (_compose_ff) the digits stay one big
 integer from step to step, reduced mod p in place, and become an array
 once, at the end; run through _compose_laurent, the ff-profile benchmark
-did 17 jobs/s against 43.
+did 17 jobs/s against 43.  One-byte digits over GF(p) are reduced by a
+256-byte residue table (bytes.translate), with no array in between.
 
 Division is packed in both rings: a Newton reciprocal built from the same
 products, seeded with the inverse of the divisor's lead, then one product
 by the numerator.  The lead is inverted on its packed row by the same
 Newton routine run along t (_inverse_row), which LaurentScalar.inverse
-calls too.  Exact division of polynomials over GF(p^d)((t)) is
+calls too; its seed, the inverse of the lowest coefficient, is
+FieldElement.inverse's routine (the extended Euclidean algorithm against
+the field's modulus).  Exact division of polynomials over GF(p^d)((t)) is
 divisibility in GF(p^d)[t, 1/t][z]; over GF(p^d) the lead is a constant,
 and so is its inverse.  In both rings an exact quotient is certified by
 one more product, den * quot == num.
@@ -57,6 +60,7 @@ kernel raises WorkBudgetExceeded (see _check_size).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -79,6 +83,7 @@ from .errors import (
     NotParabolic,
     ParabolicLabError,
     ScalarRingMismatch,
+    SupportViolation,
     TruncationTooSmall,
     WorkBudgetExceeded,
 )
@@ -153,10 +158,18 @@ def _to_int(M, S, X, nbytes, offset=0):
     return int.from_bytes(buf.tobytes(), "little")
 
 
+@functools.cache
+def _residues(p):
+    """The 256-byte table of b mod p, for bytes.translate."""
+    return bytes(b % p for b in range(256))
+
+
 def _digits(field, x, count, nbytes):
     """The first count slots of 2d - 1 digits of x, each nbytes wide,
-    reduced to coordinates over GF(p): an array of shape (count, d), flat
-    and of the digits' unsigned dtype when d = 1 and nbytes <= 8."""
+    reduced to coordinates over GF(p).  One-byte digits over GF(p) come
+    back as bytes, each reduced by one table lookup (bytes.translate);
+    otherwise an array of shape (count, d), flat and of the digits'
+    unsigned dtype when d = 1 and nbytes <= 8."""
     p, d = field.p, field.d
     X = 2 * d - 1
     size = count * X
@@ -164,6 +177,8 @@ def _digits(field, x, count, nbytes):
     if length > _WORK_LIMIT:
         _check_size(length, "a product")
     raw = x.to_bytes(length, "little")
+    if nbytes == 1 and d == 1:
+        return raw[:size].translate(_residues(p))
     if nbytes > 8:
         C = np.array([int.from_bytes(raw[i:i + nbytes], "little") % p
                       for i in range(0, size * nbytes, nbytes)], dtype=object)
@@ -183,6 +198,8 @@ def _from_int(field, x, rows, S, nbytes):
     """The first rows*S slots of 2d - 1 digits of x, reduced to coordinates
     over GF(p): an array of shape (rows, S, d)."""
     C = _digits(field, x, rows * S, nbytes)
+    if isinstance(C, bytes):
+        C = np.frombuffer(C, dtype=np.uint8)
     return C.astype(_coord_dtype(field.p)).reshape(rows, S, field.d)
 
 
@@ -259,6 +276,8 @@ def _reduce_int(field, x, rows, nbytes):
     d = field.d
     X = 2 * d - 1
     C = _digits(field, x, rows, nbytes)
+    if isinstance(C, bytes):
+        return int.from_bytes(C, "little")
     if nbytes > 8:
         return _to_int(C.reshape(rows, 1, d), 1, X, nbytes)
     if d > 1:
@@ -275,9 +294,10 @@ def _compose_ff(field, F, G, limit):
     width, and stays packed: the baby powers G^2 .. G^k are products by the
     packed G, and each giant step multiplies by the packed G^k, each
     product reduced digit by digit in one pass (_reduce_int).  A
-    coefficient of F is a plain integer of d digits, so F[jk+i]*G^i is a
-    small multiple of the packed G^i, and each block is added to a giant
-    step's product before it is reduced.  A digit sums at most
+    coefficient of F is a plain integer of d digits (over GF(p), the
+    coordinate itself), so F[jk+i]*G^i is a small multiple of the packed
+    G^i, and each block is added to a giant step's product before it is
+    reduced.  A digit sums at most
     rows(G^k)*d products below p^2 from a baby or giant step and at most
     k*d more from a block, so the width holds (rows(G^k) + k)*d*(p - 1)^2.
     Digits are read back into an array once, at the end (_from_int).
@@ -298,7 +318,10 @@ def _compose_ff(field, F, G, limit):
     packed = [1, g]
     for i in range(2, k + 1):
         packed.append(_reduce_int(field, packed[-1] * g, rows[i], nbytes))
-    consts = _row_ints(_to_int(F, 1, X, nbytes), n, X * nbytes)
+    if d == 1:
+        consts = F[:, 0, 0].tolist()
+    else:
+        consts = _row_ints(_to_int(F, 1, X, nbytes), n, X * nbytes)
     R, r = _bk_block(consts, packed, k, m - 1), rows[top - 1]
     for j in range(m - 2, -1, -1):
         R = _reduce_int(field, R, r, nbytes) * packed[k]
@@ -518,28 +541,19 @@ def _reciprocal_newton(field, D, R, L):
     return R
 
 
-def _unit_inverse(field, c):
-    """1/c = c^(p^d - 2) for a nonzero constant c of GF(p^d), from and to its
-    coordinates, packed (1, 1, d): by kernel products, by pow when d = 1."""
-    shape, dtype = (1, 1, field.d), _coord_dtype(field.p)
-    if field.d == 1:
-        return np.full(shape, pow(int(c[0]), field.p - 2, field.p), dtype)
-    one = np.zeros(shape, dtype=dtype)
-    one[0, 0, 0] = 1
-    return _square_and_multiply(c.reshape(shape), field.order - 2,
-                                lambda a, b: _kron_mul(field, a, b, None), one)
-
-
 def _inverse_row(field, row, base, tprec, rel=None):
     """1/c, packed as one row, for c = sum_w row[w]*t^(base + w) over
     GF(p^d)((t)), certified nonzero and known below t^tprec (None: exact).
     An exact monomial has an exact inverse; otherwise 1/c is expanded to
     relative precision tprec - v(c), or for an exact c to rel (default
     DEFAULT_TPREC), by _reciprocal_newton along t on the slots of c from
-    t^v(c) up: only the result's base -v(c) carries the exponent."""
+    t^v(c) up: only the result's base -v(c) carries the exponent.  The
+    seed, the inverse of c's lowest coefficient, is FieldElement.inverse's
+    routine."""
     live = np.flatnonzero(row.any(axis=1))
     v, C = base + int(live[0]), row[live[0]:live[-1] + 1]
-    inv = _unit_inverse(field, C[0])
+    inv = np.array(field._inverse_coords(C[0].tolist()),
+                   dtype=_coord_dtype(field.p)).reshape(1, 1, field.d)
     if tprec is None and len(C) == 1:
         return inv, -v, None
     r = tprec - v if tprec is not None else DEFAULT_TPREC if rel is None else rel
@@ -1160,6 +1174,42 @@ class ParabolicGerm:
 
     def iterate(self, m: int) -> TruncatedSeries:
         return self.series.iterate(m)
+
+    def pushforward(self) -> TruncatedSeries:
+        """The series ghat(w) = w*U(w)^q that pi(z) = z^q carries
+        g = gamma*z*U(z^q) to, pi o g = ghat o pi: exact when g is, else
+        known one index further than U^q.
+
+        It is built on packed rows: g/gamma is one kernel product by the
+        exact constant 1/gamma, and its rows 1, 1 + q, 1 + 2q, ... are U.
+        Every other row of g must be a certified zero; the first that is
+        not raises SupportViolation, or IndeterminateValuation when it is
+        zero only to stored precision.
+        """
+        q, s = self.q, self.series
+        M, base, tp = s._arr
+        live = M.any(axis=(1, 2))
+        off = live | (tp < _EXACT) if tp is not None else live.copy()
+        off[1::q] = False  # row 0 of a germ is a certified zero
+        bad = np.flatnonzero(off)
+        if len(bad):
+            e = int(bad[0])
+            if live[e]:
+                raise SupportViolation(
+                    f"exponent {e} is not congruent to 1 mod {q}")
+            raise IndeterminateValuation(
+                f"exponent {e} is zero only to stored precision")
+        ring = s.ring
+        inv = _inverse_row(_field(ring), M[1], base, None)
+        M, base, tp = (s * TruncatedSeries._from_packed(ring, inv, None))._arr
+        cap = None if s.n_trunc is None else (s.n_trunc - 2) // q + 1
+        unit = TruncatedSeries._from_packed(
+            ring, (M[1::q], base, None if tp is None else tp[1::q]), cap)
+        M, base, tp = unit.power(q)._arr
+        return TruncatedSeries._from_packed(ring, (
+            np.concatenate([np.zeros_like(M[:1]), M]), base,
+            None if tp is None else np.concatenate([[_EXACT], tp])),
+            None if cap is None else cap + 1)
 
     def conjugate(self, h: TruncatedSeries, n_trunc: int | None = None) -> "ParabolicGerm":
         """The germ h^(-1) o f o h for a coordinate change h (h(0)=0, h'(0) a unit)."""

@@ -1,10 +1,13 @@
-"""Scalar reference kernels for series products, compositions and quotients.
+"""Scalar reference kernels for series products, compositions and quotients,
+and for the pushed-forward series of a germ.
 
-The library multiplies, composes and divides series on packed arrays; these
-loops do the same on coefficient objects, one scalar operation at a time,
-and serve as the oracle the packed kernel is tested against.
+The library multiplies, composes and divides series, and builds the
+pushed-forward series, on packed arrays; these loops do the same on
+coefficient objects, one scalar operation at a time, and serve as the
+oracle the packed kernel is tested against.
 """
 
+from parabolic_lab import IndeterminateValuation, SupportViolation, series
 from parabolic_lab.coeff_rings import ring_of
 
 
@@ -59,3 +62,32 @@ def _series_quotient(num, den, length):
                 acc = acc - qc[j] * dk
         qc.append(acc * den0_inv)
     return qc
+
+
+def _pushforward(g):
+    """ghat(w) = w*U(w)^q for the germ g = gamma*z*U(z^q), read off g one
+    coefficient c/gamma at a time: ParabolicGerm.pushforward's oracle."""
+    q, s, gamma = g.q, g.series, g.gamma
+    N = s.n_trunc
+    top = (N - 2) if N is not None else int(s.degree()) - 1
+    unit_coeffs = {}
+    for e in range(2, top + 2):
+        c = s.coeff(e)
+        if c.is_certified_zero():
+            continue
+        j = e - 1
+        if j % q:
+            if c.is_certified_nonzero():
+                raise SupportViolation(
+                    f"exponent {e} is not congruent to 1 mod {q}")
+            raise IndeterminateValuation(
+                f"exponent {e} is zero only to stored precision")
+        unit_coeffs[j // q] = c / gamma
+    ring = s.ring
+    cap = None if N is None else (top // q) + 1
+    unit_pow = series(ring, {0: ring.one(), **unit_coeffs}, cap).power(q)
+    # multiplying by w shifts everything up one index, so ghat is known one
+    # index further than the unit power itself
+    stored = cap if cap is not None else len(unit_pow.coeffs)
+    return series(ring, {i + 1: unit_pow.coeff(i) for i in range(stored)},
+                  None if cap is None else cap + 1)

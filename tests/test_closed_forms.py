@@ -5,11 +5,15 @@ stated number of times, read coefficients out of the window, compare
 exactly.  The frozen tuples were produced by those oracles and pinned.
 """
 
-import pytest
+import functools
 from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from parabolic_lab import (
     FiniteField,
+    IndeterminateValuation,
     LaurentRing,
     ParabolicGerm,
     ScalarRingMismatch,
@@ -37,6 +41,7 @@ from parabolic_lab.samplers import (
     standard_field,
 )
 
+import series_oracle
 from conftest import germ
 
 
@@ -248,3 +253,80 @@ def test_semiconj_sampled():
 def test_semiconj_rejects_off_support_germs(F3):
     with pytest.raises(SupportViolation):
         semiconj_check(germ("2*z + z^2 mod z^10", F3), 2)
+
+
+# (p, d, orders q of multipliers), q from 1 to 6 over GF(p) and GF(p^d)
+PUSHFORWARD_FIELDS = [(7, 1, (1, 2, 3, 6)), (5, 1, (4,)), (11, 1, (5,)),
+                 (2, 2, (1, 3)), (3, 2, (2, 4))]
+
+
+@functools.cache
+def _pushforward_field(p, d, q):
+    field = FiniteField(p, d)
+    return field, root_of_unity(field, q)
+
+
+@st.composite
+def pushforward_germs(draw):
+    """A germ gamma*z*U(z^q) over GF(p^d) or GF(p^d)((t)), exact or mod z^N;
+    Laurent coefficients are exact or known to O(t^k), and sometimes a row
+    off the support 1 + qZ is a nonzero or a zero known to O(t^k)."""
+    p, d, qs = draw(st.sampled_from(PUSHFORWARD_FIELDS))
+    q = draw(st.sampled_from(qs))
+    field, gamma = _pushforward_field(p, d, q)
+    laurent = draw(st.booleans())
+    ring = LaurentRing(field) if laurent else field
+    unit = st.lists(st.integers(0, p - 1), min_size=d, max_size=d).map(
+        field.element)
+    if laurent:
+        v0 = st.integers(-2, 3)
+        unit = st.one_of(
+            st.tuples(unit, v0).map(lambda cv: ring.monomial(*cv)),
+            st.builds(lambda c, v, k: ring.element({v: c}, v + k), unit, v0,
+                      st.integers(1, 3)),
+            v0.map(lambda v: ring.element({}, v)))
+    N = draw(st.sampled_from([None, 2, 3, q + 2, 2 * q + 2, 13]))
+    size = N if N is not None else draw(st.integers(2, 13))
+    coeffs = {1: gamma}
+    for e in range(1 + q, size, q):
+        coeffs[e] = draw(unit)
+    if draw(st.integers(0, 3)) == 0 and size > 2:
+        e = draw(st.integers(2, size - 1))
+        if (e - 1) % q:
+            coeffs[e] = draw(unit)
+    return ParabolicGerm(series(ring, coeffs, N))
+
+
+def _outcome(pushforward, g):
+    try:
+        return pushforward(g)
+    except (SupportViolation, IndeterminateValuation) as err:
+        return type(err), str(err)
+
+
+@given(g=pushforward_germs())
+@settings(max_examples=300, deadline=None)
+def test_packed_pushforward_matches_the_coefficient_oracle(g):
+    # == also compares every row's t-precision and the window
+    assert (_outcome(ParabolicGerm.pushforward, g)
+            == _outcome(series_oracle._pushforward, g))
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("2*z + 2*z^3 + z^4 + z^6 mod z^10", SupportViolation,
+     "exponent 4 is not congruent to 1 mod 2"),
+    ("2*z + (t + O(t^3))*z^4 + O(t^2)*z^6 + z^7", SupportViolation,
+     "exponent 4 is not congruent to 1 mod 2"),
+    ("2*z + z^3 + O(t^2)*z^4 + z^6", IndeterminateValuation,
+     "exponent 4 is zero only to stored precision"),
+    ("2*z + O(t^0)*z^2 + z^4 mod z^8", IndeterminateValuation,
+     "exponent 2 is zero only to stored precision"),
+])
+def test_pushforward_names_the_first_row_off_the_support(text, error, message,
+                                                         L3):
+    # q = 2 over Laurent(GF(3)): the first row at an even exponent that is
+    # not a certified zero raises, by the kind of that row
+    g = germ(text, L3)
+    assert g.q == 2
+    with pytest.raises(error, match=f"^{message}$"):
+        semiconj_check(g, 2)

@@ -180,6 +180,25 @@ def test_division_by_zero():
         field.one() / field.zero()
 
 
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 8), (3, 5), (65537, 2)])
+def test_inverse_is_the_power_p_to_the_d_minus_2(p, d):
+    # the extended Euclidean inverse against c^(p^d - 2) by scalar products,
+    # through FieldElement.inverse and through the packed row that inverts
+    # an exact Laurent monomial (and seeds every series division)
+    field = FiniteField(p, d)
+    ring = LaurentRing(field)
+    rng = Random(p * 100 + d)
+    cs = [field.one(), -field.one(), field.gen()] + [
+        field.element([rng.randrange(p) for _ in range(d)]) for _ in range(60)]
+    for c in cs:
+        if c.is_zero():
+            continue
+        want = c ** (field.order - 2)
+        assert c.inverse() == want and c * want == field.one()
+        v = rng.randrange(-3, 4)
+        assert ring.monomial(c, v).inverse() == ring.monomial(want, -v)
+
+
 def test_zero_power_zero_is_one():
     # the closed forms rely on the empty-product convention
     field = FiniteField(3)

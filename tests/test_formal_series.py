@@ -314,6 +314,45 @@ def test_composition_reduces_every_step_to_coordinates():
             F, _gcompose(F, a.coeffs, g.coeffs, N), N)
 
 
+# ((p, d), digit bytes): one-byte digits over GF(p) are reduced by a byte
+# table, two-byte digits and those over GF(p^d) by numpy
+DIGIT_CASES = ([((p, 1), 1) for p in (2, 3, 5, 7, 11, 13)]
+               + [((5, 1), 2), ((2, 2), 1)])
+
+
+@given(case=st.sampled_from(DIGIT_CASES), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_digit_reduction_matches_a_plain_oracle(case, data):
+    # each digit int.from_bytes(...) % p, then the x^k -> power basis map;
+    # the integer may run past the count slots, as a product's tail does
+    (p, d), nbytes = case
+    F = _kernel_field(p, d)
+    X = 2 * d - 1
+    count = data.draw(st.integers(1, 40))
+    top = 256 ** nbytes - 1
+    digit = st.one_of(st.sampled_from([0, p - 1, p, top]),
+                      st.integers(0, top))
+    digits = data.draw(st.lists(digit, min_size=count * X,
+                                max_size=count * X + 8))
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in digits)
+    x = int.from_bytes(raw, "little")
+    residues = [int.from_bytes(raw[i:i + nbytes], "little") % p
+                for i in range(0, count * X * nbytes, nbytes)]
+    want = []
+    for i in range(count):
+        slot = residues[i * X:(i + 1) * X]
+        want.append([sum(c * row[j] for c, row in zip(slot, F._red_rows)) % p
+                     for j in range(d)])
+    got = formal_series._digits(F, x, count, nbytes)
+    assert isinstance(got, bytes) == (nbytes == 1 and d == 1)
+    assert np.array(list(got) if isinstance(got, bytes) else got).reshape(
+        count, d).tolist() == want
+    packed = b"".join(c.to_bytes(nbytes, "little")
+                      for row in want for c in row + [0] * (X - d))
+    assert formal_series._reduce_int(F, x, count, nbytes) == int.from_bytes(
+        packed, "little")
+
+
 # -- packed storage ---------------------------------------------------------
 
 def _normal(ring, coeffs, n):
