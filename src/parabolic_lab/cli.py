@@ -6,16 +6,12 @@ deterministic: field order is fixed, rationals are "num/den" strings, floats
 never appear, and sweeps derive every sample from the mandatory --seed.
 
 Exit codes: 0 for success (including a bound that degenerates to "no
-information"), 1 when a verification fails (a reported mismatch or a broken
-internal consistency such as a division that should have been exact), 2 for
-unusable input (bad literals, missing flags, windows too small to start,
-a germ not known to be integral where a command needs an integral one, a
-Laurent field where a command needs a finite one, a --p that is not prime
-or not the characteristic of --field, a flag the command or its closed-form
---mode does not read, --coeffs together with --seed, a --coeffs list
-that is not two values, work past the series kernel's work limit, a
---json-out path that cannot be written).  Only a
-failed verification exits 1.  Each command takes exactly the flags it reads;
+information").  1 when a verification fails: a reported mismatch, or a
+NotDivisible or NonIntegralCoefficient raised where a theorem promises
+exactness, as in a cycle quotient (NonIntegralGerm excepted).  2 for every
+other ParabolicLabError, all of which are unusable input, and for a
+--json-out path that cannot be written.  Any other exception is a bug and
+propagates with its traceback.  Each command takes exactly the flags it reads;
 argparse refuses any other with usage on stderr and no JSON document.  The
 flags a closed-form --mode does not read are refused with a JSON document.
 """
@@ -385,7 +381,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
-    except (ParabolicLabError, TypeError, ValueError) as e:
+    except ParabolicLabError as e:
         doc = _error_doc(e)
         failed = (isinstance(e, (NotDivisible, NonIntegralCoefficient))
                   and not isinstance(e, NonIntegralGerm))

@@ -24,8 +24,19 @@ from .coeff_rings import (
     ring_of,
     root_of_unity,
 )
-from .errors import NonzeroConstantTerm, TruncationTooSmall
-from .formal_series import ParabolicGerm, TruncatedSeries, identity, series
+from .errors import (
+    NonzeroConstantTerm,
+    POrderRequested,
+    ParabolicLabError,
+    TruncationTooSmall,
+)
+from .formal_series import (
+    ParabolicGerm,
+    TruncatedSeries,
+    count_text,
+    identity,
+    series,
+)
 from .literals import field_to_str, scalar_to_jsonable
 from .ramification import _resit_numerators, ramification_lower_bound
 
@@ -56,11 +67,11 @@ def chi_xi(q: int, n: int, a1, a2) -> ClosedFormPair:
     below covers every level: at n = 1, m' appears to the power zero.
     """
     if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+        raise ParabolicLabError(f"level must be >= 1, got {n}")
     rng = ring_of(a1)
     p = rng.char
     if math.gcd(p, q) != 1:
-        raise ValueError(f"q = {q} must be prime to p = {p}")
+        raise POrderRequested(f"q = {q} must be prime to p = {p}")
     m, m1 = _resit_numerators(q, a1 * a1, -a2)
     if p == 2:
         e = 2 ** (n - 1)
@@ -83,7 +94,7 @@ def iterate_q_closed(gamma, q: int, a1, a2):
     rng = ring_of(a1)
     one = rng.one()
     if not (rng(gamma) ** q - one).is_certified_zero():
-        raise ValueError("gamma^q must be 1 for a reduced germ")
+        raise ParabolicLabError("gamma^q must be 1 for a reduced germ")
     qs = rng.from_int(q)
     c0 = one
     c1 = qs * a1
@@ -111,7 +122,7 @@ def delta_tower(f: TruncatedSeries, m: int) -> TruncatedSeries:
     itself.
     """
     if m < 1:
-        raise ValueError(f"tower stage must be >= 1, got {m}")
+        raise ParabolicLabError(f"tower stage must be >= 1, got {m}")
     if not f.coeff(0).is_certified_zero():
         raise NonzeroConstantTerm("the difference tower needs f(0) = 0")
     d = f - identity(f.ring, f.n_trunc)
@@ -187,7 +198,7 @@ def verify_main_lemma(field: FiniteField, q: int, n: int, a,
     the mismatch.
     """
     if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+        raise ParabolicLabError(f"level must be >= 1, got {n}")
     p = field.char
     E = ramification_lower_bound(p, q, n)
     W = E + 2 * q + 1
@@ -195,7 +206,8 @@ def verify_main_lemma(field: FiniteField, q: int, n: int, a,
         N = W
     if N < W:
         raise TruncationTooSmall(
-            f"the comparison window needs {W} coefficients, got N = {N}")
+            f"the comparison window needs {count_text(W)} coefficients, "
+            f"got N = {N}")
     gamma = root_of_unity(field, q)
     a1, a2 = (field(c) for c in a)
     f = series(field, {1: gamma, q + 1: gamma * a1, 2 * q + 1: gamma * a2}, N)

@@ -360,9 +360,10 @@ class FiniteField:
             raise ParabolicLabError("cannot halve an odd integer in characteristic 2")
         return self.from_int((m % self.p) * pow(2, -1, self.p) % self.p)
 
-    def elements(self):
-        """All field elements in deterministic order (base-p counting)."""
-        for n in range(self.order):
+    def elements(self, start: int = 0):
+        """All field elements in deterministic order (base-p counting), from
+        the one with code start."""
+        for n in range(start, self.order):
             coords = []
             c = n
             for _ in range(self.d):
@@ -554,9 +555,9 @@ def root_of_unity(field: FiniteField, q: int) -> FieldElement:
     if e % q != 0:
         raise NoSuchRoot(f"{field!r} has no element of order {q}")
     primes = _prime_factors(e)
-    for g in field.elements():
-        if g.is_zero():
-            continue
+    # codes below p are 0 and the prime field, whose orders divide p - 1: no
+    # primitive element of a proper extension is among them
+    for g in field.elements(field.p if field.d > 1 else 1):
         if all((g ** (e // r)) != field.one() for r in primes):
             return g ** (e // q)
     raise NoSuchRoot(f"no primitive element found in {field!r}")  # pragma: no cover
@@ -787,6 +788,11 @@ class LaurentScalar:
         starts = [x.v0 for x in (self, other) if x.coeffs]
         ends = [x.v0 + len(x.coeffs) for x in (self, other) if x.coeffs]
         lo, hi = min(starts), max(ends)
+        if hi - lo > len(self.coeffs) + len(other.coeffs):
+            # the operands lie apart in t, and the input sets the gap;
+            # imported here: formal_series imports this module when it loads
+            from .formal_series import _check_size
+            _check_size((hi - lo) * self.field.d * 8, "a scalar's t-span")
         acc = [self.field.zero()] * (hi - lo)
         for x in (self, other):
             for i, c in enumerate(x.coeffs):

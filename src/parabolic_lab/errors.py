@@ -101,11 +101,8 @@ class SupportViolation(ParabolicLabError):
 
 
 class ParseError(ParabolicLabError):
-    """Malformed field or series literal; carries the offending position."""
+    """Malformed field or series literal; the message names the offending
+    position."""
 
-    def __init__(self, message, text=None, pos=None):
-        if pos is not None:
-            message = f"{message} (at position {pos})"
-        super().__init__(message)
-        self.text = text
-        self.pos = pos
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (at position {pos})")

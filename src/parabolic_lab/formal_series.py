@@ -117,13 +117,20 @@ _EXPONENT_LIMIT = 1 << 32
 _WORK_LIMIT = 1 << 18
 
 
+def count_text(n: int) -> str:
+    """n in decimal, or "at least 2^k" from 2^64 on.  A window or size that
+    large says nothing more exactly (it derives from p^n at a large level),
+    and past the interpreter's int-string limit it would not print at all."""
+    return str(n) if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
+
+
 def _check_size(size, what, unit="bytes"):
     """Refuse, with WorkBudgetExceeded, anything larger than _WORK_LIMIT.
     The per-product sites compare before they call it, since a call costs
     more than the comparison and runs on every product."""
     if size > _WORK_LIMIT:
         raise WorkBudgetExceeded(
-            f"{what} of {size} {unit} is over the work limit of "
+            f"{what} of {count_text(size)} {unit} is over the work limit of "
             f"{_WORK_LIMIT} {unit}")
 
 

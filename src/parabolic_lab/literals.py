@@ -13,7 +13,9 @@ Grammar, whitespace insensitive:
 x is the generator of an extension field, t the Laurent variable, and
 O(t^k) a zero known only to precision k.  Everything the printers in this
 module emit parses back to an equal object, truncations and precision
-markers included.
+markers included.  Every malformed literal raises ParseError: so do an
+integer of more than MAX_DIGITS digits and parentheses nested more than
+MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ from .formal_series import TruncatedSeries, series as make_series
 
 _OPS = set("+-*^(),;=")
 
+# The longest integer literal read.  What a command prints from literals
+# (a Newton slope is the difference of two exponents) then stays under 640
+# digits, the least int-string limit an interpreter can be set to; past its
+# limit an integer neither parses nor prints.
+MAX_DIGITS = 600
+
+# The deepest parenthesised scalar read; each level costs the parser a few
+# stack frames, and a deeper literal would exhaust the interpreter's stack.
+MAX_NESTING = 50
+
 
 def _tokenize(text: str):
     toks = []
@@ -40,6 +52,9 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal of {j - i} digits is "
+                                 f"longer than {MAX_DIGITS}", i)
             toks.append(("int", int(text[i:j]), i))
             i = j
         elif ch.isalpha():
@@ -52,16 +67,16 @@ def _tokenize(text: str):
             toks.append(("op", ch, i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", text, i)
+            raise ParseError(f"unexpected character {ch!r}", i)
     toks.append(("end", "", n))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.k = 0
+        self.depth = 0  # parentheses open around the current scalar atom
 
     # -- token plumbing ----------------------------------------------------
 
@@ -84,23 +99,23 @@ class _Parser:
     def _expect_op(self, ch: str):
         kind, val, pos = self._take()
         if kind != "op" or val != ch:
-            raise ParseError(f"expected {ch!r}", self.text, pos)
+            raise ParseError(f"expected {ch!r}", pos)
 
     def _expect_int(self) -> int:
         kind, val, pos = self._take()
         if kind != "int":
-            raise ParseError("expected an integer", self.text, pos)
+            raise ParseError("expected an integer", pos)
         return val
 
     def _expect_name(self, name: str):
         kind, val, pos = self._take()
         if kind != "name" or val != name:
-            raise ParseError(f"expected {name!r}", self.text, pos)
+            raise ParseError(f"expected {name!r}", pos)
 
     def _expect_end(self):
         kind, _, pos = self._peek()
         if kind != "end":
-            raise ParseError("trailing input", self.text, pos)
+            raise ParseError("trailing input", pos)
 
     def _signed_int(self) -> int:
         if self._at_op("-"):
@@ -115,10 +130,11 @@ class _Parser:
         if kind == "name" and val == "Laurent":
             self._take()
             self._expect_op("(")
-            inner = self.field()
-            if not isinstance(inner, FiniteField):
+            # refused before descending, so nesting costs no recursion
+            if self._at_name("Laurent"):
                 raise ParseError("Laurent coefficients must form a finite field",
-                                 self.text, pos)
+                                 pos)
+            inner = self.field()
             self._expect_op(")")
             return LaurentRing(inner)
         if kind == "name" and val == "GF":
@@ -140,7 +156,7 @@ class _Parser:
                     modulus = tuple(modulus)
             self._expect_op(")")
             return FiniteField(p, d, modulus)
-        raise ParseError("expected GF(...) or Laurent(GF(...))", self.text, pos)
+        raise ParseError("expected GF(...) or Laurent(GF(...))", pos)
 
     # -- scalars and series ------------------------------------------------
 
@@ -149,13 +165,18 @@ class _Parser:
         if kind == "int":
             return ring.from_int(val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos)
+            self.depth += 1
             s = self._scalar_sum(ring)
             self._expect_op(")")
+            self.depth -= 1
             return s
         if kind == "name" and val == "x":
             fld = ring.field if isinstance(ring, LaurentRing) else ring
             if fld.d == 1:
-                raise ParseError("x needs an extension field", self.text, pos)
+                raise ParseError("x needs an extension field", pos)
             e = 1
             if self._at_op("^"):
                 self._take()
@@ -164,7 +185,7 @@ class _Parser:
             return ring.embed(g) if isinstance(ring, LaurentRing) else g
         if kind == "name" and val == "t":
             if not isinstance(ring, LaurentRing):
-                raise ParseError("t needs Laurent coefficients", self.text, pos)
+                raise ParseError("t needs Laurent coefficients", pos)
             e = 1
             if self._at_op("^"):
                 self._take()
@@ -172,15 +193,14 @@ class _Parser:
             return ring.t(e)
         if kind == "name" and val == "O":
             if not isinstance(ring, LaurentRing):
-                raise ParseError("O(t^k) needs Laurent coefficients",
-                                 self.text, pos)
+                raise ParseError("O(t^k) needs Laurent coefficients", pos)
             self._expect_op("(")
             self._expect_name("t")
             self._expect_op("^")
             e = self._signed_int()
             self._expect_op(")")
             return ring.element({}, tprec=e)
-        raise ParseError("expected a coefficient", self.text, pos)
+        raise ParseError("expected a coefficient", pos)
 
     def _term(self, ring, allow_z: bool):
         """One product of factors; returns (coefficient, z exponent), the
@@ -192,10 +212,9 @@ class _Parser:
             kind, val, pos = self._peek()
             if kind == "name" and val == "z":
                 if not allow_z:
-                    raise ParseError("z cannot appear inside a coefficient",
-                                     self.text, pos)
+                    raise ParseError("z cannot appear inside a coefficient", pos)
                 if seen_z:
-                    raise ParseError("two z factors in one term", self.text, pos)
+                    raise ParseError("two z factors in one term", pos)
                 self._take()
                 zexp = 1
                 if self._at_op("^"):

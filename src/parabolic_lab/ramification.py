@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from .errors import (
     IndeterminateValuation,
     NotMinimallyRamifiedAtLevelZero,
+    ParabolicLabError,
     TruncationTooSmall,
 )
 from .coeff_rings import DEFAULT_TPREC, LaurentRing, half_scalar, ring_of
-from .formal_series import ParabolicGerm, identity
+from .formal_series import ParabolicGerm, count_text, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
 
 
@@ -101,7 +102,7 @@ def ramification_profile(f: ParabolicGerm, n_max: int = 2,
     beyond truncation.
     """
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ParabolicLabError(f"n_max must be >= 0, got {n_max}")
     q, p = f.q, f.char
     s = f.series
     if N is None:
@@ -244,7 +245,7 @@ def is_minimally_ramified(f: ParabolicGerm, mode: str = "criterion",
         return _criterion_verdict(f)
     if mode == "definitional":
         return _definitional_verdict(f, n_max, N)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ParabolicLabError(f"unknown mode {mode!r}")
 
 
 def _criterion_verdict(f: ParabolicGerm) -> Verdict:
@@ -271,7 +272,8 @@ def _definitional_verdict(f: ParabolicGerm, n_max: int,
         N = f.n_trunc if f.n_trunc is not None else needed
     if N < needed:
         raise TruncationTooSmall(
-            f"definitional check up to n_max={n_max} needs a window of {needed}")
+            f"definitional check up to n_max={n_max} needs a window of "
+            f"{count_text(needed)}")
     prof = ramification_profile(f, n_max, N)
     for e in prof.entries:
         least = ramification_lower_bound(p, q, e.n)

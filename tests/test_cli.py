@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from parabolic_lab import TruncatedSeries, cli, series
+from parabolic_lab import TruncatedSeries, cli, identity, series
 from parabolic_lab.cli import build_parser, main
 from parabolic_lab.coeff_rings import MAX_FIELD_DEGREE
+from parabolic_lab.literals import MAX_DIGITS, MAX_NESTING
 
 
 def run(argv, capsys):
@@ -115,18 +116,35 @@ def test_verify_sweeps_small(capsys):
     assert code == 0 and doc["ok"]
 
 
-def test_sweep_failure_reports_witnesses(capsys, monkeypatch):
+@pytest.mark.parametrize("check,oracle,fake,keys,per_case", [
+    (["main-lemma", "--q", "1", "--n", "1"], "verify_main_lemma",
+     lambda field, q, n, a, N: SimpleNamespace(ok=False, mismatch=5),
+     ["case", "coeffs", "mismatch"], 1),
+    (["semiconj", "--q", "2"], "semiconj_check",
+     lambda g, m: SimpleNamespace(ok=False, mismatch=5),
+     ["case", "m", "series", "mismatch"], 2),   # m = q and m = q*p
+    # off by z^5 from f^p - z, the tower's oracle
+    (["delta-tower"], "delta_tower",
+     lambda f, m: (f.iterate(m) - identity(f.ring, f.n_trunc)
+                   + series(f.ring, {5: 1}, f.n_trunc)),
+     ["case", "series", "mismatch"], 1),
+    (["quasi-invariance", "--q", "2"], "check_quasi_invariance",
+     lambda f, h, n_max: SimpleNamespace(
+         ok=False, to_jsonable=lambda: {"rows": [{"n": 0, "matched": False}]}),
+     ["case", "series", "change", "rows"], 1),
+], ids=["main-lemma", "semiconj", "delta-tower", "quasi-invariance"])
+def test_sweep_failure_reports_witnesses(check, oracle, fake, keys, per_case,
+                                         capsys, monkeypatch):
     from parabolic_lab import sweeps
-    monkeypatch.setattr(sweeps, "semiconj_check",
-                        lambda g, m: SimpleNamespace(ok=False, mismatch=5))
-    code, doc = run_json(["verify", "semiconj", "--p", "3", "--q", "2",
-                          "--seed", "7"], capsys)
+    monkeypatch.setattr(sweeps, oracle, fake)
+    code, doc = run_json(["verify", *check, "--p", "3", "--seed", "7"], capsys)
     assert code == 1
     assert doc["ok"] is False
-    assert len(doc["failures"]) == 2 * doc["cases"]   # m = q and m = q*p
-    assert [w["case"] for w in doc["failures"][:4]] == [0, 0, 1, 1]
-    assert list(doc["failures"][0]) == ["case", "m", "series", "mismatch"]
-    assert doc["failures"][0]["mismatch"] == 5
+    assert [w["case"] for w in doc["failures"]] == [
+        i for i in range(doc["cases"]) for _ in range(per_case)]
+    assert list(doc["failures"][0]) == keys
+    if "mismatch" in keys:
+        assert doc["failures"][0]["mismatch"] == 5
 
 
 def test_run_sweeps_script_smoke():
@@ -141,6 +159,36 @@ def test_run_sweeps_script_smoke():
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
     assert all(line.split()[-2] == "ok" for line in lines)
+
+
+def test_cli_fuzz_tells_a_refusal_from_a_bug(monkeypatch):
+    # the CI fuzz fails on an escape and only lists an overrun
+    import importlib.util
+    import signal
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "cli_fuzz", root / "scripts" / "cli_fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    germ = ["ramify", "--field", "GF(3)", "--series", "z + z^2"]
+    assert fuzz.run_case(germ) == (0, None)
+    assert fuzz.run_case(germ[:-1] + ["z + ("]) == (2, "ParseError")
+    assert fuzz.run_case(germ + ["--q", "1"]) == (2, "usage")
+
+    def runaway(f, n_max, N):
+        time.sleep(5)
+
+    old = signal.signal(signal.SIGALRM, fuzz._alarm)
+    try:
+        monkeypatch.setattr(fuzz, "BUDGET_S", 0.05)
+        monkeypatch.setattr(cli, "ramification_profile", runaway)
+        assert fuzz.run_case(germ) == (None, "overrun")
+        monkeypatch.setattr(cli, "ramification_profile",
+                            lambda f, n_max, N: [][0])
+        assert fuzz.run_case(germ) == (None, "escape: IndexError")
+    finally:
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_desk_experiment_exit_status(capsys, monkeypatch):
@@ -314,6 +362,162 @@ def test_exit_two_on_bad_input(capsys):
                    "kind": "ParabolicLabError"}
 
 
+# 5000 digits: past the parser's limit and the interpreter's int-string limit
+_BIG = "1" + "0" * 4999
+
+
+def _refused(kind, error):
+    return {"kind": kind, "error": error}
+
+
+def _too_long(pos):
+    return _refused("ParseError", "integer literal of 5000 digits is longer "
+                                  f"than {MAX_DIGITS} (at position {pos})")
+
+
+def _too_deep(pos):
+    return _refused("ParseError", f"parentheses nested more than "
+                                  f"{MAX_NESTING} deep (at position {pos})")
+
+
+# (id, argv, exit code, a part of the document): a refusal's kind and
+# message, or for exit 0 the keys the row is there for
+_PATHS = [
+    # literals
+    ("unexpected-character", ["ramify", "--field", "GF(3)", "--series",
+                              "z + z^2 ?"],
+     2, _refused("ParseError", "unexpected character '?' (at position 8)")),
+    ("expected-op", ["ramify", "--field", "GF 3", "--series", "z + z^2"],
+     2, _refused("ParseError", "expected '(' (at position 3)")),
+    ("laurent-of-laurent", ["ramify", "--field", "Laurent(Laurent(GF(3)))",
+                            "--series", "z + z^2"],
+     2, _refused("ParseError", "Laurent coefficients must form a finite "
+                               "field (at position 0)")),
+    ("x-over-a-prime-field", ["ramify", "--field", "GF(3)", "--series",
+                              "z + x*z^2"],
+     2, _refused("ParseError", "x needs an extension field (at position 4)")),
+    ("o-over-a-finite-field", ["ramify", "--field", "GF(3)", "--series",
+                               "z + O(t^2)*z^2"],
+     2, _refused("ParseError",
+                 "O(t^k) needs Laurent coefficients (at position 4)")),
+    ("z-inside-a-coefficient", ["ramify", "--field", "GF(3)", "--series",
+                                "z + (z)*z^2"],
+     2, _refused("ParseError",
+                 "z cannot appear inside a coefficient (at position 5)")),
+    ("two-z-factors", ["ramify", "--field", "GF(3)", "--series", "z + z*z"],
+     2, _refused("ParseError", "two z factors in one term (at position 6)")),
+    ("x-power", ["ramify", "--field", "GF(3,2)", "--series", "z + x^2*z^2",
+                 "--nmax", "1"],
+     0, {"i": [1, 4], "delta": ["2", "1"]}),
+    ("leading-minus", ["ramify", "--field", "GF(3)", "--series", "-z + z^3",
+                       "--nmax", "1"],
+     0, {"q": 2, "i": [2, "beyond-truncation"]}),
+    ("infinite-jump", ["ramify", "--field", "GF(3)", "--series", "2*z",
+                       "--nmax", "1"],
+     0, {"i": ["infinite", "infinite"]}),
+    # integer literals too long to read
+    ("long-coefficient", ["ramify", "--field", "GF(3)", "--series",
+                          f"z + {_BIG}*z^2"], 2, _too_long(4)),
+    ("long-characteristic", ["ramify", "--field", f"GF({_BIG})", "--series",
+                             "z + z^2"], 2, _too_long(3)),
+    ("long-exponent", ["ramify", "--field", "GF(3)", "--series",
+                       f"z + z^{_BIG}"], 2, _too_long(6)),
+    ("long-t-exponent", ["newton", "--field", "Laurent(GF(3))", "--poly",
+                         f"t^{_BIG}*z^2 + z^3"], 2, _too_long(2)),
+    ("long-coeffs", ["closed-form", "--mode", "chi-xi", "--p", "3", "--q",
+                     "1", "--n", "1", "--coeffs", f"{_BIG},0"],
+     2, _too_long(0)),
+    # a level whose default window no number under the int-string limit
+    # counts: the work limit names its size by a power of two
+    ("level-past-any-window", ["ramify", "--field", "GF(3)", "--series",
+                               "z + z^2", "--nmax", "100000"],
+     2, _refused("WorkBudgetExceeded", "a series window of at least "
+                 "2^158499 bytes is over the work limit of 262144 bytes")),
+    # nesting past the interpreter's stack
+    ("nested-laurent", ["ramify", "--field",
+                        "Laurent(" * 1000 + "GF(3)" + ")" * 1000,
+                        "--series", "z + z^2"],
+     2, _refused("ParseError", "Laurent coefficients must form a finite "
+                               "field (at position 0)")),
+    ("nested-series-scalar", ["ramify", "--field", "GF(3)", "--series",
+                              "z + " + "(" * 400 + "1" + ")" * 400 + "*z^2"],
+     2, _too_deep(4 + MAX_NESTING)),
+    ("nested-poly-scalar", ["newton", "--field", "Laurent(GF(3))", "--poly",
+                            "(" * 300 + "t" + ")" * 300 + "*z + z^2"],
+     2, _too_deep(MAX_NESTING)),
+    # a scalar stored densely across a gap of 2^32 in t
+    ("far-apart-scalar", ["ramify", "--field", "Laurent(GF(3))", "--series",
+                          "z + (t^2 + t^4294967290)*z^2"],
+     2, _refused("WorkBudgetExceeded", "a scalar's t-span of 34359738312 "
+                 "bytes is over the work limit of 262144 bytes")),
+    # bounds and cycle valuations
+    ("identity-iterate", ["bounds", "--field", "Laurent(GF(3))", "--series",
+                          "z", "--n", "0"],
+     2, _refused("ResitUndefined",
+                 "f^q is the identity; there is no level-zero jump")),
+    ("i0-not-q-at-level-zero", ["bounds", "--field", "Laurent(GF(3))",
+                                "--series", "z + z^3", "--n", "0"],
+     2, _refused("ResitUndefined",
+                 "i_0(f^q) = 2; the bounds need i_0 = q = 1")),
+    ("i0-past-q", ["bounds", "--field", "Laurent(GF(3))", "--series",
+                   "z + z^3", "--n", "1"],
+     2, _refused("ResitUndefined", "i_0(f^q) exceeds q = 1")),
+    ("linear-cycle-germ", ["cycle-valuations", "--field", "Laurent(GF(3))",
+                           "--series", "2*z", "--n", "0"],
+     2, _refused("ParabolicLabError",
+                 "a linear germ has no nonlinear periodic structure")),
+    # windows and levels
+    ("negative-nmax", ["ramify", "--field", "GF(3)", "--series", "z + z^2",
+                       "--nmax", "-1"],
+     2, _refused("ParabolicLabError", "n_max must be >= 0, got -1")),
+    ("level-zero-vanishes", ["ramify", "--field", "GF(3)", "--series",
+                             "z + z^5 mod z^4"],
+     2, _refused("TruncationTooSmall",
+                 "f^q - z vanishes through the window z^4; raise N")),
+    ("definitional-window", ["minimal", "--field", "GF(3)", "--series",
+                             "z + z^2", "--N", "5"],
+     2, _refused("TruncationTooSmall",
+                 "definitional check up to n_max=2 needs a window of 15")),
+    ("normal-form-window", ["normalize", "--field", "GF(3)", "--series",
+                            "2*z + z^2", "--N", "3"],
+     2, _refused("TruncationTooSmall",
+                 "reduced form needs a window of at least 6, got 3")),
+    # missing flags
+    ("needs-p-or-field", ["closed-form", "--mode", "ell", "--n", "2",
+                          "--coeffs", "1,0"],
+     2, _refused("ParabolicLabError", "this command needs --p or --field")),
+    ("needs-p", ["verify", "semiconj", "--q", "2", "--seed", "1"],
+     2, _refused("ParabolicLabError", "this command needs --p")),
+    ("needs-coeffs-or-seed", ["verify", "main-lemma", "--p", "3", "--q", "1",
+                              "--n", "1"],
+     2, _refused("ParabolicLabError",
+                 "verify main-lemma needs --coeffs or --seed")),
+    ("delta-tower-needs-seed", ["verify", "delta-tower", "--p", "3"],
+     2, _refused("ParabolicLabError", "verify delta-tower needs --seed")),
+    ("quasi-invariance-needs-seed", ["verify", "quasi-invariance", "--p", "3",
+                                     "--q", "1"],
+     2, _refused("ParabolicLabError",
+                 "verify quasi-invariance needs --seed")),
+]
+
+
+@pytest.mark.parametrize("argv,code,part", [row[1:] for row in _PATHS],
+                         ids=[row[0] for row in _PATHS])
+def test_input_paths(argv, code, part, capsys):
+    got, doc = run_json(argv, capsys)
+    assert got == code
+    assert {key: doc.get(key) for key in part} == part
+
+
+def test_iterate_q_over_a_large_extension_is_quick(capsys):
+    # GF(65537^2): the root of unity's scan no longer tests the prime field
+    start = time.perf_counter()
+    code, doc = run_json(["closed-form", "--mode", "iterate-q", "--p",
+                          "65537", "--q", "3", "--coeffs", "2,1"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and doc["gamma"] == "32768 + 32769*x"
+
+
 @pytest.mark.parametrize("argv", [
     # exact iterates of degree 6^5 = 7776 and 3^9
     ["cycle-valuations", "--n", "1", "--field", "Laurent(GF(5))", "--series",
@@ -377,7 +581,7 @@ def test_main_lemma_refuses_a_level_below_one(n, capsys):
                           "--n", n, "--seed", "1"], capsys)
     assert code == 2
     assert doc == {"error": f"level must be >= 1, got {n}",
-                   "kind": "ValueError"}
+                   "kind": "ParabolicLabError"}
 
 
 def test_closed_forms_still_work_over_a_laurent_field(capsys):

@@ -15,7 +15,9 @@ from parabolic_lab import (
     FiniteField,
     IndeterminateValuation,
     LaurentRing,
+    POrderRequested,
     ParabolicGerm,
+    ParabolicLabError,
     ScalarRingMismatch,
     SupportViolation,
     TruncationTooSmall,
@@ -64,9 +66,9 @@ def test_chi_xi_frozen_values(p, q, n, a1, a2, chi, xi):
 def test_chi_xi_validates_arguments():
     field = smallest_field_with_root(3, 1)
     one = field.one()
-    with pytest.raises(ValueError):
+    with pytest.raises(ParabolicLabError, match="level must be >= 1"):
         chi_xi(1, 0, one, one)
-    with pytest.raises(ValueError):
+    with pytest.raises(POrderRequested, match="must be prime to p"):
         chi_xi(3, 1, one, one)
 
 
@@ -161,7 +163,7 @@ def test_iterate_q_frozen_values(F3):
 
 
 def test_iterate_q_rejects_wrong_order(F3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ParabolicLabError, match="gamma\\^q must be 1"):
         iterate_q_closed(F3.from_int(2), 1, F3.one(), F3.one())
 
 

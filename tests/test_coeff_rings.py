@@ -19,6 +19,7 @@ from parabolic_lab import (
     POrderRequested,
     ReducibleModulus,
     ScalarRingMismatch,
+    WorkBudgetExceeded,
     half_scalar,
     ring_of,
     root_of_unity,
@@ -222,6 +223,37 @@ def test_smallest_field_with_root(p, q, expected_degree):
             assert g ** d != field.one()
 
 
+def _multiplicative_order(g):
+    one, x, k = g.field.one(), g, 1
+    while x != one:
+        x, k = x * g, k + 1
+    return k
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 6), (3, 4), (13, 2),
+                                 (5, 1), (7, 1)])
+def test_root_of_unity_is_that_of_the_full_scan(p, d):
+    # the scan skips the prime field of a proper extension, where no element
+    # is primitive; it must pick what a scan of every code from 0 picks
+    field = FiniteField(p, d)
+    e = field.order - 1
+    primitive = next(g for g in field.elements() if not g.is_zero()
+                     and _multiplicative_order(g) == e)
+    for q in range(1, e + 1):
+        if e % q == 0:
+            assert root_of_unity(field, q) == primitive ** (e // q)
+
+
+def test_root_of_unity_over_a_large_extension_is_quick():
+    # the prime field of GF(65537^6) holds 65537 elements none of which is
+    # primitive: scanning them first took half a minute
+    start = time.perf_counter()
+    g = root_of_unity(FiniteField(65537, 6), 13)
+    assert time.perf_counter() - start < 2
+    assert str(g) == ("32866 + 6045*x + 61733*x^2 + 50414*x^3 + 7200*x^4 "
+                      "+ 44700*x^5")
+
+
 def test_root_of_unity_exact_order_required():
     with pytest.raises(NoSuchRoot):
         root_of_unity(FiniteField(5), 3)  # 3 does not divide 4
@@ -294,6 +326,15 @@ def test_laurent_division_inverts_multiplication(R3, data):
     if not d.is_certified_zero():
         with pytest.raises(IndeterminateValuation):
             d.valuation()
+
+
+def test_a_sum_far_apart_in_t_is_refused(R3):
+    # the sum is stored densely from t^2 up: a gap of 2^32 would be a list
+    # of 34 GB, which the work limit refuses before it is allocated
+    near = R3.t(2) + R3.t(30000)
+    assert near.valuation() == 2 and len(near.coeffs) == 29999
+    with pytest.raises(WorkBudgetExceeded, match="t-span of 34359738312 bytes"):
+        R3.t(2) + R3.t(2 ** 32 - 6)
 
 
 def test_truncated_zero_has_indeterminate_valuation(R3):

@@ -17,6 +17,7 @@ from parabolic_lab import (
     parse_series,
     series_to_str,
 )
+from parabolic_lab.literals import MAX_DIGITS, MAX_NESTING
 
 
 def test_field_round_trip():
@@ -57,6 +58,25 @@ def test_series_parse_error_positions(text, pos):
     with pytest.raises(ParseError) as exc:
         parse_series(text, F3)
     assert f"position {pos}" in str(exc.value)
+
+
+def test_nesting_is_read_to_the_limit_and_refused_past_it():
+    F3 = parse_field("GF(3)")
+    k = MAX_NESTING
+    assert parse_scalar("(" * k + "2" + ")" * k, F3) == F3.from_int(2)
+    with pytest.raises(ParseError, match=f"position {k}\\)"):
+        parse_scalar("(" * (k + 1) + "2" + ")" * (k + 1), F3)
+    # the depth is that of the open parentheses, not a count of them all
+    assert parse_scalar(" + ".join(["(" * k + "1" + ")" * k] * 4), F3) == (
+        F3.from_int(1))
+
+
+def test_integers_are_read_to_the_digit_limit_and_refused_past_it():
+    F3 = parse_field("GF(3)")
+    assert parse_scalar("1" + "0" * (MAX_DIGITS - 1), F3) == F3.from_int(1)
+    with pytest.raises(ParseError, match=f"{MAX_DIGITS + 1} digits is longer "
+                                         f"than {MAX_DIGITS} .at position 4"):
+        parse_series("z + " + "1" * (MAX_DIGITS + 1) + "*z^2", F3)
 
 
 def test_t_requires_laurent_coefficients():

@@ -403,6 +403,21 @@ def test_quasi_invariance_frozen_example(F3):
     assert [r["matched"] for r in rep.rows] == [True, True]
 
 
+def test_quasi_invariance_reports_a_conjugate_whose_jumps_differ(
+        F3, monkeypatch):
+    # a true conjugate keeps every jump; a stand-in whose jumps differ from
+    # those of f fails on every level, with no scaled coefficient to compare
+    f = germ("z + z^2 + 2*z^3 mod z^30", F3)
+    other = germ("z + z^3 mod z^30", F3)
+    monkeypatch.setattr(ParabolicGerm, "conjugate",
+                        lambda self, h, n_trunc=None: other)
+    rep = check_quasi_invariance(f, parse_series("2*z + z^2 mod z^30", F3), 1)
+    assert not rep.ok
+    assert rep.rows == [
+        {"n": 0, "i": 1, "i_conjugate": 2, "matched": False},
+        {"n": 1, "i": 4, "i_conjugate": 26, "matched": False}]
+
+
 def test_quasi_invariance_random_conjugations(F3):
     from parabolic_lab.samplers import random_coordinate_change
     rng = Random(77)
