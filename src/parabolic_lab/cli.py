@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from random import Random
@@ -192,65 +191,31 @@ def _cmd_closed_form(args):
             "c3": scalar_to_jsonable(c3)}, OK
 
 
-def _default(fn, name):
-    return inspect.signature(fn).parameters[name].default
-
-
-def _sweep_doc(kind, args, sweep, failures, extra):
-    """The JSON document of a seeded sweep run at its default case count."""
-    cases = _default(sweep, "cases")
-    doc = {"sweep": kind, **extra, "cases": cases, "seed": args.seed,
-           "failures": failures, "ok": not failures}
-    return doc, (OK if not failures else VERIFICATION_FAILED)
-
-
-def _cmd_verify_main_lemma(args):
-    _require(q=args.q, n=args.n)
-    if args.coeffs is None and args.seed is None:
-        raise ParabolicLabError("verify main-lemma needs --coeffs or --seed")
-    if args.coeffs is not None and args.seed is not None:
+def _cmd_verify(args):
+    """The seeded sweep sweeps.SWEEPS names, or main-lemma's single check."""
+    sweep = sweeps.SWEEPS[args.check]
+    levels = {name: getattr(args, name) for name in ("q", "n")
+              if name in sweep.flags}
+    coeffs = vars(args).get("coeffs")
+    if "coeffs" not in sweep.flags and args.seed is None:
+        raise ParabolicLabError(f"verify {args.check} needs --seed")
+    _require(**levels)
+    if "coeffs" in sweep.flags and (coeffs is None) == (args.seed is None):
         raise ParabolicLabError(
-            "verify main-lemma takes --coeffs or --seed, not both")
-    field = _field_for(args, args.q)
-    if args.coeffs is not None:
-        a = _coeff_list(args.coeffs, field)
+            f"verify {args.check} needs --coeffs or --seed"
+            if coeffs is None else
+            f"verify {args.check} takes --coeffs or --seed, not both")
+    field = _field_for(args, levels.get("q", 1))
+    if coeffs is not None:
+        a = _coeff_list(coeffs, field)
         rep = verify_main_lemma(field, args.q, args.n, a, N=args.N)
         return rep.to_jsonable(), (OK if rep.ok else VERIFICATION_FAILED)
-    failures = sweeps.main_lemma(Random(args.seed), field, args.q, args.n,
-                                 N=args.N)
-    return _sweep_doc("main-lemma", args, sweeps.main_lemma, failures,
-                      {"p": field.char, "q": args.q, "n": args.n})
-
-
-def _cmd_verify_semiconj(args):
-    if args.seed is None:
-        raise ParabolicLabError("verify semiconj needs --seed")
-    _require(q=args.q)
-    failures = sweeps.semiconj(Random(args.seed), _field_for(args, args.q),
-                               args.q, N=args.N)
-    return _sweep_doc("semiconj", args, sweeps.semiconj, failures,
-                      {"p": args.p, "q": args.q})
-
-
-def _cmd_verify_delta_tower(args):
-    if args.seed is None:
-        raise ParabolicLabError("verify delta-tower needs --seed")
-    N = _default(sweeps.difference_tower, "N") if args.N is None else args.N
-    failures = sweeps.difference_tower(Random(args.seed), _field_for(args, 1),
-                                       N=N)
-    return _sweep_doc("delta-tower", args, sweeps.difference_tower, failures,
-                      {"p": args.p, "N": N})
-
-
-def _cmd_verify_quasi(args):
-    if args.seed is None:
-        raise ParabolicLabError("verify quasi-invariance needs --seed")
-    _require(q=args.q)
-    failures = sweeps.quasi_invariance(Random(args.seed),
-                                       _field_for(args, args.q), args.q,
-                                       n_max=args.nmax, N=args.N)
-    return _sweep_doc("quasi-invariance", args, sweeps.quasi_invariance,
-                      failures, {"p": args.p, "q": args.q, "n_max": args.nmax})
+    kw = sweep.keywords(vars(args))
+    failures = sweep.run(Random(args.seed), field, cases=sweep.cases, **kw)
+    doc = {"sweep": args.check, "p": field.char,
+           **{key: kw[key] for key in sweep.shown}, "cases": sweep.cases,
+           "seed": args.seed, "failures": failures, "ok": not failures}
+    return doc, (OK if not failures else VERIFICATION_FAILED)
 
 
 def _cmd_bounds(args):
@@ -337,21 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="oracle sweeps and single checks")
     vsub = vp.add_subparsers(dest="check", required=True)
 
-    sp = vsub.add_parser("main-lemma")
-    _add_common(sp, "field", "coeffs", "p", "q", "n", "N", "seed")
-    sp.set_defaults(fn=_cmd_verify_main_lemma)
-
-    sp = vsub.add_parser("semiconj")
-    _add_common(sp, "p", "q", "N", "seed")
-    sp.set_defaults(fn=_cmd_verify_semiconj)
-
-    sp = vsub.add_parser("delta-tower")
-    _add_common(sp, "p", "N", "seed")
-    sp.set_defaults(fn=_cmd_verify_delta_tower)
-
-    sp = vsub.add_parser("quasi-invariance")
-    _add_common(sp, "p", "q", "nmax", "N", "seed")
-    sp.set_defaults(fn=_cmd_verify_quasi, nmax=1)
+    for name, sweep in sweeps.SWEEPS.items():
+        sp = vsub.add_parser(name)
+        _add_common(sp, "p", "seed", *sweep.flags)
+        # a flag parses to None unless given; --nmax, which has a parser
+        # default, parses to the sweep's default instead
+        sp.set_defaults(fn=_cmd_verify, **{
+            flag: value for flag, value in sweep.flags.items()
+            if "default" in _FLAGS[flag]})
 
     sp = sub.add_parser("bounds", help="periodic point valuation bound")
     _add_common(sp, "field", "series", "n")

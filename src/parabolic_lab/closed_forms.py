@@ -192,28 +192,27 @@ def verify_main_lemma(field: FiniteField, q: int, n: int, a,
     """Iterate gamma*z*(1 + a1 z^q + a2 z^2q) the long way and compare.
 
     p is the characteristic of field, which must hold an order q multiplier.
-    The window is E + 2q + 1 with E the least jump at level n; inside it the
-    iterate must be z + chi z^(E+1) + xi z^(E+q+1) and nothing else.  The
+    The window is W = E + 2q + 1 with E the least jump at level n; inside it
+    the iterate must be z + chi z^(E+1) + xi z^(E+q+1) and nothing else.  The
     first disagreeing exponent, the order of the difference, is reported as
-    the mismatch.
+    the mismatch.  The germ is iterated mod z^W, the only coefficients
+    compared; a given N is checked to hold the window.
     """
     if n < 1:
         raise ParabolicLabError(f"level must be >= 1, got {n}")
     p = field.char
     E = ramification_lower_bound(p, q, n)
     W = E + 2 * q + 1
-    if N is None:
-        N = W
-    if N < W:
+    if N is not None and N < W:
         raise TruncationTooSmall(
             f"the comparison window needs {count_text(W)} coefficients, "
             f"got N = {N}")
     gamma = root_of_unity(field, q)
     a1, a2 = (field(c) for c in a)
-    f = series(field, {1: gamma, q + 1: gamma * a1, 2 * q + 1: gamma * a2}, N)
+    f = series(field, {1: gamma, q + 1: gamma * a1, 2 * q + 1: gamma * a2}, W)
     pair = chi_xi(q, n, a1, a2)
     want = series(field, {1: 1, E + 1: pair.chi, E + q + 1: pair.xi}, W)
-    mismatch = (f.iterate(q * p ** n).truncate(W) - want).order()
+    mismatch = (f.iterate(q * p ** n) - want).order()
     return MainLemmaReport(
         p=p, q=q, n=n, field_text=field_to_str(field), window=W,
         chi=pair.chi, xi=pair.xi, ok=mismatch is None, mismatch=mismatch)

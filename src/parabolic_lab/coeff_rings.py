@@ -463,9 +463,13 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        # a nonzero x has x^(p^d - 1) = 1, so only n mod p^d - 1 matters
         if n < 0:
             return self.inverse() ** (-n)
-        return _square_and_multiply(self, n, operator.mul, self.field.one())
+        if self.is_zero():
+            return self if n else self.field.one()
+        return _square_and_multiply(self, n % (self.field.order - 1),
+                                    operator.mul, self.field.one())
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():

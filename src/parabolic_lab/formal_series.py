@@ -1094,6 +1094,12 @@ def series(ring, entries, n_trunc) -> TruncatedSeries:
     return TruncatedSeries._from_packed(ring, (A, base, tp), n_trunc)
 
 
+def check_window(field, n_trunc):
+    """Refuse, as series() would, a window of n_trunc rows over GF(p^d)."""
+    _check_size(n_trunc * field.d * np.dtype(_coord_dtype(field.p)).itemsize,
+                "a series window")
+
+
 def identity(ring, n_trunc) -> TruncatedSeries:
     """z, built packed: no coefficient object is made."""
     field = _field(ring)

@@ -21,7 +21,7 @@ from .coeff_rings import (
     smallest_field_with_root,
 )
 from .errors import ParabolicLabError, ScalarRingMismatch
-from .formal_series import ParabolicGerm, TruncatedSeries, series
+from .formal_series import ParabolicGerm, TruncatedSeries, check_window, series
 from .ramification import default_window, is_minimally_ramified
 
 STANDARD_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 4))
@@ -52,12 +52,20 @@ def random_coeff_tuple(rng: Random, field: FiniteField):
     return random_element(rng, field), random_element(rng, field)
 
 
+def _random_terms(rng: Random, field: FiniteField, exponents: range,
+                  N: int) -> dict:
+    """{e: a random element} for each e in exponents, in order, drawn only
+    once a series mod z^N is known to be within the work limit."""
+    check_window(field, N)
+    return {e: random_element(rng, field) for e in exponents}
+
+
 def random_vanishing_series(rng: Random, field: FiniteField,
                             N: int) -> TruncatedSeries:
     """Any series with f(0) = 0; the linear term may be zero or non-unit."""
     if N < 2:
         raise ParabolicLabError(f"window {N} leaves no room for a nonzero term")
-    entries = {e: random_element(rng, field) for e in range(1, N)}
+    entries = _random_terms(rng, field, range(1, N), N)
     return series(field, entries, N)
 
 
@@ -72,7 +80,7 @@ def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
         raise ParabolicLabError(f"window {N} leaves no room for a tail")
     gamma = root_of_unity(field, q)
     while True:
-        entries = {e: random_element(rng, field) for e in range(2, N)}
+        entries = _random_terms(rng, field, range(2, N), N)
         if any(not c.is_zero() for c in entries.values()):
             entries[1] = gamma
             return ParabolicGerm(series(field, entries, N))
@@ -85,21 +93,19 @@ def random_reduced_germ(rng: Random, field: FiniteField, q: int,
     if N is None:
         N = default_window(p, q)
     gamma = root_of_unity(field, q)
-    top = (N - 2) // q
-    if top < 1:
+    if N < q + 2:
         raise ParabolicLabError(f"window {N} leaves no room for a tail")
     while True:
-        a = [random_element(rng, field) for _ in range(top)]
-        if any(not c.is_zero() for c in a):
-            entries = {1: gamma}
-            for j, c in enumerate(a, start=1):
-                entries[j * q + 1] = gamma * c
+        a = _random_terms(rng, field, range(q + 1, N, q), N)
+        if any(not c.is_zero() for c in a.values()):
+            entries = {e: gamma * c for e, c in a.items()}
+            entries[1] = gamma
             return ParabolicGerm(series(field, entries, N))
 
 
 def random_coordinate_change(rng: Random, field: FiniteField,
                              N: int) -> TruncatedSeries:
-    entries = {e: random_element(rng, field) for e in range(2, N)}
+    entries = _random_terms(rng, field, range(2, N), N)
     entries[1] = random_nonzero(rng, field)
     return series(field, entries, N)
 

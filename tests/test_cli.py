@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from parabolic_lab import TruncatedSeries, cli, identity, series
+from parabolic_lab import TruncatedSeries, cli, identity, series, sweeps
 from parabolic_lab.cli import build_parser, main
 from parabolic_lab.coeff_rings import MAX_FIELD_DEGREE
 from parabolic_lab.literals import MAX_DIGITS, MAX_NESTING
@@ -157,7 +157,7 @@ def test_run_sweeps_script_smoke():
          "--cases", "2"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == len(sweeps.SWEEPS)
     assert all(line.split()[-2] == "ok" for line in lines)
 
 
@@ -529,6 +529,12 @@ def test_iterate_q_over_a_large_extension_is_quick(capsys):
     # a default window of about 4.3e9 rows, a t-frame of about 4.3e9 slots
     ["ramify", "--field", "GF(65537)", "--series", "z + z^2"],
     ["ramify", "--field", "Laurent(GF(3))", "--series", "z + t^4294967290*z^2"],
+    # a window of 10^30 rows, refused before the sampler draws its slots
+    ["verify", "semiconj", "--p", "5", "--q", "4", "--N", str(10**30),
+     "--seed", "1"],
+    ["verify", "quasi-invariance", "--p", "3", "--q", "1", "--N", str(10**30),
+     "--seed", "1"],
+    ["verify", "delta-tower", "--p", "3", "--N", str(10**30), "--seed", "1"],
 ])
 def test_work_past_the_kernel_limit_is_refused(argv, capsys):
     code, doc = run_json(argv, capsys)
@@ -684,6 +690,40 @@ def test_parser_flags_and_defaults():
         del args["fn"]
         names = dict(zip(("command", "check"), path))
         assert args == {**names, **flags, "json_out": None}
+
+
+def test_every_sweep_is_a_verify_subcommand_taking_the_flags_it_reads():
+    verify = {path[1] for path in PARSER_DEFAULTS if path[0] == "verify"}
+    assert verify == set(sweeps.SWEEPS)
+    for name, sweep in sweeps.SWEEPS.items():
+        args = vars(build_parser().parse_args(["verify", name]))
+        assert args.pop("fn") is cli._cmd_verify
+        assert set(args) == {"command", "check", "p", "seed", "json_out",
+                             *sweep.flags}
+
+
+def test_a_window_past_the_comparison_is_not_iterated(capsys):
+    # only the first W coefficients are compared, so --N 2000 answers at
+    # once with the document of the default window W
+    argv = ["verify", "main-lemma", "--field", "GF(13,2)", "--coeffs",
+            "x^5,1", "--q", "4", "--n", "1"]
+    start = time.perf_counter()
+    got = run(argv + ["--N", "2000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert got == run(argv, capsys) and got[0] == 0
+
+
+@pytest.mark.parametrize("coeffs", ["0,1", "3,1"])
+def test_chi_xi_at_a_high_level_is_quick(coeffs, capsys):
+    # over GF(7) a nonzero base takes its exponent mod 6: the exponents
+    # 7^n - r and r + 1 of level 100000 agree mod 6 with those of level 4
+    argv = ["closed-form", "--mode", "chi-xi", "--p", "7", "--q", "1",
+            "--coeffs", coeffs, "--n"]
+    start = time.perf_counter()
+    code, doc = run_json(argv + ["100000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert doc == {**run_json(argv + ["4"], capsys)[1], "n": 100000}
 
 
 DESK = ["--field", "Laurent(GF(3))", "--series", "z + t*z^2 + z^3", "--n", "1"]

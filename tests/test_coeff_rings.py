@@ -206,6 +206,30 @@ def test_zero_power_zero_is_one():
     assert field.zero() ** 0 == field.one()
 
 
+@pytest.mark.parametrize("p,d", [(2, 1), (5, 1), (3, 2), (2, 6)])
+def test_power_reduces_its_exponent(p, d):
+    # x^n against plain square-and-multiply: exponents around multiples of
+    # p^d - 1, where a nonzero base takes n mod p^d - 1, and a zero base
+    field = FiniteField(p, d)
+    rng = Random(10 * p + d)
+
+    def plain(x, n):
+        result = field.one()
+        while n:
+            if n & 1:
+                result = result * x
+            x, n = x * x, n >> 1
+        return result
+
+    m = field.order - 1
+    exponents = [0, 1] + [k * m + r for k in (1, 2, 5) for r in (-1, 0, 1)]
+    bases = [field.zero(), field.one(), field.gen()] + [
+        field.element([rng.randrange(p) for _ in range(d)]) for _ in range(6)]
+    for x in bases:
+        for n in exponents:
+            assert x ** n == plain(x, n), (x, n)
+
+
 # -- roots of unity --------------------------------------------------------
 
 @pytest.mark.parametrize("p,q,expected_degree", [
