@@ -50,7 +50,10 @@ FieldElement.inverse's routine (the extended Euclidean algorithm against
 the field's modulus).  Exact division of polynomials over GF(p^d)((t)) is
 divisibility in GF(p^d)[t, 1/t][z]; over GF(p^d) the lead is a constant,
 and so is its inverse.  In both rings an exact quotient is certified by
-one more product, den * quot == num.
+one more product, den * quot == num.  The compositional inverse divides by
+f'(h) in each round of its Newton iteration, but not through _divide: it
+keeps 1/f'(h) from one round to the next and resumes the same Newton
+reciprocal where the rows of f'(h) changed (TruncatedSeries.inverse).
 
 How much work an operation may do is decided in one place, _WORK_LIMIT:
 it bounds the bytes of every Kronecker integer and of every array an input
@@ -526,17 +529,20 @@ def _add_laurent(field, A, B, shift=0, sign=1):
     return _clip(M, lo, tp)
 
 
-def _reciprocal_newton(field, D, R, L):
-    """1/D modulo z^L for packed D, from the packed seed R = 1/D[0].
+def _reciprocal_newton(field, D, R, L, h=1):
+    """1/D modulo z^L for packed D, from the packed seed R, right modulo
+    z^h: by default h = 1 and R = 1/D[0].
 
     Newton's iteration (Kung 1974): if R is right modulo z^h, then
     R - z^h*R*E is right modulo z^2h, E being the rows h .. 2h-1 of D*R.
-    The rows below h are never recomputed, so they keep their precision.
+    The rows below h are never recomputed, so they keep their precision,
+    and a run resumed at h from the rows below h of a run from 1 (h one of
+    its doubling points 1, 2, 4, ...) gives what that run gives, for any D
+    whose rows below h are the same.
     When D*R has no rows from h on, R is all of 1/D, and fewer than L rows
     come back.
     """
-    _check_operands(R)
-    h = 1
+    _check_operands(D, R)
     while h < L:
         h2 = min(2 * h, L)
         E = _mul_laurent(field, D, R, h2)
@@ -546,6 +552,13 @@ def _reciprocal_newton(field, D, R, L):
                                                 h2 - h), shift=h, sign=-1)
         h = h2
     return R
+
+
+def _row(R, i):
+    """Row i of packed R as _inverse_row takes it: (slots, base, tprec),
+    tprec None when the row is exact."""
+    tp = int(_precisions(R)[i])
+    return R[0][i], R[1], None if tp >= _EXACT else tp
 
 
 def _inverse_row(field, row, base, tprec, rel=None):
@@ -657,8 +670,7 @@ def _divide(field, N, D, L, exact):
     any other divisibility cannot be decided and raises.
     """
     _check_operands(N, D)
-    tp = int(_precisions(D)[0])
-    lead = D[0][0], D[1], None if tp >= _EXACT else tp
+    lead = _row(D, 0)
 
     def quotient(rel=None):
         R = _reciprocal_newton(field, D, _inverse_row(field, *lead, rel), L)
@@ -963,35 +975,44 @@ class TruncatedSeries:
         field: writing h = H + e with e of order m >= 2, the terms of f(H + e)
         beyond the linear one have order >= 2m (binomial expansion, no division
         by integers involved), so each round doubles the correct window.
+
+        R = 1/f'(h) is carried from round to round (Brent and Kung 1978):
+        seeded once with the inverse of the lead c1 on its packed row, each
+        round resumes its Newton reciprocal (_reciprocal_newton) at m, the
+        precision the previous round started from.  The h of that round was
+        right modulo z^m, so err = f(hp) - z vanished below row m and the
+        correction left h, and with it f'(h) and the Newton rows of
+        1/f'(h), unchanged below m.  A run from row 1 passes through the
+        same doubling points m -> 2m -> prec, so the rows and their
+        t-precisions are the ones it would give.
         """
         if not self._vanishes_at_0():
             raise NonzeroConstantTerm("compositional inverse needs f(0) = 0")
-        c1 = self.coeff(1)
-        if not c1.is_certified_nonzero():
+        if not self.coeff(1).is_certified_nonzero():
             raise NonUnitLinearTerm("linear coefficient is not certified invertible")
         if n_trunc is None:
             if self.n_trunc is None:
                 raise ParabolicLabError(
                     "exact polynomial input: an explicit truncation is required")
             n_trunc = self.n_trunc
-        N = n_trunc
-        c1inv = c1.inverse()
-        h = TruncatedSeries(self.ring, [self.ring.zero(), c1inv], min(2, N))
-        if N <= 2:
-            return h
+        N, ring = n_trunc, self.ring
+        field = _field(ring)
+        R = _inverse_row(field, *_row(self._arr, 1))
+        h = identity(ring, min(2, N)) * TruncatedSeries._from_packed(
+            ring, R, None)
         fprime = self.derivative()
-        prec = 2
+        m, prec = 1, 2
         while prec < N:
-            prec = min(2 * prec, N)
+            start, prec = prec, min(2 * prec, N)
             hp = h._with_window(prec)
-            err = self.compose(hp) - identity(self.ring, prec)
-            dcomp = fprime.compose(hp)
-            one = series(self.ring, {0: 1}, dcomp.n_trunc)
-            recip = one.divide_exact(dcomp)
+            err = self.compose(hp) - identity(ring, prec)
+            D = fprime.compose(hp)
+            R = _reciprocal_newton(field, D._arr, _cut(R, 0, m), D.n_trunc, m)
+            m = start
             # f' is only known one index short of f, but the correction term
-            # err * recip has ord(err) >= 2, so the top coefficient of the
+            # err * R has ord(err) >= 2, so the top coefficient of the
             # reciprocal never reaches indices below prec; pad the claim.
-            h = hp - err * recip._with_window(prec)
+            h = hp - err * TruncatedSeries._from_packed(ring, R, prec)
         return h
 
     # -- division ----------------------------------------------------------

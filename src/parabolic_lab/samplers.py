@@ -8,11 +8,19 @@ the same fifty germs everywhere.
 The six (p, q) pairs exercised throughout are the small cases where every
 branch of the theory shows up: both parities of p, q = 1 against q > 1, and
 a q that needs a proper field extension for its multiplier.
+
+The series samplers draw straight into the packed rows a series stores
+(formal_series): rng.randrange(p) once per coordinate, slot after slot in
+the order random_element draws them, into one (N, 1, d) array, with no
+coefficient object per slot.  The window is refused, as series() would
+refuse it, before the first draw.
 """
 
 from __future__ import annotations
 
 from random import Random
+
+import numpy as np
 
 from .coeff_rings import (
     FiniteField,
@@ -21,7 +29,13 @@ from .coeff_rings import (
     smallest_field_with_root,
 )
 from .errors import ParabolicLabError, ScalarRingMismatch
-from .formal_series import ParabolicGerm, TruncatedSeries, check_window, series
+from .formal_series import (
+    ParabolicGerm,
+    TruncatedSeries,
+    _coord_dtype,
+    check_window,
+    series,
+)
 from .ramification import default_window, is_minimally_ramified
 
 STANDARD_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 4))
@@ -52,12 +66,23 @@ def random_coeff_tuple(rng: Random, field: FiniteField):
     return random_element(rng, field), random_element(rng, field)
 
 
-def _random_terms(rng: Random, field: FiniteField, exponents: range,
-                  N: int) -> dict:
-    """{e: a random element} for each e in exponents, in order, drawn only
-    once a series mod z^N is known to be within the work limit."""
+def _draw_rows(rng: Random, field: FiniteField, N: int,
+               rows: range) -> np.ndarray:
+    """The packed rows of a series mod z^N over field: a random element at
+    each row of rows, drawn in order as random_element draws it, and zero
+    elsewhere.  A window over the work limit is refused before any draw."""
     check_window(field, N)
-    return {e: random_element(rng, field) for e in exponents}
+    p, d = field.p, field.d
+    A = np.zeros((max(N, 0), 1, d), dtype=_coord_dtype(p))
+    A[rows.start:rows.stop:rows.step, 0] = np.array(
+        [rng.randrange(p) for _ in range(len(rows) * d)],
+        dtype=A.dtype).reshape(len(rows), d)
+    return A
+
+
+def _packed_series(field: FiniteField, A: np.ndarray,
+                   N: int | None) -> TruncatedSeries:
+    return TruncatedSeries._from_packed(field, (A, 0, None), N)
 
 
 def random_vanishing_series(rng: Random, field: FiniteField,
@@ -65,8 +90,7 @@ def random_vanishing_series(rng: Random, field: FiniteField,
     """Any series with f(0) = 0; the linear term may be zero or non-unit."""
     if N < 2:
         raise ParabolicLabError(f"window {N} leaves no room for a nonzero term")
-    entries = _random_terms(rng, field, range(1, N), N)
-    return series(field, entries, N)
+    return _packed_series(field, _draw_rows(rng, field, N, range(1, N)), N)
 
 
 def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
@@ -80,15 +104,16 @@ def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
         raise ParabolicLabError(f"window {N} leaves no room for a tail")
     gamma = root_of_unity(field, q)
     while True:
-        entries = _random_terms(rng, field, range(2, N), N)
-        if any(not c.is_zero() for c in entries.values()):
-            entries[1] = gamma
-            return ParabolicGerm(series(field, entries, N))
+        A = _draw_rows(rng, field, N, range(2, N))
+        if A.any():
+            A[1, 0] = gamma.coords
+            return ParabolicGerm(_packed_series(field, A, N))
 
 
 def random_reduced_germ(rng: Random, field: FiniteField, q: int,
                         N: int | None = None) -> ParabolicGerm:
-    """gamma*z*(1 + sum a_j z^(jq)) with random a_j, at least one nonzero."""
+    """gamma*z*(1 + sum a_j z^(jq)) with random a_j, at least one nonzero:
+    the unit's rows times gamma in one kernel product."""
     p = field.p
     if N is None:
         N = default_window(p, q)
@@ -96,18 +121,20 @@ def random_reduced_germ(rng: Random, field: FiniteField, q: int,
     if N < q + 2:
         raise ParabolicLabError(f"window {N} leaves no room for a tail")
     while True:
-        a = _random_terms(rng, field, range(q + 1, N, q), N)
-        if any(not c.is_zero() for c in a.values()):
-            entries = {e: gamma * c for e, c in a.items()}
-            entries[1] = gamma
-            return ParabolicGerm(series(field, entries, N))
+        A = _draw_rows(rng, field, N, range(q + 1, N, q))
+        if A.any():
+            A[1, 0] = field.one().coords
+            return ParabolicGerm(_packed_series(field, A, N)
+                                 * series(field, {0: gamma}, None))
 
 
 def random_coordinate_change(rng: Random, field: FiniteField,
                              N: int) -> TruncatedSeries:
-    entries = _random_terms(rng, field, range(2, N), N)
-    entries[1] = random_nonzero(rng, field)
-    return series(field, entries, N)
+    A = _draw_rows(rng, field, N, range(2, N))
+    c1 = random_nonzero(rng, field)
+    if N > 1:
+        A[1, 0] = c1.coords
+    return _packed_series(field, A, N)
 
 
 def random_integral_scalar(rng: Random, ring: LaurentRing, t_max: int = 3):

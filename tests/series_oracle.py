@@ -1,14 +1,26 @@
 """Scalar reference kernels for series products, compositions and quotients,
-and for the pushed-forward series of a germ.
+and for the pushed-forward series of a germ; and the compositional inverse
+by a fresh division each round.
 
 The library multiplies, composes and divides series, and builds the
 pushed-forward series, on packed arrays; these loops do the same on
 coefficient objects, one scalar operation at a time, and serve as the
-oracle the packed kernel is tested against.
+oracle the packed kernel is tested against.  TruncatedSeries.inverse
+carries its reciprocal 1/f'(h) from round to round; _inverse_by_division
+recomputes it each round by divide_exact, from row 1.
 """
 
-from parabolic_lab import IndeterminateValuation, SupportViolation, series
+from parabolic_lab import (
+    IndeterminateValuation,
+    NonUnitLinearTerm,
+    NonzeroConstantTerm,
+    ParabolicLabError,
+    SupportViolation,
+    identity,
+    series,
+)
 from parabolic_lab.coeff_rings import ring_of
+from parabolic_lab.formal_series import TruncatedSeries
 
 
 def _gconv(ring, A, B, limit):
@@ -91,3 +103,37 @@ def _pushforward(g):
     stored = cap if cap is not None else len(unit_pow.coeffs)
     return series(ring, {i + 1: unit_pow.coeff(i) for i in range(stored)},
                   None if cap is None else cap + 1)
+
+
+def _inverse_by_division(f, n_trunc=None):
+    """The compositional inverse of f by Newton iteration, each round's
+    1/f'(h) a fresh divide_exact: TruncatedSeries.inverse's oracle."""
+    if not f._vanishes_at_0():
+        raise NonzeroConstantTerm("compositional inverse needs f(0) = 0")
+    c1 = f.coeff(1)
+    if not c1.is_certified_nonzero():
+        raise NonUnitLinearTerm("linear coefficient is not certified invertible")
+    if n_trunc is None:
+        if f.n_trunc is None:
+            raise ParabolicLabError(
+                "exact polynomial input: an explicit truncation is required")
+        n_trunc = f.n_trunc
+    N = n_trunc
+    c1inv = c1.inverse()
+    h = TruncatedSeries(f.ring, [f.ring.zero(), c1inv], min(2, N))
+    if N <= 2:
+        return h
+    fprime = f.derivative()
+    prec = 2
+    while prec < N:
+        prec = min(2 * prec, N)
+        hp = h._with_window(prec)
+        err = f.compose(hp) - identity(f.ring, prec)
+        dcomp = fprime.compose(hp)
+        one = series(f.ring, {0: 1}, dcomp.n_trunc)
+        recip = one.divide_exact(dcomp)
+        # f' is only known one index short of f, but the correction term
+        # err * recip has ord(err) >= 2, so the top coefficient of the
+        # reciprocal never reaches indices below prec; pad the claim.
+        h = hp - err * recip._with_window(prec)
+    return h

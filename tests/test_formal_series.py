@@ -41,7 +41,12 @@ from parabolic_lab import (
 )
 from parabolic_lab.coeff_rings import DEFAULT_TPREC, LaurentScalar
 from parabolic_lab.formal_series import TruncatedSeries
-from series_oracle import _gcompose, _gconv, _series_quotient
+from series_oracle import (
+    _gcompose,
+    _gconv,
+    _inverse_by_division,
+    _series_quotient,
+)
 
 
 F3 = FiniteField(3)
@@ -653,6 +658,90 @@ def test_compositional_inverse(data):
 def test_inverse_needs_unit_linear_term():
     with pytest.raises(NonUnitLinearTerm):
         parse_series("z^2 mod z^6", F3).inverse()
+
+
+INVERSE_FIELDS = [_kernel_field(p, d)
+                  for p, d in [(2, 1), (3, 1), (5, 1), (65537, 1), (2, 2),
+                               (3, 2)]]
+INVERSE_RINGS = [LaurentRing(_kernel_field(p, d))
+                 for p, d in [(2, 1), (3, 1), (2, 2), (5, 1)]]
+
+
+def _draw_inverse_case(rng):
+    """(f, n): a series with a unit linear term, over a finite field (window
+    2-40) or a Laurent ring (2-10, one draw in fifty up to 40), its
+    rows there exact zeros, zeros known to O(t^k) or up to four terms, exact
+    or clipped by a precision; c1 exact or not, a monomial or not.  One
+    draw in eight is an exact polynomial.  n is None (the input's window)
+    or lies below, at or above it."""
+    def element(F):
+        return F.element([rng.randrange(F.p) for _ in range(F.d)])
+
+    def unit(F):
+        x = element(F)
+        return x if not x.is_zero() else F.one()
+
+    def scalar(ring, linear):
+        F, v0 = ring.field, rng.randint(-2, 3)
+        r = rng.random()
+        if not linear and r < 0.5:
+            return (ring.zero() if r < 0.3
+                    else ring.element({}, v0 + rng.randint(0, 3)))
+        cs = [unit(F)] + [element(F) for _ in range(rng.choice((0, 0, 1, 3)))]
+        tprec = None if rng.random() < 0.6 else v0 + rng.randint(1, len(cs) + 2)
+        return ring.element({v0 + i: c for i, c in enumerate(cs)}, tprec)
+
+    if rng.random() < 0.6:
+        ring, cap = rng.choice(INVERSE_FIELDS), 40
+        top = rng.randint(2, cap)
+        entries = {1: unit(ring)}
+        entries.update((e, element(ring)) for e in range(2, top)
+                       if rng.random() < 0.7)
+    else:
+        ring, cap = rng.choice(INVERSE_RINGS), (
+            40 if rng.random() < 0.02 else 10)
+        top = rng.randint(2, cap)
+        entries = {e: scalar(ring, e == 1) for e in range(1, top)}
+    if rng.random() < 0.125:
+        return series(ring, entries, None), rng.randint(1, cap)
+    return series(ring, entries, top), rng.choice(
+        [None, max(1, top - rng.randint(1, 4)), top, top + rng.randint(1, 4)])
+
+
+def test_inverse_matches_the_division_oracle():
+    # the inverse carries 1/f'(h) from round to round and resumes its Newton
+    # reciprocal at the row the previous round started from; the oracle
+    # divides afresh each round.  Equality is of the stored triple (rows,
+    # t-base, per-row t-precision) and the window: a wrong resume row shows
+    # as a differing row or precision.
+    rng = random.Random(2024)
+    laurent = with_precision = 0
+    for _ in range(1500):
+        f, n = _draw_inverse_case(rng)
+        got, want = _outcome(lambda: f.inverse(n)), _outcome(
+            lambda: _inverse_by_division(f, n))
+        assert got == want, (f, n)
+        if isinstance(f.ring, LaurentRing):
+            laurent += 1
+            with_precision += f._arr[2] is not None
+    assert laurent > 500 and with_precision > 200
+
+
+def test_inverse_divides_nothing():
+    # the reciprocal is a Newton iteration resumed each round, not a
+    # division by f'(h)
+    ring = LaurentRing(F3)
+    cases = [(parse_series("z + z^2 + 2*z^5 mod z^15", F3), None),
+             (parse_series("(1 + t)*z + O(t^2)*z^2 + t^-1*z^3 mod z^15",
+                           ring), None),
+             (series(ring, {1: ring.t(1), 2: 1, 4: ring.t(-2)}, None), 15)]
+
+    def refuse(*args):
+        raise AssertionError("divide_exact called")
+
+    with patch.object(TruncatedSeries, "divide_exact", refuse):
+        for f, n in cases:
+            assert f.inverse(n).n_trunc == 15
 
 
 @given(a=rand_series(F3), k=st.integers(0, 5))
