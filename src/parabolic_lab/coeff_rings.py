@@ -4,7 +4,10 @@ A field element is a coordinate vector over the prime field with respect to the
 power basis 1, x, ..., x^(d-1) of F_p[x] modulo a monic irreducible modulus of
 degree d.  For d = 1 the vector has length one and arithmetic is plain integer
 arithmetic mod p.  Moduli are verified irreducible at construction by Rabin's
-test, whose cost is polynomial in d and log p.
+test, whose cost is polynomial in d and log p.  For d > 1 every operation
+runs on the same F_p[x] helpers as that test: a product is one _pmulmod, an
+inverse one _pinverse, and the kernel's table of x^k mod the modulus is built
+by _prem, for every p the parser accepts.
 
 A Laurent scalar represents an element of GF(p^d)((t)) as a window of stored
 coefficients starting at exponent v0 together with a precision marker:
@@ -38,7 +41,6 @@ from .errors import (
     FieldDegreeTooLarge,
     IndeterminateValuation,
     NoSuchRoot,
-    NonIntegralCoefficient,
     POrderRequested,
     ParabolicLabError,
     ReducibleModulus,
@@ -163,7 +165,9 @@ def _square_and_multiply(x, n: int, op, one):
     return one if result is None else result
 
 
-# Polynomials over F_p as little-endian int lists, used only for modulus checks.
+# Polynomials over F_p as little-endian int lists.  These helpers carry all
+# GF(p^d) arithmetic: the modulus checks, products, inverses and the
+# kernel's table of x^k mod the modulus.
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -222,6 +226,25 @@ def _pinverse(a, f, p):
     return [x * inv % p for x in s]
 
 
+def _coords(a, d):
+    """The reduced polynomial a as a tuple of d coordinates."""
+    return tuple(a) + (0,) * (d - len(a))
+
+
+def _base_p_digits(code, p, d):
+    """The d base-p digits of code, lowest first."""
+    digits = []
+    for _ in range(d):
+        code, c = divmod(code, p)
+        digits.append(c)
+    return digits
+
+
+def _coord_dtype(p):
+    """numpy dtype holding coordinates mod p and sums of two of them."""
+    return np.int64 if p < 1 << 62 else object
+
+
 def _is_irreducible(coeffs, p):
     """Rabin's test (Rabin, SIAM J. Comput. 9, 1980) for a monic f of degree
     d: f is irreducible iff f divides x^(p^d) - x and, for every prime r
@@ -249,8 +272,7 @@ def _is_irreducible(coeffs, p):
 class FiniteField:
     """The field GF(p^d), doubling as the scalar-ring descriptor for series."""
 
-    __slots__ = ("p", "d", "modulus", "order", "_red_rows", "_npred",
-                 "_zero", "_one")
+    __slots__ = ("p", "d", "modulus", "order", "_npred", "_zero", "_one")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -276,20 +298,9 @@ class FiniteField:
                 raise ReducibleModulus(f"modulus {list(modulus)} factors over GF({p})")
         self.modulus = modulus
         # coordinates of x^k mod modulus for k = 0 .. 2d-2, as rows
-        rows = [[1 if i == k else 0 for i in range(d)] for k in range(d)]
-        if d > 1:
-            top = [(-modulus[i]) % p for i in range(d)]  # x^d
-            row = top
-            rows.append(row)
-            for _ in range(d - 2):
-                nxt = [0] + row[:-1]
-                carry = row[-1]
-                for i in range(d):
-                    nxt[i] = (nxt[i] + carry * top[i]) % p
-                rows.append(nxt)
-                row = nxt
-        self._red_rows = tuple(tuple(r) for r in rows)
-        self._npred = np.array(rows, dtype=np.int64)
+        self._npred = np.array(
+            [_coords(_prem([0] * k + [1], modulus, p), d)
+             for k in range(2 * d - 1)], dtype=_coord_dtype(p))
         self._zero = FieldElement(self, (0,) * d)
         self._one = FieldElement(self, (1,) + (0,) * (d - 1))
 
@@ -305,12 +316,7 @@ class FiniteField:
         no_binomial = (any((p - 1) % r for r in _prime_factors(d))
                        or (d % 4 == 0 and p % 4 != 1))
         for code in range(p if no_binomial else 0, p ** d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
+            g = _base_p_digits(code, p, d) + [1]
             if _is_irreducible(g, p):
                 return tuple(g)
         raise ParabolicLabError("no irreducible modulus found")  # pragma: no cover
@@ -332,8 +338,7 @@ class FiniteField:
         coords = tuple(int(c) % self.p for c in coords)
         if len(coords) > self.d:
             raise ParabolicLabError(f"{len(coords)} coordinates for degree {self.d}")
-        coords = coords + (0,) * (self.d - len(coords))
-        return FieldElement(self, coords)
+        return FieldElement(self, _coords(coords, self.d))
 
     def gen(self) -> "FieldElement":
         """The class of x; only meaningful for d >= 2."""
@@ -348,8 +353,7 @@ class FiniteField:
         p = self.p
         if self.d == 1:
             return (pow(coords[0], p - 2, p),)
-        inv = _pinverse(coords, self.modulus, p)
-        return tuple(inv) + (0,) * (self.d - len(inv))
+        return _coords(_pinverse(coords, self.modulus, p), self.d)
 
     def half(self, m: int) -> "FieldElement":
         """The field value of the integer m/2: exact halving when m is even,
@@ -364,12 +368,7 @@ class FiniteField:
         """All field elements in deterministic order (base-p counting), from
         the one with code start."""
         for n in range(start, self.order):
-            coords = []
-            c = n
-            for _ in range(self.d):
-                coords.append(c % self.p)
-                c //= self.p
-            yield FieldElement(self, tuple(coords))
+            yield FieldElement(self, tuple(_base_p_digits(n, self.p, self.d)))
 
     def __call__(self, value):
         if isinstance(value, FieldElement):
@@ -446,19 +445,8 @@ class FieldElement:
         p, d = F.p, F.d
         if d == 1:
             return FieldElement(F, ((self.coords[0] * other.coords[0]) % p,))
-        a, b = self.coords, other.coords
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [0] * d
-        for k, ck in enumerate(prod):
-            if ck:
-                row = F._red_rows[k]
-                for i in range(d):
-                    out[i] += ck * row[i]
-        return FieldElement(F, tuple(c % p for c in out))
+        return FieldElement(F, _coords(
+            _pmulmod(self.coords, other.coords, F.modulus, p), d))
 
     __rmul__ = __mul__
 
@@ -740,22 +728,6 @@ class LaurentScalar:
             return self.v0
         return math.inf if self.tprec is None else self.tprec
 
-    def residue(self) -> FieldElement:
-        """Coefficient of t^0.  Requires an integral element whose reduction is
-        determined by the stored data."""
-        if not self.coeffs:
-            if self.tprec is None or self.tprec >= 1:
-                return self.field.zero()
-            raise IndeterminateValuation(
-                f"reduction of a zero known only to O(t^{self.tprec})")
-        if self.v0 < 0:
-            raise NonIntegralCoefficient(f"valuation {self.v0} < 0")
-        if self.tprec is not None and self.tprec < 1:
-            raise IndeterminateValuation("t^0 coefficient beyond stored precision")
-        if self.v0 > 0:
-            return self.field.zero()
-        return self.coeffs[0]
-
     def clip(self, tprec: int) -> "LaurentScalar":
         """Forget everything at or above exponent tprec."""
         tp = tprec if self.tprec is None else min(self.tprec, tprec)
@@ -863,7 +835,7 @@ class LaurentScalar:
             raise IndeterminateValuation(
                 f"inverse of a zero known only to O(t^{self.tprec})")
         # imported here: formal_series imports this module when it loads
-        from .formal_series import _coord_dtype, _inverse_row, _unpack_laurent
+        from .formal_series import _inverse_row, _unpack_laurent
         row = np.array([c.coords for c in self.coeffs],
                        dtype=_coord_dtype(self.field.p))
         return _unpack_laurent(self.ring, _inverse_row(

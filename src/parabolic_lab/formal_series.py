@@ -75,11 +75,13 @@ from .coeff_rings import (
     FiniteField,
     LaurentRing,
     LaurentScalar,
+    _coord_dtype,
     _square_and_multiply,
 )
 from .errors import (
     DivisionByZero,
     IndeterminateValuation,
+    NonIntegralCoefficient,
     NonzeroConstantTerm,
     NonUnitLinearTerm,
     NotDivisible,
@@ -135,11 +137,6 @@ def _check_size(size, what, unit="bytes"):
         raise WorkBudgetExceeded(
             f"{what} of {count_text(size)} {unit} is over the work limit of "
             f"{_WORK_LIMIT} {unit}")
-
-
-def _coord_dtype(p):
-    """numpy dtype holding coordinates mod p and sums of two of them."""
-    return np.int64 if p < 1 << 62 else object
 
 
 def _digit_bytes(top):
@@ -1148,14 +1145,18 @@ def reduce_and_wideg(f: TruncatedSeries):
     if not isinstance(f.ring, LaurentRing):
         raise ScalarRingMismatch("reduction needs a series over a Laurent ring")
     M, base, tp = f._arr
-    # a residue is undetermined below precision t^1 and undefined at a
-    # negative valuation (a clipped row with a nonzero slot has its lowest
-    # exponent below its precision); the first such coefficient raises its
-    # own error
-    bad = np.flatnonzero(np.minimum(_lowest(f._arr), _precisions(f._arr) - 1)
-                         < 0)
+    # a residue is undefined at a negative valuation and undetermined below
+    # precision t^1; the first such row raises.  A clipped row's nonzero
+    # slots lie below its precision, so a row is live exactly when its
+    # lowest exponent is below its precision, and then that exponent is < 0
+    low, prec = _lowest(f._arr), _precisions(f._arr)
+    bad = np.flatnonzero(np.minimum(low, prec - 1) < 0)
     if len(bad):
-        f.coeff(int(bad[0])).residue()
+        i = bad[0]
+        if low[i] < prec[i]:
+            raise NonIntegralCoefficient(f"valuation {int(low[i])} < 0")
+        raise IndeterminateValuation(
+            f"reduction of a zero known only to O(t^{int(prec[i])})")
     if 0 <= -base < M.shape[1]:
         red = M[:, -base:1 - base]
     else:

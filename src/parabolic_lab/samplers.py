@@ -48,10 +48,13 @@ def standard_field(p: int, q: int) -> FiniteField:
     return smallest_field_with_root(p, q)
 
 
-def random_element(rng: Random, field: FiniteField):
+def _check_field(field, what: str) -> None:
     if not isinstance(field, FiniteField):
-        raise ScalarRingMismatch(
-            f"a random field element needs a finite field, not {field!r}")
+        raise ScalarRingMismatch(f"{what} needs a finite field, not {field!r}")
+
+
+def random_element(rng: Random, field: FiniteField):
+    _check_field(field, "a random field element")
     return field.element(tuple(rng.randrange(field.p) for _ in range(field.d)))
 
 
@@ -71,6 +74,7 @@ def _draw_rows(rng: Random, field: FiniteField, N: int,
     """The packed rows of a series mod z^N over field: a random element at
     each row of rows, drawn in order as random_element draws it, and zero
     elsewhere.  A window over the work limit is refused before any draw."""
+    _check_field(field, "a random series")
     check_window(field, N)
     p, d = field.p, field.d
     A = np.zeros((max(N, 0), 1, d), dtype=_coord_dtype(p))
@@ -97,6 +101,7 @@ def random_parabolic_germ(rng: Random, field: FiniteField, q: int,
                           N: int | None = None) -> ParabolicGerm:
     """gamma*z + random tail mod z^N, with at least one tail term nonzero so
     the profile is defined (a bare gamma*z truncation has nothing to measure)."""
+    _check_field(field, "a random germ")
     p = field.p
     if N is None:
         N = default_window(p, q)
@@ -114,6 +119,7 @@ def random_reduced_germ(rng: Random, field: FiniteField, q: int,
                         N: int | None = None) -> ParabolicGerm:
     """gamma*z*(1 + sum a_j z^(jq)) with random a_j, at least one nonzero:
     the unit's rows times gamma in one kernel product."""
+    _check_field(field, "a random germ")
     p = field.p
     if N is None:
         N = default_window(p, q)

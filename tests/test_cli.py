@@ -813,6 +813,18 @@ def test_ramify_over_an_extension_without_irreducible_binomials(capsys):
     assert doc["i"] == [1]
 
 
+def test_ramify_over_an_extension_of_a_characteristic_past_2_to_the_63(capsys):
+    # GF(p^2) by x^2 + 2 with p = 9223372036854775837: coordinates and the
+    # kernel's table of x^k mod the modulus no longer fit int64.  resit is
+    # 1 - 1/x^2 = 3/2 = (p + 3)/2
+    code, doc = run_json(["ramify", "--field", "GF(9223372036854775837,2)",
+                          "--series", "z + x*z^2 + z^3", "--nmax", "1",
+                          "--N", "12"], capsys)
+    assert code == 0
+    assert doc == {"q": 1, "N": 12, "i": [1, "beyond-truncation"],
+                   "delta": ["x", None], "resit": "4611686018427387920"}
+
+
 def test_printed_series_reparse(capsys):
     # everything the CLI prints as a series literal re-parses to equality
     from parabolic_lab import parse_field, parse_series, series_to_str

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primefactors
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.polys.galoistools import (
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_mul,
+    gf_rem,
+    gf_strip,
+)
 
 from parabolic_lab import (
     CompositeP,
@@ -198,6 +204,42 @@ def test_inverse_is_the_power_p_to_the_d_minus_2(p, d):
         assert c.inverse() == want and c * want == field.one()
         v = rng.randrange(-3, 4)
         assert ring.monomial(c, v).inverse() == ring.monomial(want, -v)
+
+
+# GF(p^d) arithmetic checked against sympy's galoistools, which hold
+# polynomials big-endian: from GF(4) up to GF(3^24), and past 2^63, where
+# the kernel's table of x^k mod the modulus holds Python integers
+ORACLE_FIELDS = [(2, 2), (3, 2), (7, 12), (3, 24), (65537, 2),
+                 (9223372036854775837, 2)]
+
+
+def _big_endian(coords):
+    return gf_strip([int(c) for c in reversed(coords)])
+
+
+def _as_coords(poly, d):
+    little = [int(c) for c in reversed(poly)]
+    return tuple(little + [0] * (d - len(little)))
+
+
+@pytest.mark.parametrize("p,d", ORACLE_FIELDS)
+def test_extension_arithmetic_matches_sympy(p, d):
+    field = FiniteField(p, d)
+    f = list(field.modulus[::-1])
+    assert field._npred.shape == (2 * d - 1, d)
+    for k, row in enumerate(field._npred.tolist()):
+        assert tuple(row) == _as_coords(gf_rem([1] + [0] * k, f, p, ZZ), d)
+    rng = Random(p * 100 + d)
+    cs = [field.zero(), field.one(), -field.one(), field.gen()] + [
+        field.element([rng.randrange(p) for _ in range(d)]) for _ in range(50)]
+    for a, b in zip(cs, cs[1:] + cs[:1]):
+        ab = gf_rem(gf_mul(_big_endian(a.coords), _big_endian(b.coords),
+                           p, ZZ), f, p, ZZ)
+        assert (a * b).coords == _as_coords(ab, d)
+        if not b.is_zero():
+            s, _, h = gf_gcdex(_big_endian(b.coords), f, p, ZZ)
+            assert h == [1]
+            assert b.inverse().coords == _as_coords(s, d)
 
 
 def test_zero_power_zero_is_one():

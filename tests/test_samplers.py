@@ -13,8 +13,10 @@ import sympy
 
 from parabolic_lab import (
     FiniteField,
+    LaurentRing,
     ParabolicGerm,
     ParabolicLabError,
+    ScalarRingMismatch,
     WorkBudgetExceeded,
     series,
 )
@@ -124,3 +126,17 @@ def test_windows_are_refused_before_any_draw():
         assert rng.getstate() == state
     with pytest.raises(ParabolicLabError):
         random_parabolic_germ(Random(0), F3, 1, 2)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda r, ring: random_vanishing_series(r, ring, 5),
+    lambda r, ring: random_coordinate_change(r, ring, 5),
+    lambda r, ring: random_parabolic_germ(r, ring, 1, 5),
+    lambda r, ring: random_reduced_germ(r, ring, 1, 5),
+], ids=["vanishing", "coordinate-change", "parabolic", "reduced"])
+def test_series_samplers_refuse_a_laurent_ring(sample):
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ScalarRingMismatch, match="needs a finite field"):
+        sample(rng, LaurentRing(FiniteField(3)))
+    assert rng.getstate() == state
