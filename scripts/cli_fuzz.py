@@ -4,10 +4,11 @@
 Draws argv lines over the whole input domain of `parabolic-lab` and runs
 each through cli.main in process, under a SIGALRM budget of BUDGET_S
 seconds.  The draws cover fields up to GF(65537^2), GF(2^61 - 1), GF(3^24)
-and Laurent(GF(3^3)); series with O(t^k) terms and windows up to z^2000;
-integer literals at the parser's digit limit and past the interpreter's
-int-string limit; deeply nested literals; levels up to 100000 and windows
-up to 4300 digits; and missing, contradicting and unread flags.
+and Laurent(GF(3^3)), and GF(p) and Laurent(GF(p)) for p past 2^63; series
+with O(t^k) terms and windows up to z^2000; integer literals at the
+parser's digit limit and past the interpreter's int-string limit; deeply
+nested literals; levels up to 100000 and windows up to 4300 digits; and
+missing, contradicting and unread flags.
 
 A call passes when it returns 0, 1 or 2 with one JSON document, or when
 argparse refuses its flags with usage (exit 2).  The script exits 1 when any
@@ -32,7 +33,8 @@ from parabolic_lab import cli
 
 BUDGET_S = 3
 
-PRIMES = [2, 3, 5, 7, 65537, 2**61 - 1]
+# the last one is past 2^63: its coordinates are numpy object arrays
+PRIMES = [2, 3, 5, 7, 65537, 2**61 - 1, 9223372036854775837]
 # integer literals at the parser's limit of 600 digits, and past the default
 # int-string limit of 4300 digits
 LONG = "9" * 600
@@ -40,7 +42,8 @@ BIG = "9" * 5000
 # (p, d) of the extension fields drawn, GF(3^24) the largest degree
 EXTENSIONS = [(2, 2), (3, 2), (2, 6), (3, 3), (3, 4), (13, 2), (5, 3),
               (65537, 2), (3, 24)]
-LAURENT_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(3,2)", "GF(3,3)"]
+LAURENT_BASES = ["GF(2)", "GF(3)", "GF(5)", "GF(3,2)", "GF(3,3)",
+                 "GF(9223372036854775837)"]
 # nesting depths around the parser's limit and past the interpreter's stack
 DEPTHS = [2, 40, 60, 300, 400, 1000]
 

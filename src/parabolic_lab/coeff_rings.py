@@ -20,6 +20,9 @@ zero and "zero to precision tprec" is load bearing: the valuation of the former
 is +infinity, the valuation of the latter is indeterminate and asking for it
 raises.  Canonical form strips zero coefficients at both ends of the window, so
 a nonzero stored leading coefficient certifies the valuation v0 exactly.
+Products, sums and inverses of Laurent scalars run on the series kernel
+(formal_series) as one-row series, counted from v0 so that v0 itself may be
+any integer.
 
 Norms on these rings are never materialized as floats anywhere in the library;
 all size comparisons go through valuations (integers here, Fractions where
@@ -176,11 +179,11 @@ def _ptrim(a):
 
 
 def _prem(a, b, p):
-    """Remainder of a mod b over F_p; b need not be monic."""
+    """Remainder of a mod b over F_p, for b reduced mod p and trimmed; b need
+    not be monic, but the lead of a monic b is not inverted."""
     a = _ptrim([c % p for c in a])
-    b = _ptrim([c % p for c in b])
     db = len(b) - 1
-    binv = pow(b[-1], -1, p)
+    binv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     while a and len(a) - 1 >= db:
         c = a[-1] * binv % p
         s = len(a) - 1 - db
@@ -748,32 +751,21 @@ class LaurentScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # an exact zero changes nothing, and scalars are kept canonical
+        # an exact zero changes nothing, and scalars are kept canonical; a
+        # zero known to O(t^k) adds only its precision
         if other.is_certified_zero():
             return self
         if self.is_certified_zero():
             return other
-        if self.tprec is None:
-            tp = other.tprec
-        elif other.tprec is None:
-            tp = self.tprec
-        else:
-            tp = min(self.tprec, other.tprec)
-        if not self.coeffs and not other.coeffs:
-            return LaurentScalar(self.ring, 0, (), tp)
-        starts = [x.v0 for x in (self, other) if x.coeffs]
-        ends = [x.v0 + len(x.coeffs) for x in (self, other) if x.coeffs]
-        lo, hi = min(starts), max(ends)
-        if hi - lo > len(self.coeffs) + len(other.coeffs):
-            # the operands lie apart in t, and the input sets the gap;
-            # imported here: formal_series imports this module when it loads
-            from .formal_series import _check_size
-            _check_size((hi - lo) * self.field.d * 8, "a scalar's t-span")
-        acc = [self.field.zero()] * (hi - lo)
-        for x in (self, other):
-            for i, c in enumerate(x.coeffs):
-                acc[x.v0 + i - lo] = acc[x.v0 + i - lo] + c
-        return _make_laurent(self.ring, lo, acc, tp)
+        if not other.coeffs:
+            return self.clip(other.tprec)
+        if not self.coeffs:
+            return other.clip(self.tprec)
+        # imported here: formal_series imports this module when it loads
+        from .formal_series import _add_laurent, _scalar_row, _unpack_laurent
+        return _unpack_laurent(self.ring, _add_laurent(
+            self.field, _scalar_row(self, self.v0),
+            _scalar_row(other, self.v0)), self.v0)[0]
 
     __radd__ = __add__
 
@@ -799,24 +791,15 @@ class LaurentScalar:
             return NotImplemented
         if self.is_certified_zero() or other.is_certified_zero():
             return self.ring.zero()
-        la = self.valuation_lower_bound()
-        lb = other.valuation_lower_bound()
         if not self.coeffs or not other.coeffs:
             # at least one truncated zero: product is zero to the combined bound
-            return LaurentScalar(self.ring, 0, (), la + lb)
-        tp = None
-        if self.tprec is not None:
-            tp = self.tprec + other.v0
-        if other.tprec is not None:
-            t2 = other.tprec + self.v0
-            tp = t2 if tp is None else min(tp, t2)
-        acc = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                acc[i + j] = acc[i + j] + a * b
-        return _make_laurent(self.ring, self.v0 + other.v0, acc, tp)
+            return LaurentScalar(self.ring, 0, (), self.valuation_lower_bound()
+                                 + other.valuation_lower_bound())
+        # imported here: formal_series imports this module when it loads
+        from .formal_series import _mul_laurent, _scalar_row, _unpack_laurent
+        return _unpack_laurent(self.ring, _mul_laurent(
+            self.field, _scalar_row(self, self.v0),
+            _scalar_row(other, other.v0), None), self.v0 + other.v0)[0]
 
     __rmul__ = __mul__
 
@@ -835,11 +818,9 @@ class LaurentScalar:
             raise IndeterminateValuation(
                 f"inverse of a zero known only to O(t^{self.tprec})")
         # imported here: formal_series imports this module when it loads
-        from .formal_series import _inverse_row, _unpack_laurent
-        row = np.array([c.coords for c in self.coeffs],
-                       dtype=_coord_dtype(self.field.p))
+        from .formal_series import _inverse_row, _scalar_row, _unpack_laurent
         return _unpack_laurent(self.ring, _inverse_row(
-            self.field, row, self.v0, self.tprec, rel))[0]
+            self.field, _scalar_row(self, self.v0), rel), -self.v0)[0]
 
     def __truediv__(self, other):
         other = self._coerce(other)

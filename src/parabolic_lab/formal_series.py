@@ -22,9 +22,10 @@ a single Python big-integer multiply by Kronecker substitution.
 Digits are sized from the operands, so the kernel is exact for every p.
 The coefficients share one lowest exponent and each row carries its own
 t-precision; a product's rows take theirs by a min-plus rule and are
-clipped to it, which gives exactly what scalar LaurentScalar arithmetic
+clipped to it, which gives exactly what schoolbook scalar arithmetic
 would.  When every row of both operands is exact, every row of the
-product is, and that work is skipped.
+product is, and that work is skipped.  LaurentScalar's own products and
+sums are these routines on one row (_scalar_row).
 
 A series over either ring stores one packed form, read-only, which every
 operation reads and returns: the triple (M, base, tp), tp None when every
@@ -385,21 +386,40 @@ def _pack_laurent(ring, coeffs):
     return M, base, tp
 
 
-def _unpack_laurent(ring, R):
+def _unpack_laurent(ring, R, shift=0):
+    """Coefficient objects of packed R, every t-exponent and precision moved
+    up by shift, a Python int of any size."""
     M, base, _ = R
     field = ring.field
     out = []
     for row, t in zip(M.tolist(), _precisions(R).tolist()):
-        t = None if t >= _EXACT else t
+        t = None if t >= _EXACT else t + shift
         live = [w for w, c in enumerate(row) if any(c)]
         if not live:
             out.append(LaurentScalar(ring, 0, (), t))
             continue
         # rows are clipped, so the live slots are the canonical scalar
-        out.append(LaurentScalar(ring, base + live[0], tuple(
+        out.append(LaurentScalar(ring, base + live[0] + shift, tuple(
             FieldElement(field, tuple(c))
             for c in row[live[0]:live[-1] + 1]), t))
     return out
+
+
+def _scalar_row(s, origin):
+    """The Laurent scalar s, with at least one stored coefficient, as a
+    one-row packed series counted from t^origin, a Python int of any size.
+    A precision 2^32 or more from the origin is refused, as in series
+    products (_check_operands)."""
+    M = np.array([[c.coords for c in s.coeffs]],
+                 dtype=_coord_dtype(s.field.p))
+    if s.tprec is None:
+        return M, s.v0 - origin, None
+    tp = s.tprec - origin
+    if abs(tp) >= _EXPONENT_LIMIT:
+        raise ParabolicLabError(
+            "t-precisions must stay within 2^32 of the t-exponents in "
+            "scalar arithmetic")
+    return M, s.v0 - origin, np.array([tp])
 
 
 def _exact_rows(n):
@@ -551,29 +571,23 @@ def _reciprocal_newton(field, D, R, L, h=1):
     return R
 
 
-def _row(R, i):
-    """Row i of packed R as _inverse_row takes it: (slots, base, tprec),
-    tprec None when the row is exact."""
-    tp = int(_precisions(R)[i])
-    return R[0][i], R[1], None if tp >= _EXACT else tp
-
-
-def _inverse_row(field, row, base, tprec, rel=None):
-    """1/c, packed as one row, for c = sum_w row[w]*t^(base + w) over
-    GF(p^d)((t)), certified nonzero and known below t^tprec (None: exact).
-    An exact monomial has an exact inverse; otherwise 1/c is expanded to
-    relative precision tprec - v(c), or for an exact c to rel (default
-    DEFAULT_TPREC), by _reciprocal_newton along t on the slots of c from
-    t^v(c) up: only the result's base -v(c) carries the exponent.  The
-    seed, the inverse of c's lowest coefficient, is FieldElement.inverse's
-    routine."""
+def _inverse_row(field, R, rel=None):
+    """1/c, packed as one row, for the one-row packed c over GF(p^d)((t)),
+    certified nonzero.  An exact monomial has an exact inverse; otherwise
+    1/c is expanded to relative precision tprec(c) - v(c), or for an exact
+    c to rel (default DEFAULT_TPREC), by _reciprocal_newton along t on the
+    slots of c from t^v(c) up: only the result's base -v(c) carries the
+    exponent.  The seed, the inverse of c's lowest coefficient, is
+    FieldElement.inverse's routine."""
+    (row,), base, _ = R
+    tprec = int(_precisions(R)[0])
     live = np.flatnonzero(row.any(axis=1))
     v, C = base + int(live[0]), row[live[0]:live[-1] + 1]
     inv = np.array(field._inverse_coords(C[0].tolist()),
                    dtype=_coord_dtype(field.p)).reshape(1, 1, field.d)
-    if tprec is None and len(C) == 1:
+    if tprec >= _EXACT and len(C) == 1:
         return inv, -v, None
-    r = tprec - v if tprec is not None else DEFAULT_TPREC if rel is None else rel
+    r = tprec - v if tprec < _EXACT else DEFAULT_TPREC if rel is None else rel
     M = _reciprocal_newton(field, (C[:r, None], 0, None), (inv, 0, None), r)[0]
     return _clip(M.transpose(1, 0, 2), -v, np.array([r - v]))
 
@@ -667,10 +681,10 @@ def _divide(field, N, D, L, exact):
     any other divisibility cannot be decided and raises.
     """
     _check_operands(N, D)
-    lead = _row(D, 0)
+    lead = _cut(D, 0, 1)
 
     def quotient(rel=None):
-        R = _reciprocal_newton(field, D, _inverse_row(field, *lead, rel), L)
+        R = _reciprocal_newton(field, D, _inverse_row(field, lead, rel), L)
         return _mul_laurent(field, N, R, L)
 
     if not (exact and _all_exact(N[2]) and _all_exact(D[2])):
@@ -686,7 +700,7 @@ def _divide(field, N, D, L, exact):
     # With v' = v(lead') and a seed of relative precision r, row m of 1/den'
     # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
     # through the Newton steps), so each row of Q' is known below B + 1.
-    v1 = int(lead[0].any(axis=1).argmax())  # v', the lead's first live slot
+    v1 = int(lead[0][0].any(axis=1).argmax())  # v', the lead's first live slot
     M, base, _ = quotient(B + 1 + L * v1)
     M, base, _ = _clip(M, base, np.full(len(M), top, dtype=np.int64))
     return M, base, None
@@ -994,7 +1008,7 @@ class TruncatedSeries:
             n_trunc = self.n_trunc
         N, ring = n_trunc, self.ring
         field = _field(ring)
-        R = _inverse_row(field, *_row(self._arr, 1))
+        R = _inverse_row(field, _cut(self._arr, 1, 2))
         h = identity(ring, min(2, N)) * TruncatedSeries._from_packed(
             ring, R, None)
         fprime = self.derivative()
@@ -1235,7 +1249,7 @@ class ParabolicGerm:
             raise IndeterminateValuation(
                 f"exponent {e} is zero only to stored precision")
         ring = s.ring
-        inv = _inverse_row(_field(ring), M[1], base, None)
+        inv = _inverse_row(_field(ring), (M[1:2], base, None))
         M, base, tp = (s * TruncatedSeries._from_packed(ring, inv, None))._arr
         cap = None if s.n_trunc is None else (s.n_trunc - 2) // q + 1
         unit = TruncatedSeries._from_packed(

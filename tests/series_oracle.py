@@ -1,13 +1,16 @@
-"""Scalar reference kernels for series products, compositions and quotients,
-and for the pushed-forward series of a germ; and the compositional inverse
-by a fresh division each round.
+"""Scalar reference kernels for Laurent scalar products and sums, for series
+products, compositions and quotients, and for the pushed-forward series of
+a germ; and the compositional inverse by a fresh division each round.
 
-The library multiplies, composes and divides series, and builds the
-pushed-forward series, on packed arrays; these loops do the same on
-coefficient objects, one scalar operation at a time, and serve as the
-oracle the packed kernel is tested against.  TruncatedSeries.inverse
-carries its reciprocal 1/f'(h) from round to round; _inverse_by_division
-recomputes it each round by divide_exact, from row 1.
+The library multiplies, composes and divides series, builds the
+pushed-forward series, and multiplies and adds Laurent scalars, on packed
+arrays; these loops do the same on coefficient objects, one scalar
+operation at a time, and serve as the oracle the packed kernel is tested
+against.  The series loops multiply and add Laurent scalars by the
+schoolbook laurent_mul and laurent_add, never by LaurentScalar's own
+operators, so no product they check runs on the kernel it checks.
+TruncatedSeries.inverse carries its reciprocal 1/f'(h) from round to round;
+_inverse_by_division recomputes it each round by divide_exact, from row 1.
 """
 
 from parabolic_lab import (
@@ -19,8 +22,66 @@ from parabolic_lab import (
     identity,
     series,
 )
-from parabolic_lab.coeff_rings import ring_of
+from parabolic_lab.coeff_rings import LaurentScalar, _make_laurent, ring_of
 from parabolic_lab.formal_series import TruncatedSeries
+
+
+def laurent_add(a, b):
+    """a + b for Laurent scalars, summed densely over the t-span of both."""
+    # an exact zero changes nothing, and scalars are kept canonical
+    if b.is_certified_zero():
+        return a
+    if a.is_certified_zero():
+        return b
+    if a.tprec is None:
+        tp = b.tprec
+    elif b.tprec is None:
+        tp = a.tprec
+    else:
+        tp = min(a.tprec, b.tprec)
+    if not a.coeffs and not b.coeffs:
+        return LaurentScalar(a.ring, 0, (), tp)
+    starts = [x.v0 for x in (a, b) if x.coeffs]
+    ends = [x.v0 + len(x.coeffs) for x in (a, b) if x.coeffs]
+    lo, hi = min(starts), max(ends)
+    acc = [a.field.zero()] * (hi - lo)
+    for x in (a, b):
+        for i, c in enumerate(x.coeffs):
+            acc[x.v0 + i - lo] = acc[x.v0 + i - lo] + c
+    return _make_laurent(a.ring, lo, acc, tp)
+
+
+def laurent_mul(a, b):
+    """a*b for Laurent scalars by the schoolbook product, each coefficient
+    known below min(tprec(a) + v(b), tprec(b) + v(a))."""
+    if a.is_certified_zero() or b.is_certified_zero():
+        return a.ring.zero()
+    la = a.valuation_lower_bound()
+    lb = b.valuation_lower_bound()
+    if not a.coeffs or not b.coeffs:
+        # at least one truncated zero: product is zero to the combined bound
+        return LaurentScalar(a.ring, 0, (), la + lb)
+    tp = None
+    if a.tprec is not None:
+        tp = a.tprec + b.v0
+    if b.tprec is not None:
+        t2 = b.tprec + a.v0
+        tp = t2 if tp is None else min(tp, t2)
+    acc = [a.field.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            acc[i + j] = acc[i + j] + x * y
+    return _make_laurent(a.ring, a.v0 + b.v0, acc, tp)
+
+
+def _add(a, b):
+    return laurent_add(a, b) if isinstance(a, LaurentScalar) else a + b
+
+
+def _mul(a, b):
+    return laurent_mul(a, b) if isinstance(a, LaurentScalar) else a * b
 
 
 def _gconv(ring, A, B, limit):
@@ -39,7 +100,7 @@ def _gconv(ring, A, B, limit):
             k = i + j
             if k >= out_len:
                 break
-            acc[k] = acc[k] + a * b
+            acc[k] = _add(acc[k], _mul(a, b))
     return acc
 
 
@@ -52,7 +113,7 @@ def _gcompose(ring, F, G, limit):
         R = _gconv(ring, R, G, limit)
         if not R:
             R = [ring.zero()]
-        R[0] = R[0] + F[i]
+        R[0] = _add(R[0], F[i])
     return R
 
 
@@ -71,8 +132,8 @@ def _series_quotient(num, den, length):
         for j in range(max(0, k - len(den) + 1), k):
             dk = den[k - j]
             if not dk.is_certified_zero():
-                acc = acc - qc[j] * dk
-        qc.append(acc * den0_inv)
+                acc = _add(acc, -_mul(qc[j], dk))
+        qc.append(_mul(acc, den0_inv))
     return qc
 
 

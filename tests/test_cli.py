@@ -13,8 +13,9 @@ import pytest
 
 from parabolic_lab import TruncatedSeries, cli, identity, series, sweeps
 from parabolic_lab.cli import build_parser, main
-from parabolic_lab.coeff_rings import MAX_FIELD_DEGREE
+from parabolic_lab.coeff_rings import MAX_FIELD_DEGREE, LaurentScalar
 from parabolic_lab.literals import MAX_DIGITS, MAX_NESTING
+from series_oracle import laurent_add, laurent_mul
 
 
 def run(argv, capsys):
@@ -448,7 +449,7 @@ _PATHS = [
     # a scalar stored densely across a gap of 2^32 in t
     ("far-apart-scalar", ["ramify", "--field", "Laurent(GF(3))", "--series",
                           "z + (t^2 + t^4294967290)*z^2"],
-     2, _refused("WorkBudgetExceeded", "a scalar's t-span of 34359738312 "
+     2, _refused("WorkBudgetExceeded", "a t-frame of 34359738312 "
                  "bytes is over the work limit of 262144 bytes")),
     # bounds and cycle valuations
     ("identity-iterate", ["bounds", "--field", "Laurent(GF(3))", "--series",
@@ -724,6 +725,37 @@ def test_chi_xi_at_a_high_level_is_quick(coeffs, capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert doc == {**run_json(argv + ["4"], capsys)[1], "n": 100000}
+
+
+def test_chi_xi_over_a_laurent_field_matches_the_schoolbook_scalars(
+        capsys, monkeypatch):
+    # chi and xi raise 1 + t to exponents near 3^n, every product and sum of
+    # scalars a one-row product or sum on the kernel; the document is the
+    # one the schoolbook loops of series_oracle give, and a level that took
+    # them 11 s answers at once
+    argv = ["closed-form", "--mode", "chi-xi", "--field", "Laurent(GF(3))",
+            "--q", "1", "--coeffs", "1+t,0", "--n"]
+    kernel = run(argv + ["6"], capsys)
+    calls = []
+
+    def schoolbook(op):
+        def method(self, other):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+            calls.append(op)
+            return op(self, other)
+        return method
+
+    with monkeypatch.context() as m:
+        for name, op in [("__mul__", laurent_mul), ("__rmul__", laurent_mul),
+                         ("__add__", laurent_add), ("__radd__", laurent_add)]:
+            m.setattr(LaurentScalar, name, schoolbook(op))
+        assert run(argv + ["6"], capsys) == kernel
+    assert kernel[0] == 0 and {laurent_mul, laurent_add} <= set(calls)
+    start = time.perf_counter()
+    assert run(argv + ["8"], capsys)[0] == 0
+    assert time.perf_counter() - start < 5
 
 
 DESK = ["--field", "Laurent(GF(3))", "--series", "z + t*z^2 + z^3", "--n", "1"]

@@ -395,11 +395,11 @@ def test_laurent_division_inverts_multiplication(R3, data):
 
 
 def test_a_sum_far_apart_in_t_is_refused(R3):
-    # the sum is stored densely from t^2 up: a gap of 2^32 would be a list
-    # of 34 GB, which the work limit refuses before it is allocated
+    # the sum is stored densely from t^2 up: a gap of 2^32 would be a
+    # t-frame of 34 GB, which the work limit refuses before it is allocated
     near = R3.t(2) + R3.t(30000)
     assert near.valuation() == 2 and len(near.coeffs) == 29999
-    with pytest.raises(WorkBudgetExceeded, match="t-span of 34359738312 bytes"):
+    with pytest.raises(WorkBudgetExceeded, match="t-frame of 34359738312 bytes"):
         R3.t(2) + R3.t(2 ** 32 - 6)
 
 

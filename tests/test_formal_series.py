@@ -48,6 +48,8 @@ from series_oracle import (
     _gconv,
     _inverse_by_division,
     _series_quotient,
+    laurent_add,
+    laurent_mul,
 )
 
 
@@ -949,6 +951,54 @@ def test_scalar_inverse_of_a_large_valuation():
     inv = ring.element({v: 1, v + 1: 1}).inverse()
     assert inv == ring.element({-v + i: (-1) ** i for i in range(64)},
                                -v + DEFAULT_TPREC)
+
+
+# residue fields of scalar products and sums: LAURENT_FIELDS, and two past
+# int64 in their digits or their coordinates
+SCALAR_FIELDS = LAURENT_FIELDS + [(2 ** 61 - 1, 1), (9223372036854775837, 2)]
+
+
+def _shifted(x, s):
+    """The scalar x times t^s, built without arithmetic."""
+    tp = None if x.tprec is None else x.tprec + s
+    return LaurentScalar(x.ring, x.v0 + s if x.coeffs else 0, x.coeffs, tp)
+
+
+@given(data=st.data(), field=st.sampled_from(SCALAR_FIELDS),
+       shift=st.sampled_from([0, 0, 2 ** 61, 2 ** 70, -2 ** 70]),
+       gap=st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_scalar_arithmetic_matches_the_schoolbook_oracle(data, field, shift,
+                                                         gap):
+    # a scalar product or sum is a one-row product or sum on the kernel,
+    # its operands packed from a Python-int origin: exact zeros, zeros
+    # known to O(t^k), negative v0, clipped precisions and exponents past
+    # 2^60 must all come out as the schoolbook loops have them
+    ring = LaurentRing(_kernel_field(*field))
+    x, y = data.draw(laurent_scalar(ring)), data.draw(laurent_scalar(ring))
+    a, b = _shifted(x, shift), _shifted(y, shift + gap)
+    assert a * b == laurent_mul(a, b)
+    assert a + b == laurent_add(a, b)
+    assert a - b == laurent_add(a, -b)
+    # factors far apart in t multiply as near ones do
+    c = _shifted(y, -2 * shift)
+    assert a * c == laurent_mul(a, c)
+
+
+def test_scalar_arithmetic_past_the_packed_exponents(L3):
+    # exponents of any size reach only the operands' origins, Python ints
+    v = 2 ** 70
+    t = L3.t()
+    assert L3.t(v) * (1 + t) == L3.element({v: 1, v + 1: 1})
+    assert L3.t(v) + L3.t(v + 3) == L3.element({v: 1, v + 3: 1})
+    # a zero known to O(t^k) adds only its precision, however far away
+    assert L3.t(v) + L3.element({}, 5) == L3.element({}, 5)
+    far = L3.t(-v) + L3.element({}, 5)
+    assert far == L3.element({-v: 1}, 5)
+    # but a precision 2^32 or more past the lowest exponent has no packed
+    # form, and a product or sum with it is refused
+    with pytest.raises(ParabolicLabError, match="within 2\\^32"):
+        far * t
 
 
 @st.composite
