@@ -6,9 +6,9 @@ each through cli.main in process, under a SIGALRM budget of BUDGET_S
 seconds.  The draws cover fields up to GF(65537^2), GF(2^61 - 1), GF(3^24)
 and Laurent(GF(3^3)), and GF(p) and Laurent(GF(p)) for p past 2^63; series
 with O(t^k) terms and windows up to z^2000; integer literals at the
-parser's digit limit and past the interpreter's int-string limit; deeply
-nested literals; levels up to 100000 and windows up to 4300 digits; and
-missing, contradicting and unread flags.
+parser's digit limit and past the interpreter's int-string limit, and a
+superscript digit; deeply nested literals; levels up to 100000 and windows
+up to 4300 digits; and missing, contradicting and unread flags.
 
 A call passes when it returns 0, 1 or 2 with one JSON document, or when
 argparse refuses its flags with usage (exit 2).  The script exits 1 when any
@@ -91,8 +91,9 @@ def _atom(rng: Random, laurent: bool, ext: bool, depth: int = 0) -> str:
     if r < 0.08 and depth < 2:
         return "(" + _scalar(rng, laurent, ext, depth + 1) + ")"
     if r < 0.1:
-        # an atom the ring may refuse, or no atom at all
-        return rng.choice(["x", "t", "O(t^2)", "z", "?", "t^", "()"])
+        # an atom the ring may refuse, or no atom at all; "²" is a digit
+        # to str.isdigit() but not to int()
+        return rng.choice(["x", "t", "O(t^2)", "z", "?", "t^", "()", "t^²"])
     if laurent and r < 0.4:
         e = rng.choice(["", "^2", "^-1", "^3", "^40", "^4294967290",
                         f"^{_int(rng)}", f"^-{_int(rng)}"])

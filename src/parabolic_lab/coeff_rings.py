@@ -492,9 +492,16 @@ class FieldElement:
         return not self.is_zero()
 
     def multiplicative_order(self) -> int:
+        """The least m >= 1 with self^m = 1.  self lies in GF(p^k) for the
+        least k with self^(p^k) = self, so m divides p^k - 1, and only
+        that is factored: p - 1 for every element of the prime field."""
         if self.is_zero():
             raise DivisionByZero("zero has no multiplicative order")
-        e = self.field.order - 1
+        p = self.field.p
+        k, y = 1, self ** p
+        while y != self:
+            k, y = k + 1, y ** p
+        e = p ** k - 1
         for r in _prime_factors(e):
             while e % r == 0 and (self ** (e // r)) == self.field.one():
                 e //= r

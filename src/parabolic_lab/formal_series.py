@@ -439,31 +439,22 @@ def _lowest(R):
                     _precisions(R))
 
 
-# Entries per block of the min-plus matrix in _antidiagonal_min: unblocked,
-# a long series by a short one would need far more than the cells it visits.
-_MINPLUS_CELLS = 1 << 18
-
-
 def _antidiagonal_min(tA, vA, tB, vB):
     """For each k, the least min(tA[i] + vB[j], vA[i] + tB[j]) over
-    i + j = k.  Each block of rows of A becomes a matrix whose row r is
-    shifted right by r (padding _EXACT), so anti-diagonals become columns;
-    blocks of about _MINPLUS_CELLS entries keep the memory linear, and the
-    work limit bounds the nA*nB cells visited."""
+    i + j = k.  With the shorter operand as A, row i of one matrix is
+    shifted right by i (padding _EXACT), so anti-diagonals become columns;
+    the work limit bounds the nA*nB cells visited, and so the matrix to
+    twice that."""
+    if len(tA) > len(tB):
+        tA, vA, tB, vB = tB, vB, tA, vA
     nA, nB = len(tA), len(tB)
     if nA * nB > _WORK_LIMIT:
         _check_size(nA * nB, "a precision pass", "cells")
-    out = np.full(nA + nB - 1, _EXACT, dtype=np.int64)
-    step = max(1, _MINPLUS_CELLS // (nA + nB))
-    for i in range(0, nA, step):
-        r = min(step, nA - i)
-        Z = np.full((r, nB + r), _EXACT, dtype=np.int64)
-        Z[:, :nB] = np.minimum(tA[i:i + r, None] + vB[None, :],
-                               vA[i:i + r, None] + tB[None, :])
-        L = nB + r - 1
-        np.minimum(out[i:i + L], Z.ravel()[:r * L].reshape(r, L).min(axis=0),
-                   out=out[i:i + L])
-    return out
+    Z = np.full((nA, nB + nA), _EXACT, dtype=np.int64)
+    Z[:, :nB] = np.minimum(tA[:, None] + vB[None, :],
+                           vA[:, None] + tB[None, :])
+    L = nA + nB - 1
+    return Z.ravel()[:nA * L].reshape(nA, L).min(axis=0)
 
 
 def _all_exact(tp):

@@ -10,8 +10,10 @@ Grammar, whitespace insensitive:
     scalar := INT | "x" ["^" INT] | "t" ["^" ["-"] INT]
             | "O" "(" "t" "^" ["-"] INT ")" | "(" scalar sum ")"
 
-x is the generator of an extension field, t the Laurent variable, and
-O(t^k) a zero known only to precision k.  Everything the printers in this
+INT is a run of the decimal digits int() reads: fullwidth and other
+Unicode decimals, but not superscripts or circled digits.  x is the
+generator of an extension field, t the Laurent variable, and O(t^k) a zero
+known only to precision k.  Everything the printers in this
 module emit parses back to an equal object, truncations and precision
 markers included.  Every malformed literal raises ParseError: so do an
 integer of more than MAX_DIGITS digits and parentheses nested more than
@@ -48,9 +50,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # the digits int() reads: not "²" or "①"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal of {j - i} digits is "
@@ -72,6 +74,10 @@ def _tokenize(text: str):
     return toks
 
 
+# _expect's message when the token it wants is of a kind, with no value.
+_EXPECTED = {"int": "expected an integer", "end": "trailing input"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -88,73 +94,60 @@ class _Parser:
         self.k += 1
         return tok
 
-    def _at_op(self, ch: str) -> bool:
-        kind, val, _ = self._peek()
-        return kind == "op" and val == ch
+    def _accept(self, kind: str, val) -> bool:
+        """Take the next token if it is (kind, val)."""
+        if self._peek()[:2] != (kind, val):
+            return False
+        self.k += 1
+        return True
 
-    def _at_name(self, name: str) -> bool:
-        kind, val, _ = self._peek()
-        return kind == "name" and val == name
+    def _expect(self, kind: str, val=None):
+        """The value of the next token, taken; it must be of this kind, and
+        equal to val unless val is None."""
+        got_kind, got, pos = self._take()
+        if got_kind != kind or (val is not None and got != val):
+            raise ParseError(_EXPECTED[kind] if val is None
+                             else f"expected {val!r}", pos)
+        return got
 
-    def _expect_op(self, ch: str):
-        kind, val, pos = self._take()
-        if kind != "op" or val != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-
-    def _expect_int(self) -> int:
-        kind, val, pos = self._take()
-        if kind != "int":
-            raise ParseError("expected an integer", pos)
-        return val
-
-    def _expect_name(self, name: str):
-        kind, val, pos = self._take()
-        if kind != "name" or val != name:
-            raise ParseError(f"expected {name!r}", pos)
-
-    def _expect_end(self):
-        kind, _, pos = self._peek()
-        if kind != "end":
-            raise ParseError("trailing input", pos)
-
-    def _signed_int(self) -> int:
-        if self._at_op("-"):
-            self._take()
-            return -self._expect_int()
-        return self._expect_int()
+    def _exponent(self, signed: bool = False, required: bool = False) -> int:
+        """The INT of "^" INT after a variable, ["-"] INT when signed; 1 when
+        no "^" follows and none is required."""
+        if required:
+            self._expect("op", "^")
+        elif not self._accept("op", "^"):
+            return 1
+        negative = signed and self._accept("op", "-")
+        e = self._expect("int")
+        return -e if negative else e
 
     # -- fields ------------------------------------------------------------
 
     def field(self):
-        kind, val, pos = self._peek()
-        if kind == "name" and val == "Laurent":
-            self._take()
-            self._expect_op("(")
+        pos = self._peek()[2]
+        if self._accept("name", "Laurent"):
+            self._expect("op", "(")
             # refused before descending, so nesting costs no recursion
-            if self._at_name("Laurent"):
+            if self._accept("name", "Laurent"):
                 raise ParseError("Laurent coefficients must form a finite field",
                                  pos)
             inner = self.field()
-            self._expect_op(")")
+            self._expect("op", ")")
             return LaurentRing(inner)
-        if kind == "name" and val == "GF":
-            self._take()
-            self._expect_op("(")
-            p = self._expect_int()
+        if self._accept("name", "GF"):
+            self._expect("op", "(")
+            p = self._expect("int")
             d, modulus = 1, None
-            if self._at_op(","):
-                self._take()
-                d = self._expect_int()
-                if self._at_op(";"):
-                    self._take()
-                    self._expect_name("modulus")
-                    self._expect_op("=")
-                    modulus = [self._expect_int()]
-                    while self._at_op(","):
-                        self._take()
-                        modulus.append(self._expect_int())
+            if self._accept("op", ","):
+                d = self._expect("int")
+                if self._accept("op", ";"):
+                    self._expect("name", "modulus")
+                    self._expect("op", "=")
+                    modulus = [self._expect("int")]
+                    while self._accept("op", ","):
+                        modulus.append(self._expect("int"))
                     modulus = tuple(modulus)
-            self._expect_op(")")
+            self._expect("op", ")")
             return FiniteField(p, d, modulus)
         raise ParseError("expected GF(...) or Laurent(GF(...))", pos)
 
@@ -170,77 +163,57 @@ class _Parser:
                     f"parentheses nested more than {MAX_NESTING} deep", pos)
             self.depth += 1
             s = self._scalar_sum(ring)
-            self._expect_op(")")
+            self._expect("op", ")")
             self.depth -= 1
             return s
         if kind == "name" and val == "x":
             fld = ring.field if isinstance(ring, LaurentRing) else ring
             if fld.d == 1:
                 raise ParseError("x needs an extension field", pos)
-            e = 1
-            if self._at_op("^"):
-                self._take()
-                e = self._expect_int()
-            g = fld.gen() ** e
+            g = fld.gen() ** self._exponent()
             return ring.embed(g) if isinstance(ring, LaurentRing) else g
         if kind == "name" and val == "t":
             if not isinstance(ring, LaurentRing):
                 raise ParseError("t needs Laurent coefficients", pos)
-            e = 1
-            if self._at_op("^"):
-                self._take()
-                e = self._signed_int()
-            return ring.t(e)
+            return ring.t(self._exponent(signed=True))
         if kind == "name" and val == "O":
             if not isinstance(ring, LaurentRing):
                 raise ParseError("O(t^k) needs Laurent coefficients", pos)
-            self._expect_op("(")
-            self._expect_name("t")
-            self._expect_op("^")
-            e = self._signed_int()
-            self._expect_op(")")
+            self._expect("op", "(")
+            self._expect("name", "t")
+            e = self._exponent(signed=True, required=True)
+            self._expect("op", ")")
             return ring.element({}, tprec=e)
         raise ParseError("expected a coefficient", pos)
 
     def _term(self, ring, allow_z: bool):
         """One product of factors; returns (coefficient, z exponent), the
         coefficient of a bare z power being 1."""
-        coeff = None
-        zexp = 0
-        seen_z = False
+        coeff = zexp = None
         while True:
-            kind, val, pos = self._peek()
-            if kind == "name" and val == "z":
+            pos = self._peek()[2]
+            if self._accept("name", "z"):
                 if not allow_z:
                     raise ParseError("z cannot appear inside a coefficient", pos)
-                if seen_z:
+                if zexp is not None:
                     raise ParseError("two z factors in one term", pos)
-                self._take()
-                zexp = 1
-                if self._at_op("^"):
-                    self._take()
-                    zexp = self._expect_int()
-                seen_z = True
+                zexp = self._exponent()
             else:
                 atom = self._scalar_atom(ring)
                 coeff = atom if coeff is None else coeff * atom
-            if self._at_op("*"):
-                self._take()
-                continue
-            return (ring.one() if coeff is None else coeff), zexp
+            if not self._accept("op", "*"):
+                return (ring.one() if coeff is None else coeff), zexp or 0
 
     def _signed_terms(self, ring, allow_z: bool):
         """The terms of ["-"] term (("+"|"-") term)*, each as its signed
         coefficient and z exponent."""
-        negative = self._at_op("-")
-        if negative:
-            self._take()
+        negative = self._accept("op", "-")
         while True:
             coeff, zexp = self._term(ring, allow_z)
             yield (-coeff if negative else coeff), zexp
-            if not (self._at_op("+") or self._at_op("-")):
+            negative = self._accept("op", "-")
+            if not (negative or self._accept("op", "+")):
                 return
-            negative = self._take()[1] == "-"
 
     def _scalar_sum(self, ring):
         return functools.reduce(operator.add, (
@@ -254,48 +227,39 @@ class _Parser:
             prev = entries.get(zexp)
             entries[zexp] = coeff if prev is None else prev + coeff
         n_trunc = None
-        if self._at_name("mod"):
-            self._take()
-            self._expect_name("z")
-            self._expect_op("^")
-            n_trunc = self._expect_int()
+        if self._accept("name", "mod"):
+            self._expect("name", "z")
+            n_trunc = self._exponent(required=True)
         return entries, n_trunc
 
-    def series(self, ring) -> TruncatedSeries:
-        return make_series(ring, *self.terms(ring))
+
+def _parse(text: str, rule, *args):
+    """rule(parser, *args) on the whole of text: nothing may follow."""
+    parser = _Parser(text)
+    out = rule(parser, *args)
+    parser._expect("end")
+    return out
 
 
 def parse_field(text: str):
     """A FiniteField or LaurentRing from its literal."""
-    p = _Parser(text)
-    ring = p.field()
-    p._expect_end()
-    return ring
+    return _parse(text, _Parser.field)
 
 
 def parse_series(text: str, ring) -> TruncatedSeries:
     """A series in z over the given ring from its literal."""
-    p = _Parser(text)
-    s = p.series(ring)
-    p._expect_end()
-    return s
+    return make_series(ring, *_parse(text, _Parser.terms, ring))
 
 
 def parse_terms(text: str, ring):
     """The {z exponent: coefficient} of a series literal over the given ring
     and its window (None for a polynomial), without building the series."""
-    p = _Parser(text)
-    out = p.terms(ring)
-    p._expect_end()
-    return out
+    return _parse(text, _Parser.terms, ring)
 
 
 def parse_scalar(text: str, ring):
     """A single coefficient (no z) from its literal."""
-    p = _Parser(text)
-    s = p._scalar_sum(ring)
-    p._expect_end()
-    return s
+    return _parse(text, _Parser._scalar_sum, ring)
 
 
 # -- printers ---------------------------------------------------------------

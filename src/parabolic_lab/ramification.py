@@ -307,14 +307,19 @@ def check_quasi_invariance(f: ParabolicGerm, h,
     The window is the meet of those of f and h, else the default one.  The
     jumps must agree level by level and the leading coefficients must
     scale by h'(0)^(i_n).  Levels beyond the window carry no claim and are
-    reported with matched = None.
+    reported with matched = None.  Rows stop at the first level whose least
+    possible jump is N - 1 or more: from there on both profiles are beyond
+    the window.
     """
+    q, p = f.q, f.char
     N = f.series._meet(h)
     if N is None:
-        N = default_window(f.char, f.q, n_max)
+        N = default_window(p, q, n_max)
     fhat = f.conjugate(h, n_trunc=N)
-    prof_f = ramification_profile(f, n_max, N)
-    prof_c = ramification_profile(fhat, n_max, N)
+    last = next((n for n in range(n_max)
+                 if ramification_lower_bound(p, q, n) >= N - 1), n_max)
+    prof_f = ramification_profile(f, last, N)
+    prof_c = ramification_profile(fhat, last, N)
     c = h.coeff(1)
     ok = True
     rows = []

@@ -388,6 +388,11 @@ _PATHS = [
     ("unexpected-character", ["ramify", "--field", "GF(3)", "--series",
                               "z + z^2 ?"],
      2, _refused("ParseError", "unexpected character '?' (at position 8)")),
+    # a digit to str.isdigit() that int() does not read
+    ("superscript-digit", ["ramify", "--field", "GF(3)", "--series",
+                           "z + z^\u00b2"],
+     2, _refused("ParseError",
+                 "unexpected character '\u00b2' (at position 6)")),
     ("expected-op", ["ramify", "--field", "GF 3", "--series", "z + z^2"],
      2, _refused("ParseError", "expected '(' (at position 3)")),
     ("laurent-of-laurent", ["ramify", "--field", "Laurent(Laurent(GF(3)))",

@@ -310,6 +310,34 @@ def test_root_of_unity_is_that_of_the_full_scan(p, d):
             assert root_of_unity(field, q) == primitive ** (e // q)
 
 
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (2, 3), (2, 4), (2, 6), (3, 2), (3, 3),
+                                 (3, 4), (5, 2), (13, 2)])
+def test_multiplicative_order_is_the_brute_force_one(p, d):
+    field = FiniteField(p, d)
+    for g in field.elements():
+        if not g.is_zero():
+            assert g.multiplicative_order() == _multiplicative_order(g), g
+
+
+def test_multiplicative_order_factors_only_the_least_subfield(monkeypatch):
+    # 1 lies in GF(3) and an element of order 8 in GF(9): inside GF(3^4)
+    # only 3 - 1 and 3^2 - 1 are factored, never 3^4 - 1
+    from parabolic_lab import coeff_rings
+    field = FiniteField(3, 4)
+    g = root_of_unity(field, 80) ** 10
+    factored = []
+
+    def spy(n):
+        factored.append(n)
+        return _prime_factors(n)
+
+    monkeypatch.setattr(coeff_rings, "_prime_factors", spy)
+    assert field.one().multiplicative_order() == 1
+    assert g.multiplicative_order() == 8
+    assert factored == [2, 8]
+
+
 def test_root_of_unity_over_a_large_extension_is_quick():
     # the prime field of GF(65537^6) holds 65537 elements none of which is
     # primitive: scanning them first took half a minute

@@ -181,9 +181,8 @@ def kernel_operands(draw):
 @settings(max_examples=300, deadline=None)
 def test_generic_convolution_matches_packed_kernel(ops):
     # mul and compose against the scalar oracle, coefficient by coefficient
-    # and precision by precision; Laurent precisions once more with the
-    # min-plus matrix cut into blocks of a single row, and the packed
-    # a - z*b that Newton division uses against scalar sums
+    # and precision by precision, and over Laurent rings the packed a - z*b
+    # that Newton division uses against scalar sums
     ring, a, b, g = ops
     mul_n, comp_n = a._meet(b), a._meet(g)
     prod = TruncatedSeries(ring, _gconv(ring, a.coeffs, b.coeffs, mul_n), mul_n)
@@ -192,9 +191,6 @@ def test_generic_convolution_matches_packed_kernel(ops):
     assert a * b == prod
     assert a.compose(g) == comp
     if isinstance(ring, LaurentRing):
-        with patch.object(formal_series, "_MINPLUS_CELLS", 1):
-            assert a * b == prod
-            assert a.compose(g) == comp
         A, B = (formal_series._pack_laurent(ring, s.coeffs) for s in (a, b))
         diff = formal_series._add_laurent(ring.field, A, B, shift=1, sign=-1)
         zero = ring.zero()
@@ -606,6 +602,18 @@ def test_work_past_the_limit_is_refused():
     with pytest.raises(WorkBudgetExceeded,
                        match="precision pass of 262656 cells"):
         formal_series._antidiagonal_min(t, t, u, u)
+
+
+def test_precision_pass_takes_its_operands_in_either_order():
+    # the pass puts the shorter operand first; either order gives the least
+    # min(tA[i] + vB[j], vA[i] + tB[j]) over each anti-diagonal i + j = k
+    rng = np.random.default_rng(3)
+    tA, vA = rng.integers(0, 50, (2, 3))
+    tB, vB = rng.integers(0, 50, (2, 7))
+    least = [min(min(tA[i] + vB[k - i], vA[i] + tB[k - i])
+                 for i in range(3) if 0 <= k - i < 7) for k in range(9)]
+    assert list(formal_series._antidiagonal_min(tA, vA, tB, vB)) == least
+    assert list(formal_series._antidiagonal_min(tB, vB, tA, vA)) == least
 
 
 def test_packed_laurent_precision_never_reads_as_exact():

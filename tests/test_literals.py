@@ -79,6 +79,34 @@ def test_integers_are_read_to_the_digit_limit_and_refused_past_it():
         parse_series("z + " + "1" * (MAX_DIGITS + 1) + "*z^2", F3)
 
 
+@pytest.mark.parametrize("digit", ["²", "①"])
+@pytest.mark.parametrize("parse,text,ring", [
+    (parse_series, "z + z^{}", "GF(3)"),
+    (parse_series, "z + {}*z^2 mod z^9", "GF(3)"),
+    (parse_series, "z + z^2 mod z^{}", "GF(3)"),
+    (parse_scalar, "1 + {}", "GF(3)"),  # a --coeffs value
+    (parse_field, "GF(3,2;modulus=1,{},2)", None),
+    (parse_scalar, "t^{} + O(t^5)", "Laurent(GF(3))"),
+    (parse_scalar, "t + O(t^{})", "Laurent(GF(3))"),
+], ids=["exponent", "coefficient", "window", "coeffs", "modulus", "t-power",
+        "precision"])
+def test_digits_int_cannot_read_are_refused(digit, parse, text, ring):
+    # str.isdigit() takes superscripts and circled digits, int() does not
+    text = text.format(digit)
+    args = (text,) if ring is None else (text, parse_field(ring))
+    pos = text.index(digit)
+    with pytest.raises(ParseError, match=f"unexpected character '{digit}' "
+                                         f"\\(at position {pos}\\)"):
+        parse(*args)
+
+
+def test_fullwidth_and_arabic_indic_digits_read_as_integers():
+    assert parse_field("GF(\uff13)") == FiniteField(3)
+    F5 = parse_field("GF(5)")
+    assert series_to_str(parse_series("z + \u0662*z^\u0663", F5)) == (
+        "z + 2*z^3")
+
+
 def test_t_requires_laurent_coefficients():
     with pytest.raises(ParseError):
         parse_series("t*z^2", parse_field("GF(3)"))

@@ -9,7 +9,7 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from random import Random
 
 from parabolic_lab import (
@@ -35,7 +35,12 @@ from parabolic_lab import (
     series,
 )
 from parabolic_lab.literals import scalar_to_jsonable
-from parabolic_lab.ramification import _levels, _resit_numerators, _resit_pair
+from parabolic_lab.ramification import (
+    _levels,
+    _resit_numerators,
+    _resit_pair,
+    default_window,
+)
 from parabolic_lab.samplers import (
     random_integral_scalar,
     random_parabolic_germ,
@@ -418,6 +423,19 @@ def test_quasi_invariance_reports_a_conjugate_whose_jumps_differ(
         {"n": 1, "i": 4, "i_conjugate": 26, "matched": False}]
 
 
+def test_quasi_invariance_stops_at_the_first_level_past_the_window(F3):
+    # from level 3 on the least jump, 40, is past the window z^30, so the
+    # rows stop there however many levels are asked for
+    f = germ("z + z^2 + 2*z^3 mod z^30", F3)
+    h = parse_series("2*z + z^2 mod z^30", F3)
+    rep = check_quasi_invariance(f, h, 100000)
+    assert rep.ok and rep.n_max == 100000
+    assert [(r["n"], r["i"]) for r in rep.rows] == [
+        (0, 1), (1, 4), (2, 13), (3, "beyond-truncation")]
+    with pytest.raises(ParabolicLabError, match="n_max must be >= 0, got -1"):
+        check_quasi_invariance(f, h, -1)
+
+
 def test_quasi_invariance_random_conjugations(F3):
     from parabolic_lab.samplers import random_coordinate_change
     rng = Random(77)
@@ -426,3 +444,44 @@ def test_quasi_invariance_random_conjugations(F3):
         h = random_coordinate_change(rng, F3, 30)
         rep = check_quasi_invariance(f, h, 1)
         assert rep.ok
+
+
+# (p, d) of the finite fields Sen's congruence is drawn over
+SEN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_decided_jumps_satisfy_sen_congruence(data, seed):
+    # Sen (Ann. of Math. 90, 1969): the jumps of the p^n-th iterates of a
+    # series tangent to the identity satisfy i_n = i_(n-1) mod p^n.  f^q is
+    # such a series, so every profile obeys it, minimal or not; half the
+    # finite-field germs lose their low tail terms, so that non-minimal
+    # profiles are drawn too
+    rng = Random(seed)
+    if data.draw(st.booleans()):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        ring = LaurentRing(FiniteField(p))
+        q = data.draw(st.sampled_from([q for q in (1, 2, 4)
+                                       if (p - 1) % q == 0]))
+        f = random_polynomial_germ(rng, ring, q,
+                                   degree=data.draw(st.integers(2, 4)))
+        prof = ramification_profile(f, 2 if p < 5 else 1)
+    else:
+        p, d = data.draw(st.sampled_from(SEN_FIELDS))
+        field = FiniteField(p, d)
+        q = data.draw(st.sampled_from([q for q in range(1, 5)
+                                       if (p ** d - 1) % q == 0]))
+        n_max = 3 if p == 2 else 2
+        N = 2 * default_window(p, q, n_max)
+        f = random_parabolic_germ(rng, field, q, N)
+        k = data.draw(st.integers(1, 3 * q)) if data.draw(st.booleans()) else 0
+        kept = {e: c for e, c in enumerate(f.series.coeffs)
+                if e < 2 or e >= k + 2}
+        assume(any(kept[e] for e in kept if e >= 2))
+        prof = ramification_profile(ParabolicGerm(series(field, kept, N)),
+                                    n_max, N)
+    es = prof.entries
+    for a, b in zip(es, es[1:]):
+        if isinstance(a.i, int) and isinstance(b.i, int):
+            assert (b.i - a.i) % p ** b.n == 0, (b.n, a.i, b.i)
