@@ -23,8 +23,6 @@ from .coeff_rings import (
     FiniteField,
     LaurentRing,
     LaurentScalar,
-    half_scalar,
-    ring_of,
     root_of_unity,
     smallest_field_with_root,
 )

@@ -18,12 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeff_rings import (
-    FiniteField,
-    half_scalar,
-    ring_of,
-    root_of_unity,
-)
+from .coeff_rings import FiniteField, root_of_unity
 from .errors import (
     NonzeroConstantTerm,
     POrderRequested,
@@ -68,7 +63,7 @@ def chi_xi(q: int, n: int, a1, a2) -> ClosedFormPair:
     """
     if n < 1:
         raise ParabolicLabError(f"level must be >= 1, got {n}")
-    rng = ring_of(a1)
+    rng = a1.ring
     p = rng.char
     if math.gcd(p, q) != 1:
         raise POrderRequested(f"q = {q} must be prime to p = {p}")
@@ -91,14 +86,14 @@ def iterate_q_closed(gamma, q: int, a1, a2):
     divides q.  The half integer (q^2-1)/2 is exact whenever it needs to be:
     odd q makes it an integer, and odd characteristic can halve.
     """
-    rng = ring_of(a1)
+    rng = a1.ring
     one = rng.one()
     if not (rng(gamma) ** q - one).is_certified_zero():
         raise ParabolicLabError("gamma^q must be 1 for a reduced germ")
     qs = rng.from_int(q)
     c0 = one
     c1 = qs * a1
-    c2 = qs * (half_scalar(rng, q * q - 1) * a1 * a1 + a2)
+    c2 = qs * (rng.half(q * q - 1) * a1 * a1 + a2)
     return c0, c1, c2
 
 
@@ -108,7 +103,7 @@ def ell_iterate_quadratic(ell: int, a, b):
     ell(ell-1) is formed as an integer first, so the formula is valid for any
     ell including multiples of the characteristic.
     """
-    rng = ring_of(a)
+    rng = a.ring
     ls = rng.from_int(ell)
     ms = rng.from_int(ell * (ell - 1))
     return ls * a, ms * a * a + ls * b

@@ -24,6 +24,16 @@ Products, sums and inverses of Laurent scalars run on the series kernel
 (formal_series) as one-row series, counted from v0 so that v0 itself may be
 any integer.
 
+Both rings answer one scalar protocol.  A FiniteField F is its own F.field,
+F.half(m) is the field value of the integer m/2, and F(value) takes an int
+(reduced mod p), an element of F or a tuple of coordinates.  A LaurentRing R
+over F has R.field = F, R.half(m) is the constant F.half(m), and R(value)
+takes an int, a constant of F, a scalar of R or {exponent: coefficient}.
+Every scalar x has x.ring: a field element's is its field, a Laurent
+scalar's its LaurentRing.  A scalar of any other ring raises
+ScalarRingMismatch, in R(value) and in arithmetic; an arithmetic operand
+that is neither an int nor a scalar is left to Python (NotImplemented).
+
 Norms on these rings are never materialized as floats anywhere in the library;
 all size comparisons go through valuations (integers here, Fractions where
 slopes and bounds appear).
@@ -272,6 +282,51 @@ def _is_irreducible(coeffs, p):
     return True
 
 
+# The scalar protocol (see above): these are bound by name in both ring
+# classes (_convert) and both scalar classes (the rest).
+
+def _convert(ring, value):
+    """ring(value): an int is reduced into ring, a scalar of ring is
+    returned as it is, and a constant of ring's residue field embedded; a
+    scalar of any other ring raises ScalarRingMismatch.  Any other value
+    goes to ring.element: coordinates, or {exponent: coefficient}."""
+    if isinstance(value, int):
+        return ring.from_int(value)
+    if isinstance(value, (FieldElement, LaurentScalar)):
+        if value.ring is ring or value.ring == ring:
+            return value
+        if value.ring == ring.field:  # only a Laurent ring has another field
+            return ring.embed(value)
+        raise ScalarRingMismatch(f"a scalar of {value.ring!r} is not in {ring!r}")
+    return ring.element(value)
+
+
+def _coerce(self, other):
+    """other as a scalar of self's ring for an arithmetic operator: ints,
+    field elements and scalars of self's own type convert, any other operand
+    is NotImplemented, so a Laurent scalar takes a field element on either
+    side."""
+    if other.__class__ is self.__class__ and other.ring is self.ring:
+        return other
+    if isinstance(other, (int, FieldElement, self.__class__)):
+        return _convert(self.ring, other)
+    return NotImplemented
+
+
+def _rsub(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return other - self
+
+
+def _truediv(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self * other.inverse()
+
+
 class FiniteField:
     """The field GF(p^d), doubling as the scalar-ring descriptor for series."""
 
@@ -328,6 +383,10 @@ class FiniteField:
     def char(self) -> int:
         return self.p
 
+    @property
+    def field(self) -> "FiniteField":
+        return self
+
     def zero(self) -> "FieldElement":
         return self._zero
 
@@ -373,14 +432,7 @@ class FiniteField:
         for n in range(start, self.order):
             yield FieldElement(self, tuple(_base_p_digits(n, self.p, self.d)))
 
-    def __call__(self, value):
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ScalarRingMismatch(f"{value!r} is not in {self!r}")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        return self.element(value)
+    __call__ = _convert
 
     def __eq__(self, other):
         return self is other or (
@@ -403,14 +455,7 @@ class FieldElement:
         self.field = field
         self.coords = coords
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ScalarRingMismatch("field elements from different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
+    _coerce = _coerce
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -430,11 +475,7 @@ class FieldElement:
         return FieldElement(self.field, tuple(
             (a - b) % p for a, b in zip(self.coords, other.coords)))
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __rsub__ = _rsub
 
     def __neg__(self):
         p = self.field.p
@@ -468,11 +509,7 @@ class FieldElement:
         field = self.field
         return FieldElement(field, field._inverse_coords(self.coords))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+    __truediv__ = _truediv
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -537,6 +574,11 @@ class FieldElement:
         return f"{self!s} in {self.field!r}"
 
 
+# a field element's ring is its field: the same slot under the scalar
+# protocol's name, read as fast as .field
+FieldElement.ring = FieldElement.field
+
+
 def root_of_unity(field: FiniteField, q: int) -> FieldElement:
     """An element of exact multiplicative order q, found via a primitive element.
 
@@ -587,22 +629,6 @@ def smallest_field_with_root(p: int, q: int) -> FiniteField:
     return FiniteField(p, d)
 
 
-def ring_of(x):
-    """The structure a scalar belongs to: its FiniteField or its LaurentRing."""
-    return x.ring if isinstance(x, LaurentScalar) else x.field
-
-
-def half_scalar(ring, m: int):
-    """m/2 as a scalar of ring, computed as an integer when m is even.
-
-    For odd m the characteristic must be odd (the inverse of 2 exists).
-    Accepts a FiniteField or a LaurentRing.
-    """
-    if isinstance(ring, LaurentRing):
-        return ring.embed(ring.field.half(m))
-    return ring.half(m)
-
-
 class LaurentRing:
     """Descriptor for GF(p^d)((t)) as a coefficient ring for series.
 
@@ -629,6 +655,10 @@ class LaurentRing:
     def from_int(self, n: int) -> "LaurentScalar":
         return self.embed(self.field.from_int(n))
 
+    def half(self, m: int) -> "LaurentScalar":
+        """The constant m/2, as FiniteField.half."""
+        return self.embed(self.field.half(m))
+
     def embed(self, c: FieldElement) -> "LaurentScalar":
         """The constant c as an exact Laurent scalar."""
         if c.field is not self.field and c.field != self.field:
@@ -652,21 +682,17 @@ class LaurentRing:
             return LaurentScalar(self, 0, (), tprec)
         exps = sorted(pairs)
         v0 = exps[0]
-        coeffs = [self.field.zero()] * (exps[-1] - v0 + 1)
+        # imported here: formal_series imports this module when it loads
+        from .formal_series import _check_size
+        span = exps[-1] - v0 + 1
+        _check_size(span * self.field.d
+                    * np.dtype(_coord_dtype(self.field.p)).itemsize, "a t-frame")
+        coeffs = [self.field.zero()] * span
         for e, c in pairs.items():
             coeffs[e - v0] = self.field(c)
         return _make_laurent(self, v0, coeffs, tprec)
 
-    def __call__(self, value):
-        if isinstance(value, LaurentScalar):
-            if value.ring != self:
-                raise ScalarRingMismatch(f"{value!r} is not over {self!r}")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, FieldElement):
-            return self.embed(value)
-        return self.element(value)
+    __call__ = _convert
 
     def __eq__(self, other):
         return self is other or (isinstance(other, LaurentRing)
@@ -743,16 +769,7 @@ class LaurentScalar:
         tp = tprec if self.tprec is None else min(self.tprec, tprec)
         return _make_laurent(self.ring, self.v0, list(self.coeffs), tp)
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentScalar):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ScalarRingMismatch("Laurent scalars over different fields")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, FieldElement):
-            return self.ring.embed(other)
-        return NotImplemented
+    _coerce = _coerce
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -786,11 +803,7 @@ class LaurentScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -829,11 +842,7 @@ class LaurentScalar:
         return _unpack_laurent(self.ring, _inverse_row(
             self.field, _scalar_row(self, self.v0), rel), -self.v0)[0]
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+    __truediv__ = _truediv
 
     def __pow__(self, n: int):
         if n < 0:

@@ -167,11 +167,9 @@ class _Parser:
             self.depth -= 1
             return s
         if kind == "name" and val == "x":
-            fld = ring.field if isinstance(ring, LaurentRing) else ring
-            if fld.d == 1:
+            if ring.field.d == 1:
                 raise ParseError("x needs an extension field", pos)
-            g = fld.gen() ** self._exponent()
-            return ring.embed(g) if isinstance(ring, LaurentRing) else g
+            return ring(ring.field.gen() ** self._exponent())
         if kind == "name" and val == "t":
             if not isinstance(ring, LaurentRing):
                 raise ParseError("t needs Laurent coefficients", pos)

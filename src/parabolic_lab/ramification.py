@@ -20,7 +20,7 @@ from .errors import (
     ParabolicLabError,
     TruncationTooSmall,
 )
-from .coeff_rings import DEFAULT_TPREC, LaurentRing, half_scalar, ring_of
+from .coeff_rings import DEFAULT_TPREC, LaurentRing
 from .formal_series import ParabolicGerm, count_text, identity
 from .literals import index_to_jsonable, scalar_to_jsonable
 
@@ -184,11 +184,11 @@ def _resit_numerators(q: int, top, s):
     that chi and xi are made of.  Nothing is divided, so both are exact
     whenever the inputs are.  n' is not formed as top - n, which would leave
     a zero known only to the precision of a fuzzy top where resit = 1."""
-    ring = ring_of(top)
-    n = half_scalar(ring, q + 1) * top + s
+    ring = top.ring
+    n = ring.half(q + 1) * top + s
     if ring.char != 2:
         return n, None
-    return n, half_scalar(ring, 1 - q) * top - s
+    return n, ring.half(1 - q) * top - s
 
 
 def resit(f: ParabolicGerm):
@@ -202,8 +202,8 @@ def _resit_value(q: int, c, s):
     to relative precision at least DEFAULT_TPREC from its valuation
     v(n) - (q+1)v(c) (n the resit numerator).  This value is only printed;
     decisions go through _resit_numerators, which does not divide."""
-    ring = ring_of(c)
-    half = half_scalar(ring, q + 1)
+    ring = c.ring
+    half = ring.half(q + 1)
     top = c ** (q + 1)
     if not isinstance(ring, LaurentRing):
         return ring.from_int(q) * (half + s / top)
@@ -309,17 +309,17 @@ def check_quasi_invariance(f: ParabolicGerm, h,
     scale by h'(0)^(i_n).  Levels beyond the window carry no claim and are
     reported with matched = None.  Rows stop at the first level whose least
     possible jump is N - 1 or more: from there on both profiles are beyond
-    the window.
+    the window.  f's profile comes first, so that it refuses a negative
+    n_max before the conjugation does any work.
     """
     q, p = f.q, f.char
     N = f.series._meet(h)
     if N is None:
         N = default_window(p, q, n_max)
-    fhat = f.conjugate(h, n_trunc=N)
     last = next((n for n in range(n_max)
                  if ramification_lower_bound(p, q, n) >= N - 1), n_max)
     prof_f = ramification_profile(f, last, N)
-    prof_c = ramification_profile(fhat, last, N)
+    prof_c = ramification_profile(f.conjugate(h, n_trunc=N), last, N)
     c = h.coeff(1)
     ok = True
     rows = []

@@ -22,7 +22,7 @@ from parabolic_lab import (
     identity,
     series,
 )
-from parabolic_lab.coeff_rings import LaurentScalar, _make_laurent, ring_of
+from parabolic_lab.coeff_rings import LaurentScalar, _make_laurent
 from parabolic_lab.formal_series import TruncatedSeries
 
 
@@ -125,7 +125,7 @@ def _series_quotient(num, den, length):
     the ring of den[0], which must be a unit.
     """
     den0_inv = den[0].inverse()
-    zero = ring_of(den[0]).zero()
+    zero = den[0].ring.zero()
     qc = []
     for k in range(length):
         acc = num[k] if k < len(num) else zero

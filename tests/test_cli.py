@@ -549,6 +549,18 @@ def test_work_past_the_kernel_limit_is_refused(argv, capsys):
     assert "work limit" in doc["error"]
 
 
+def test_a_negative_nmax_is_refused_before_the_conjugation(capsys):
+    # the conjugation inverts h through the window z^2000: 11 s of work
+    # when it came before the level check
+    argv = ["verify", "quasi-invariance", "--p", "5", "--q", "13", "--nmax",
+            "-1", "--N", "2000", "--seed", "446"]
+    start = time.perf_counter()
+    code, doc = run_json(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert doc == _refused("ParabolicLabError", "n_max must be >= 0, got -1")
+
+
 def test_a_precision_pass_past_the_work_limit_is_refused_at_once(capsys):
     # the coefficient known only to O(t^5) sends the composition to Horner's
     # rule, whose every product pairs each row with each row to find its

@@ -1,6 +1,8 @@
 """Field and Laurent-scalar arithmetic, plus the root-of-unity helpers."""
 
+import operator
 import time
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -26,8 +28,6 @@ from parabolic_lab import (
     ReducibleModulus,
     ScalarRingMismatch,
     WorkBudgetExceeded,
-    half_scalar,
-    ring_of,
     root_of_unity,
     smallest_field_with_root,
 )
@@ -360,11 +360,13 @@ def test_root_of_unity_rejects_p_power_order():
         smallest_field_with_root(2, 6)
 
 
-def test_half_scalar_odd_characteristic():
+def test_half_odd_characteristic():
     F5 = FiniteField(5)
+    L5 = LaurentRing(F5)
     # (q+1)/2 for q = 2: 3/2 = 3 * inverse(2) = 3 * 3 = 9 = 4 mod 5
-    assert half_scalar(F5, 3) == F5.from_int(4)
-    assert half_scalar(F5, 3) + half_scalar(F5, 3) == F5.from_int(3)
+    assert F5.half(3) == F5.from_int(4)
+    assert F5.half(3) + F5.half(3) == F5.from_int(3)
+    assert L5.half(3) == L5.from_int(4) and L5.half(-4) == L5.from_int(-2)
 
 
 # -- Laurent scalars -------------------------------------------------------
@@ -429,6 +431,15 @@ def test_a_sum_far_apart_in_t_is_refused(R3):
     assert near.valuation() == 2 and len(near.coeffs) == 29999
     with pytest.raises(WorkBudgetExceeded, match="t-frame of 34359738312 bytes"):
         R3.t(2) + R3.t(2 ** 32 - 6)
+    # a scalar built from {exponent: coefficient} is stored the same way,
+    # and its span is checked before the list of coefficients is made
+    assert R3.element({2: 1, 30000: 1}) == R3({2: 1, 30000: 1}) == near
+    for build in (R3.element, R3):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetExceeded,
+                           match="t-frame of 536870920 bytes"):
+            build({0: 1, 2 ** 26: 1})
+        assert time.perf_counter() - start < 0.1
 
 
 def test_truncated_zero_has_indeterminate_valuation(R3):
@@ -468,10 +479,76 @@ def test_equal_rings_built_apart_still_mix(R3):
     assert R3.embed(b) == Rb.embed(a)
 
 
-def test_ring_of_dispatch(R3):
+PROTOCOL_RINGS = {
+    "GF(5)": lambda: FiniteField(5),
+    "GF(3^2)": lambda: FiniteField(3, 2),
+    "Laurent(GF(5))": lambda: LaurentRing(FiniteField(5)),
+    "Laurent(GF(3^2))": lambda: LaurentRing(FiniteField(3, 2)),
+}
+
+
+def _protocol_scalars(R):
+    """A constant c of R's residue field and a scalar x of R made from it."""
+    laurent = isinstance(R, LaurentRing)
+    F = R.field if laurent else R
+    c = F.gen() + 1 if F.d > 1 else F.from_int(3)
+    return c, (R.t(-1) + R(c) if laurent else c * (c + 1))
+
+
+@pytest.mark.parametrize("name", PROTOCOL_RINGS)
+def test_both_rings_answer_one_scalar_protocol(name):
+    R = PROTOCOL_RINGS[name]()
+    c, x = _protocol_scalars(R)
+    # an int or a residue-field constant on either side is R(it)
+    for k in (2, c):
+        assert x + k == k + x == x + R(k)
+        assert x - k == x + R(-k) and k - x == R(k) - x == -(x - k)
+        assert x * k == k * x == x * R(k)
+        assert x / k * k == x and x / k == x * R(k).inverse()
+    assert 2 * x == x + x
+    # there is no reflected division: a field element divides a field
+    # element, but an int divides nothing
+    with pytest.raises(TypeError):
+        2 / x
+    if isinstance(R, LaurentRing):
+        with pytest.raises(TypeError):
+            c / x
+    else:
+        assert c / x * x == c
+    # equal rings built apart mix, and so do their constants
+    R2 = PROTOCOL_RINGS[name]()
+    c2, x2 = _protocol_scalars(R2)
+    assert R2 is not R and x2 == x
+    assert x + x2 == x2 + x == 2 * x and (x - x2) == 0
+    assert x * c2 == c2 * x == x * c and x / c2 == x / c
+    assert R(x2) is x2 and R(c2) == R(c)
+    # scalars of another ring do not mix, on either side
+    G = FiniteField(7)
+    others = [G.from_int(3)]
+    if isinstance(R, LaurentRing):
+        others.append(LaurentRing(G).t())
+    for y in others:
+        with pytest.raises(ScalarRingMismatch):
+            R(y)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ScalarRingMismatch):
+                op(x, y)
+            with pytest.raises(ScalarRingMismatch):
+                op(y, x)
+        with pytest.raises(ScalarRingMismatch):
+            x / y
+    # an operand that is neither an int nor a scalar is not converted
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2), x)
+
+
+def test_scalars_know_their_ring(R3):
     F3 = R3.field
-    assert ring_of(F3.one()) is F3
-    assert ring_of(R3.one()) is R3
+    assert F3.one().ring is F3 and F3.field is F3
+    assert R3.one().ring is R3 and R3.one().field is F3
 
 
 def test_embed_keeps_residue_arithmetic(R3):

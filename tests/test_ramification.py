@@ -22,7 +22,6 @@ from parabolic_lab import (
     ParabolicLabError,
     TruncationTooSmall,
     check_quasi_invariance,
-    half_scalar,
     identity,
     is_minimally_ramified,
     mq_evaluate,
@@ -251,7 +250,7 @@ def residue_germs(draw):
     a1 = a1 or ring.one()
     r = draw(st.sampled_from([0, 1, None]))
     if r is not None:
-        a2 = (half_scalar(ring, q + 1) - r) * a1 * a1
+        a2 = (ring.half(q + 1) - r) * a1 * a1
     g = series(ring, {1: gamma, q + 1: gamma * a1, 2 * q + 1: gamma * a2}, N)
     h = series(ring, {1: ring.one(), **dict(enumerate(hs, 2))}, N)
     return ParabolicGerm(g).conjugate(h, N)
@@ -281,7 +280,7 @@ def _clearing_route(f):
     if not a1:
         return verdict, None, None
     ring = f.ring
-    half = half_scalar(ring, q + 1)
+    half = ring.half(q + 1)
     if not isinstance(ring, LaurentRing):
         return verdict, m, half - a2 / (a1 * a1)
     rel = DEFAULT_TPREC
