@@ -24,11 +24,13 @@ Products, sums and inverses of Laurent scalars run on the series kernel
 (formal_series) as one-row series, counted from v0 so that v0 itself may be
 any integer.
 
-Both rings answer one scalar protocol.  A FiniteField F is its own F.field,
-F.half(m) is the field value of the integer m/2, and F(value) takes an int
-(reduced mod p), an element of F or a tuple of coordinates.  A LaurentRing R
-over F has R.field = F, R.half(m) is the constant F.half(m), and R(value)
-takes an int, a constant of F, a scalar of R or {exponent: coefficient}.
+Both rings answer one scalar protocol.  A FiniteField F is its own
+F.residue_field, F.half(m) is the field value of the integer m/2, and
+F(value) takes an int (reduced mod p), an element of F or a tuple of
+coordinates.  A LaurentRing R over F has R.field = R.residue_field = F,
+R.half(m) is the constant F.half(m), and R(value) takes an int, a constant
+of F, a scalar of R or {exponent: coefficient}.  Only a LaurentRing has
+.field, so code that tells the rings apart by it (perfbench's tracer) does.
 Every scalar x has x.ring: a field element's is its field, a Laurent
 scalar's its LaurentRing.  A scalar of any other ring raises
 ScalarRingMismatch, in R(value) and in arithmetic; an arithmetic operand
@@ -295,7 +297,7 @@ def _convert(ring, value):
     if isinstance(value, (FieldElement, LaurentScalar)):
         if value.ring is ring or value.ring == ring:
             return value
-        if value.ring == ring.field:  # only a Laurent ring has another field
+        if value.ring == ring.residue_field:  # only a Laurent ring's differs
             return ring.embed(value)
         raise ScalarRingMismatch(f"a scalar of {value.ring!r} is not in {ring!r}")
     return ring.element(value)
@@ -384,7 +386,7 @@ class FiniteField:
         return self.p
 
     @property
-    def field(self) -> "FiniteField":
+    def residue_field(self) -> "FiniteField":
         return self
 
     def zero(self) -> "FieldElement":
@@ -637,10 +639,10 @@ class LaurentRing:
     expands the geometric series to DEFAULT_TPREC relative terms.
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "residue_field")
 
     def __init__(self, field: FiniteField):
-        self.field = field
+        self.field = self.residue_field = field
 
     @property
     def char(self) -> int:
@@ -682,14 +684,16 @@ class LaurentRing:
             return LaurentScalar(self, 0, (), tprec)
         exps = sorted(pairs)
         v0 = exps[0]
-        # imported here: formal_series imports this module when it loads
-        from .formal_series import _check_size
-        span = exps[-1] - v0 + 1
-        _check_size(span * self.field.d
-                    * np.dtype(_coord_dtype(self.field.p)).itemsize, "a t-frame")
+        # only the slots below tprec are kept, so only they are sized and made
+        top = exps[-1] if tprec is None else min(exps[-1], tprec - 1)
+        span = max(top - v0 + 1, 0)
+        _kernel._check_size(span * self.field.d * np.dtype(
+            _coord_dtype(self.field.p)).itemsize, "a t-frame")
         coeffs = [self.field.zero()] * span
         for e, c in pairs.items():
-            coeffs[e - v0] = self.field(c)
+            c = self.field(c)
+            if e <= top:
+                coeffs[e - v0] = c
         return _make_laurent(self, v0, coeffs, tprec)
 
     __call__ = _convert
@@ -785,11 +789,9 @@ class LaurentScalar:
             return self.clip(other.tprec)
         if not self.coeffs:
             return other.clip(self.tprec)
-        # imported here: formal_series imports this module when it loads
-        from .formal_series import _add_laurent, _scalar_row, _unpack_laurent
-        return _unpack_laurent(self.ring, _add_laurent(
-            self.field, _scalar_row(self, self.v0),
-            _scalar_row(other, self.v0)), self.v0)[0]
+        return _kernel._unpack_laurent(self.ring, _kernel._add_laurent(
+            self.field, _kernel._scalar_row(self, self.v0),
+            _kernel._scalar_row(other, self.v0)), self.v0)[0]
 
     __radd__ = __add__
 
@@ -815,11 +817,9 @@ class LaurentScalar:
             # at least one truncated zero: product is zero to the combined bound
             return LaurentScalar(self.ring, 0, (), self.valuation_lower_bound()
                                  + other.valuation_lower_bound())
-        # imported here: formal_series imports this module when it loads
-        from .formal_series import _mul_laurent, _scalar_row, _unpack_laurent
-        return _unpack_laurent(self.ring, _mul_laurent(
-            self.field, _scalar_row(self, self.v0),
-            _scalar_row(other, other.v0), None), self.v0 + other.v0)[0]
+        return _kernel._unpack_laurent(self.ring, _kernel._mul_laurent(
+            self.field, _kernel._scalar_row(self, self.v0),
+            _kernel._scalar_row(other, other.v0), None), self.v0 + other.v0)[0]
 
     __rmul__ = __mul__
 
@@ -837,10 +837,8 @@ class LaurentScalar:
                 raise DivisionByZero("inverse of the exact zero")
             raise IndeterminateValuation(
                 f"inverse of a zero known only to O(t^{self.tprec})")
-        # imported here: formal_series imports this module when it loads
-        from .formal_series import _inverse_row, _scalar_row, _unpack_laurent
-        return _unpack_laurent(self.ring, _inverse_row(
-            self.field, _scalar_row(self, self.v0), rel), -self.v0)[0]
+        return _kernel._unpack_laurent(self.ring, _kernel._inverse_row(
+            self.field, _kernel._scalar_row(self, self.v0), rel), -self.v0)[0]
 
     __truediv__ = _truediv
 
@@ -885,3 +883,8 @@ class LaurentScalar:
 
     def __repr__(self):
         return f"({self!s}) over {self.ring!r}"
+
+
+# The series kernel runs Laurent scalar arithmetic and imports this module
+# as it loads, so it is bound last; its functions are looked up at call time.
+from . import formal_series as _kernel  # noqa: E402

@@ -865,8 +865,8 @@ class TruncatedSeries:
     def _termwise(self, other, sign):
         self._check_ring(other)
         ring = self.ring
-        return TruncatedSeries._from_packed(
-            ring, _add_laurent(ring.field, self._arr, other._arr, sign=sign),
+        return TruncatedSeries._from_packed(ring, _add_laurent(
+            ring.residue_field, self._arr, other._arr, sign=sign),
             self._meet(other))
 
     def __add__(self, other):
@@ -878,7 +878,7 @@ class TruncatedSeries:
     def __neg__(self):
         M, base, tp = self._arr
         return TruncatedSeries._from_packed(
-            self.ring, (-M % self.ring.field.p, base, tp), self.n_trunc)
+            self.ring, (-M % self.ring.residue_field.p, base, tp), self.n_trunc)
 
     # -- multiplication and composition ------------------------------------
 
@@ -887,7 +887,7 @@ class TruncatedSeries:
         n = self._meet(other)
         _check_operands(self._arr, other._arr)
         return TruncatedSeries._from_packed(self.ring, _mul_laurent(
-            self.ring.field, self._arr, other._arr, n), n)
+            self.ring.residue_field, self._arr, other._arr, n), n)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); the inner series must vanish at 0.
@@ -994,7 +994,7 @@ class TruncatedSeries:
                     "exact polynomial input: an explicit truncation is required")
             n_trunc = self.n_trunc
         N, ring = n_trunc, self.ring
-        field = ring.field
+        field = ring.residue_field
         R = _inverse_row(field, _cut(self._arr, 1, 2))
         h = identity(ring, min(2, N)) * TruncatedSeries._from_packed(
             ring, R, None)
@@ -1058,7 +1058,7 @@ class TruncatedSeries:
         stop = None if exact else b + L
         N, D = (_trim(*_cut(s._arr, b, stop)) for s in (self, den))
         quot = TruncatedSeries._from_packed(self.ring, _divide(
-            self.ring.field, N, D, L, exact), n_out)
+            self.ring.residue_field, N, D, L, exact), n_out)
         # with a coefficient known only to O(t^k) the divisor is a single
         # term, which divides every candidate numerator (_divide)
         if (exact and self._arr[2] is None and den._arr[2] is None
@@ -1121,7 +1121,7 @@ def check_window(field, n_trunc):
 
 def identity(ring, n_trunc) -> TruncatedSeries:
     """z, built packed: no coefficient object is made."""
-    field = ring.field
+    field = ring.residue_field
     A = np.zeros((2, 1, field.d), dtype=_coord_dtype(field.p))
     A[1, 0, 0] = 1
     return TruncatedSeries._from_packed(ring, (A, 0, None), n_trunc)
@@ -1236,7 +1236,7 @@ class ParabolicGerm:
             raise IndeterminateValuation(
                 f"exponent {e} is zero only to stored precision")
         ring = s.ring
-        inv = _inverse_row(ring.field, (M[1:2], base, None))
+        inv = _inverse_row(ring.residue_field, (M[1:2], base, None))
         M, base, tp = (s * TruncatedSeries._from_packed(ring, inv, None))._arr
         cap = None if s.n_trunc is None else (s.n_trunc - 2) // q + 1
         unit = TruncatedSeries._from_packed(

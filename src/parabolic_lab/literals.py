@@ -167,9 +167,9 @@ class _Parser:
             self.depth -= 1
             return s
         if kind == "name" and val == "x":
-            if ring.field.d == 1:
+            if ring.residue_field.d == 1:
                 raise ParseError("x needs an extension field", pos)
-            return ring(ring.field.gen() ** self._exponent())
+            return ring(ring.residue_field.gen() ** self._exponent())
         if kind == "name" and val == "t":
             if not isinstance(ring, LaurentRing):
                 raise ParseError("t needs Laurent coefficients", pos)
