@@ -42,6 +42,21 @@ once, at the end; run through _compose_laurent, the ff-profile benchmark
 did 17 jobs/s against 43.  One-byte digits over GF(p) are reduced by a
 256-byte residue table (bytes.translate), with no array in between.
 
+A finite-field composition whose inner series is near the identity, G =
+z + B with ord B = r >= 2, runs as a Taylor expansion instead
+(_compose_taylor): F(z + B) = sum_(j<K) D^(j)F * B^j modulo z^limit, with
+Hasse derivatives D^(j) z^m = C(m, j)*z^(m-j), defined in every
+characteristic, and K = ceil(limit/r).  Horner's rule in j makes K - 1
+products, against Brent-Kung's (k - 1) + (m - 1), about 2*sqrt(n); each
+iterate f^(q*p^n) of a ramification tower is such a G, with r = i_n + 1.
+The route is taken when K <= sqrt(n) and K - 1 plus a set-up charge
+(_TAYLOR_SETUP products) is at most Brent-Kung's count, read off the
+packed G by one mask and one comparison.  It keeps Brent-Kung's digit
+width: every operand of its products is reduced, so a digit sums fewer
+products than a Brent-Kung step does.  Over GF(p^d)((t)) composition stays
+Brent-Kung (or Horner), also for exact rows: a Taylor route there is left
+for the level-3 work that needs it.
+
 Division is packed in both rings: a Newton reciprocal built from the same
 products, seeded with the inverse of the divisor's lead, then one product
 by the numerator.  The lead is inverted on its packed row by the same
@@ -67,6 +82,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -296,7 +312,8 @@ def _reduce_int(field, x, rows, nbytes):
 
 
 def _compose_ff(field, F, G, limit):
-    """Brent-Kung evaluation of F at G (constant term of G zero).
+    """Brent-Kung evaluation of F at G (constant term of G zero), or Taylor
+    expansion (_compose_taylor) when G is near the identity.
 
     Everything runs on the packed integers of _kron_mul, all with one digit
     width, and stays packed: the baby powers G^2 .. G^k are products by the
@@ -309,9 +326,16 @@ def _compose_ff(field, F, G, limit):
     rows(G^k)*d products below p^2 from a baby or giant step and at most
     k*d more from a block, so the width holds (rows(G^k) + k)*d*(p - 1)^2.
     Digits are read back into an array once, at the end (_from_int).
+
+    Brent-Kung makes (k - 1) + (m - 1) products.  Taylor makes K - 1 for
+    G = z + B with K = ceil(limit/ord B), plus set-up worth _TAYLOR_SETUP
+    products; it runs when that is no more and K <= sqrt(n), that is when
+    ord B >= r_min = ceil(limit/K_max).  The test reads the packed G: its
+    rows below r_min are those of z, one mask and one comparison.
     """
     if limit is not None:
-        G = G[:limit]
+        # G vanishes at 0, so F[i]*G^i vanishes below z^limit for i >= limit
+        F, G = F[:limit], G[:limit]
     n, nG = F.shape[0], G.shape[0]
     if n == 0 or nG == 0:
         return F[:1]
@@ -323,6 +347,16 @@ def _compose_ff(field, F, G, limit):
         rows = [min(r, limit) for r in rows]
     nbytes = _digit_bytes((rows[k] + k) * d * (p - 1) ** 2)
     g = _to_int(G, 1, X, nbytes)
+    if limit is not None:
+        k_max = min(math.isqrt(n), k + m - 1 - _TAYLOR_SETUP)
+        if k_max > 0:
+            bits = X * nbytes * 8  # one row of G
+            r_min = max(2, -(-limit // k_max))
+            if g & ((1 << r_min * bits) - 1) == 1 << bits:
+                taylor = _compose_taylor(field, F, g - (1 << bits), bits,
+                                         limit, nbytes)
+                if taylor is not None:
+                    return taylor
     packed = [1, g]
     for i in range(2, k + 1):
         packed.append(_reduce_int(field, packed[-1] * g, rows[i], nbytes))
@@ -338,6 +372,93 @@ def _compose_ff(field, F, G, limit):
         if limit is not None:
             r = min(r, limit)
     return _from_int(field, R, r, 1, nbytes)
+
+
+# Taylor expansion (Hasse derivatives; Hasse, J. Reine Angew. Math. 175,
+# 1936): F(z + B) = sum_(j<K) D^(j)F * B^j, D^(j) z^m = C(m, j)*z^(m-j),
+# which holds in every characteristic.  Modulo z^limit with ord B = r the
+# sum stops at K = ceil(limit/r), so Horner's rule in j makes K - 1
+# products.  Its set-up and the array work of each step (the Hasse
+# columns, packed once per step) are charged as this many products when
+# the route is chosen.  The figure is the least that keeps every measured
+# Taylor composition over GF(2) and GF(3), where products are cheapest, no
+# slower than Brent-Kung, from windows of 13 rows to 129; the crossover
+# table is in CHANGES.md.
+_TAYLOR_SETUP = 8
+
+# Per p, the table T[j, m] = C(m + j, j) mod p: row j is the running sum of
+# row j - 1 (Pascal's rule).  A table is kept for at most this many primes,
+# and none over _WORK_LIMIT bytes is built.
+_HASSE_PRIMES = 4
+_hasse_tables = {}
+
+
+def _hasse(p, K, M):
+    """T[j, m] = C(m + j, j) mod p for j < K, m < M (or a larger table), or
+    None when it would be over the work limit.  Coordinates of p >= 2^31
+    are kept as Python ints, so a product of two stays exact."""
+    T = _hasse_tables.get(p)
+    if T is None or T.shape[0] < K or T.shape[1] < M:
+        nb = _digit_bytes(p - 1)
+        dtype = f"<u{nb}" if p < 1 << 31 else object
+        item = nb if p < 1 << 31 else 8 + sys.getsizeof(p)
+        if T is not None and max(K, len(T)) * max(M, T.shape[1]) * item \
+                <= _WORK_LIMIT:
+            K, M = max(K, len(T)), max(M, T.shape[1])
+        if K * M * item > _WORK_LIMIT:
+            return None
+        T = np.empty((K, M), dtype=dtype)
+        row = np.ones(M, dtype=np.int64 if p < 1 << 31 else object)
+        T[0] = row
+        for j in range(1, K):
+            row = np.cumsum(row) % p
+            T[j] = row
+        T.flags.writeable = False
+    _hasse_tables.pop(p, None)  # the most recent prime goes last
+    _hasse_tables[p] = T
+    while len(_hasse_tables) > _HASSE_PRIMES:
+        del _hasse_tables[next(iter(_hasse_tables))]
+    return T
+
+
+def _compose_taylor(field, F, B, bits, limit, nbytes):
+    """F(z + B) mod z^limit by Taylor expansion, for B packed as the G of
+    _compose_ff less z (each row bits wide), of order at least 2; None
+    when the Hasse table (_hasse) would be over the work limit.
+
+    Horner's rule in j on the packed integers: with b = B/z^r, step j is
+    R <- reduce(R)*b*z^r + D^(j)F.  R is multiplied by B^j afterwards, so
+    only its rows below L_j = limit - j*r are kept, and b is cut to the
+    rows of the product that land there.  Every operand of a product is
+    reduced, so a digit sums at most min(L_j, rows(b))*d products below
+    p^2, and D^(j)F, whose coordinates C(m + j, j)*F[m + j] are left for
+    the next reduction, adds one more.  That is within the
+    (rows(G^k) + k)*d*(p - 1)^2 of Brent-Kung's width, since rows(G^k) is
+    the window or at least rows(G) = rows(b) + r, so both share nbytes.
+    """
+    if not B:
+        return F
+    p, d = field.p, field.d
+    X = 2 * d - 1
+    r = ((B & -B).bit_length() - 1) // bits
+    shift = r * bits
+    b = B >> shift
+    K = min(-(-limit // r), len(F))
+    T = _hasse(p, K, len(F))
+    if T is None:
+        return None
+
+    def hasse(j, rows):
+        c = F[j:j + rows, 0]  # rows m + j of F, coordinates as columns
+        H = T[j, :len(c), None] * c
+        return _to_int(H.reshape(len(c), 1, d), 1, X, nbytes)
+
+    R = hasse(K - 1, limit - (K - 1) * r)
+    for j in range(K - 2, -1, -1):
+        rows = limit - (j + 1) * r
+        R = (_reduce_int(field, R, rows, nbytes)
+             * (b & ((1 << rows * bits) - 1)) << shift) + hasse(j, rows + r)
+    return _from_int(field, R, limit, 1, nbytes)
 
 
 # Over GF(p^d)((t)) a series packs to (M, base, tp): coefficient i is
@@ -638,8 +759,11 @@ def _compose_laurent(field, F, G, limit):
 
     R = block(m - 1, top)
     for j in range(m - 2, -1, -1):
-        R = _add_laurent(field, _mul_laurent(field, R, powers[k], limit),
-                         block(j, k))
+        R = _mul_laurent(field, R, powers[k], limit)
+        # a block of exact zeros adds nothing, but its t-base would widen
+        # R's frame; a row known only to O(t^k) adds its precision
+        if not exact or any(consts[j * k:(j + 1) * k]):
+            R = _add_laurent(field, R, block(j, k))
     return R
 
 
@@ -897,6 +1021,14 @@ class TruncatedSeries:
         series below the window is known only to O(t^k), the Laurent
         routine takes blocks of one row, so it evaluates in Horner's order
         and certifies the precision the scalar oracle gives.
+
+        Over GF(p^d), a truncated inner series z + B with ord B = r >= 2
+        is composed by Taylor expansion, sum_(j<K) D^(j)self * B^j with
+        Hasse derivatives and K = ceil(N/r): K - 1 products, taken when K
+        <= sqrt(N) and K - 1 plus a set-up charge is at most Brent-Kung's
+        count.  Its products keep Brent-Kung's digit width, since each
+        multiplies reduced operands.  Over GF(p^d)((t)) there is no Taylor
+        route (see the module docstring).
         """
         self._check_ring(inner)
         if not inner._vanishes_at_0():

@@ -182,14 +182,25 @@ def kernel_operands(draw):
 def test_generic_convolution_matches_packed_kernel(ops):
     # mul and compose against the scalar oracle, coefficient by coefficient
     # and precision by precision, and over Laurent rings the packed a - z*b
-    # that Newton division uses against scalar sums
+    # that Newton division uses against scalar sums.  The kernel may refuse
+    # with WorkBudgetExceeded only an answer whose own packed form is over
+    # the work limit (an exact z^35 at t^5*z^6 plus a low term of a spans
+    # t^5 .. t^175 over 211 rows)
     ring, a, b, g = ops
     mul_n, comp_n = a._meet(b), a._meet(g)
-    prod = TruncatedSeries(ring, _gconv(ring, a.coeffs, b.coeffs, mul_n), mul_n)
-    comp = TruncatedSeries(
-        ring, _gcompose(ring, a.coeffs, g.coeffs, comp_n), comp_n)
-    assert a * b == prod
-    assert a.compose(g) == comp
+    for kernel, oracle, n in (
+            (lambda: a * b, lambda: _gconv(ring, a.coeffs, b.coeffs, mul_n),
+             mul_n),
+            (lambda: a.compose(g),
+             lambda: _gcompose(ring, a.coeffs, g.coeffs, comp_n), comp_n)):
+        coeffs = oracle()
+        try:
+            out = kernel()
+        except WorkBudgetExceeded:
+            with pytest.raises(WorkBudgetExceeded):
+                TruncatedSeries(ring, coeffs, n)
+            continue
+        assert out == TruncatedSeries(ring, coeffs, n)
     if isinstance(ring, LaurentRing):
         A, B = (formal_series._pack_laurent(ring, s.coeffs) for s in (a, b))
         diff = formal_series._add_laurent(ring.field, A, B, shift=1, sign=-1)
@@ -318,6 +329,149 @@ def test_composition_reduces_every_step_to_coordinates():
         a, g = TruncatedSeries(F, a, N), TruncatedSeries(F, g, N)
         assert a.compose(g) == TruncatedSeries(
             F, _gcompose(F, a.coeffs, g.coeffs, N), N)
+
+
+def test_exact_laurent_composition_skips_blocks_of_exact_zeros():
+    # z^35 at t^5*z^6 is t^175*z^210, one t-slot per row.  The exact
+    # Brent-Kung blocks of z^35 below row 30 are zeros at t^0, and adding
+    # them to R*G^6, which sits at t^175, made a t-frame of 297088 bytes.
+    # With z + z^35 the answer spans t^5 .. t^175 itself and is refused.
+    ring = LaurentRing(_kernel_field(2, 1))
+    g = series(ring, {6: ring.t(5)}, None)
+    assert series(ring, {35: 1}, None).compose(g) == series(
+        ring, {210: ring.t(175)}, None)
+    with pytest.raises(WorkBudgetExceeded, match="t-frame of 288648 bytes"):
+        series(ring, {1: 1, 35: 1}, None).compose(g)
+
+
+# fields of the Taylor route's tests: small p, where one-byte digits are
+# reduced by a byte table; GF(p^d); and primes past the int64 products of
+# the Hasse columns (p >= 2^31), past int64 coordinates, and GF(p^2) with
+# p > 2^63
+TAYLOR_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 3),
+                 (65537, 1), (2 ** 31 - 1, 1), (2 ** 61 - 1, 1),
+                 (2 ** 64 + 13, 1), (9223372036854775837, 2)]
+
+
+def _r_min(N):
+    """The least ord(G - z) at which composition modulo z^N takes Taylor."""
+    k, m, _ = formal_series._bk_shape(N)
+    k_max = min(math.isqrt(N), k + m - 1 - formal_series._TAYLOR_SETUP)
+    return max(2, -(-N // k_max))
+
+
+def _brent_kung_only():
+    return patch.object(formal_series, "_compose_taylor", lambda *args: None)
+
+
+def _taylor_runs(fn):
+    """fn() and, per call of the Taylor route, whether it answered."""
+    runs = []
+    taylor = formal_series._compose_taylor
+
+    def recorded(*args):
+        out = taylor(*args)
+        runs.append(out is not None)
+        return out
+
+    with patch.object(formal_series, "_compose_taylor", recorded):
+        return fn(), runs
+
+
+@st.composite
+def near_identity_operands(draw):
+    """(a, g) with g = z + B mod z^N, ord B a little on either side of the
+    switch (_r_min) or anywhere from 2 to N; a dense to the window, or an
+    exact polynomial shorter than it.  Coordinates lean on 0, 1 and p - 1."""
+    F = _kernel_field(*draw(st.sampled_from(TAYLOR_FIELDS)))
+    # from N = 29 on, the route takes some G - z of order below N
+    N = draw(st.integers(29, 32) | st.integers(33, 130))
+    r_min = _r_min(N)
+    r = draw(st.integers(max(2, r_min - 2), min(N, r_min + 2))
+             | st.integers(2, N))
+    coord = st.one_of(st.sampled_from([0, 1, F.p - 1]),
+                      st.integers(0, F.p - 1))
+    scalar = st.lists(coord, min_size=F.d, max_size=F.d).map(F.element)
+    outer = draw(st.sampled_from([N, N // 4 + 1, 2]))
+    a = draw(st.lists(scalar, min_size=outer, max_size=outer))
+    b = draw(st.lists(scalar, min_size=0, max_size=N - r))
+    return (series(F, dict(enumerate(a)), N if outer == N else None),
+            series(F, {1: 1, **{r + i: c for i, c in enumerate(b)}}, N))
+
+
+@given(ops=near_identity_operands())
+@settings(max_examples=150, deadline=None)
+def test_taylor_composition_matches_brent_kung(ops):
+    # the route against Brent-Kung, and on windows of at most 32 rows
+    # against the scalar oracle
+    a, g = ops
+    out = a.compose(g)
+    with _brent_kung_only():
+        assert out == a.compose(g)
+    if g.n_trunc <= 32:
+        assert out == TruncatedSeries(
+            g.ring, _gcompose(g.ring, a.coeffs, g.coeffs, g.n_trunc),
+            g.n_trunc)
+
+
+def test_taylor_digits_at_their_widest():
+    # every coordinate p - 1 in both operands, G = z + B with ord B = r_min,
+    # at windows where Brent-Kung's digits just fit one byte (p = 2, N = 239;
+    # p = 3, N = 55), where they just do not (p = 2, N = 254), and over GF(4)
+    for (p, d), N in (((2, 1), 239), ((2, 1), 254), ((3, 1), 55),
+                      ((2, 2), 60)):
+        F = _kernel_field(p, d)
+        top = F.element([p - 1] * d)
+        a = series(F, {i: top for i in range(N)}, N)
+        g = series(F, {1: 1, **{i: top for i in range(_r_min(N), N)}}, N)
+        out, runs = _taylor_runs(lambda: a.compose(g))
+        assert runs == [True]
+        with _brent_kung_only():
+            assert out == a.compose(g)
+
+
+def test_taylor_route_runs_on_near_identity_inner_series_only():
+    # a deep tower takes it, with Brent-Kung's answer; a non-tangent inner
+    # series, one with ord(G - z) below r_min and exact polynomials
+    # (limit None) never reach it
+    F2 = _kernel_field(2, 1)
+    f = ParabolicGerm(series(F2, {1: 1, 2: 1, 3: 1}, None))
+    prof, runs = _taylor_runs(lambda: ramification_profile(f, 6, 300))
+    assert runs and all(runs)
+    with _brent_kung_only():
+        assert ramification_profile(f, 6, 300) == prof
+    F = _kernel_field(3, 1)
+    N = 100
+    a = series(F, {i: 1 + i % 2 for i in range(N)}, N)
+    for g in (series(F, {1: 2, 60: 1}, N),
+              series(F, {1: 1, _r_min(N) - 1: 1}, N)):
+        assert _taylor_runs(lambda: a.compose(g))[1] == []
+    exact = series(F, {1: 1, 2: 1, 3: 2}, None)
+    assert _taylor_runs(lambda: exact.compose(series(
+        F, {1: 1, 90: 1}, None)))[1] == []
+    assert _taylor_runs(lambda: a.compose(series(
+        F, {1: 1, _r_min(N): 1}, N)))[1] == [True]
+
+
+def test_hasse_columns_are_binomials_mod_p_in_a_bounded_cache():
+    for p in (2, 3, 7, 2 ** 31 - 1, 2 ** 64 + 13):
+        T = formal_series._hasse(p, 6, 40)
+        assert [[int(x) for x in row[:40]] for row in T[:6]] == [
+            [math.comb(m + j, j) % p for m in range(40)] for j in range(6)]
+    tables = formal_series._hasse_tables
+    assert len(tables) <= formal_series._HASSE_PRIMES
+    assert all(T.size * T.itemsize <= formal_series._WORK_LIMIT
+               for T in tables.values())
+    # a table over the work limit is not built, and Brent-Kung answers
+    assert formal_series._hasse(2, 600, 600) is None
+    F = _kernel_field(2, 1)
+    a = series(F, {i: 1 for i in range(40)}, 40)
+    g = series(F, {1: 1, _r_min(40): 1}, 40)
+    with patch.object(formal_series, "_WORK_LIMIT", 128):
+        formal_series._hasse_tables.clear()
+        out, runs = _taylor_runs(lambda: a.compose(g))
+    assert runs == [False]
+    assert out == a.compose(g)
 
 
 # ((p, d), digit bytes): one-byte digits over GF(p) are reduced by a byte
