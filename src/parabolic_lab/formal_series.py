@@ -15,7 +15,12 @@ Multiplication is truncated convolution; composition is Brent and Kung's
 baby-step/giant-step evaluation.  Over GF(p^d)((t)), when some coefficient
 is known only to O(t^k), its blocks are single rows, which is Horner's
 rule: there the order of evaluation changes the certified precision, and
-the scalar oracle pins Horner's.  All of them run on one kernel,
+the scalar oracle pins Horner's.  There the outer series is first cut
+after its last live row, one that is nonzero or a zero known only to
+O(t^k): a germ mod z^N is stored padded with exact zero rows to its
+window, and those add nothing, so the row count n that sizes the blocks
+runs only up to the last live row.  The finite-field kernel does not cut:
+there the scan cost more than it saved.  All of them run on one kernel,
 `_kron_mul`: a series is packed into an integer array of shape (N, W, d)
 (z-rows, t-slots, coordinates over GF(p)), and a product of two arrays is
 a single Python big-integer multiply by Kronecker substitution.
@@ -70,6 +75,10 @@ one more product, den * quot == num.  The compositional inverse divides by
 f'(h) in each round of its Newton iteration, but not through _divide: it
 keeps 1/f'(h) from one round to the next and resumes the same Newton
 reciprocal where the rows of f'(h) changed (TruncatedSeries.inverse).
+A caller that reads only a quotient's reduction mod t (the periodic-point
+bound) asks divide_exact for just that: for integral inputs exact in t,
+the lead is inverted only as far in t as knows every row to t^1, by the
+seed-precision rule the exact route uses (_seed_precision).
 
 How much work an operation may do is decided in one place, _WORK_LIMIT:
 it bounds the bytes of every Kronecker integer and of every array an input
@@ -583,6 +592,18 @@ def _all_exact(tp):
     return tp is None or tp.min(initial=_EXACT) >= _EXACT
 
 
+def _live_rows(R):
+    """The number of rows of a packed series up to its last live one, a row
+    that is nonzero or a zero known only to O(t^k); every row after it is
+    an exact zero."""
+    M, _, tp = R
+    live = M.any(axis=(1, 2))
+    if tp is not None:
+        live |= tp < _EXACT
+    live = np.flatnonzero(live)
+    return int(live[-1]) + 1 if len(live) else 0
+
+
 def _cut(R, start, stop):
     """Rows start .. stop-1 of a packed series."""
     M, base, tp = R
@@ -707,6 +728,11 @@ def _inverse_row(field, R, rel=None):
 def _compose_laurent(field, F, G, limit):
     """Brent-Kung evaluation of packed F at packed G (constant term of G zero).
 
+    F is cut to the window and then after its last live row (_live_rows),
+    so n counts F's rows up to the last one that is nonzero or known only
+    to O(t^k); the rows after it are exact zeros, and no coefficient,
+    t-precision or exactness of the result depends on them.
+
     When every row of F and G is exact in t, k = ceil(sqrt(n)).  The baby
     powers G^2 .. G^k are _mul_laurent products.  Row i of F is a
     polynomial in t, so F[jk+i]*G^i is a Kronecker product of one packed row
@@ -729,6 +755,7 @@ def _compose_laurent(field, F, G, limit):
     if limit is not None:
         # G vanishes at 0, so F[i]*G^i vanishes below z^limit for i >= limit
         F, G = _cut(F, 0, limit), _cut(G, 0, limit)
+    F = _cut(F, 0, _live_rows(F))
     (MF, bF, tF), n, nG = F, len(F[0]), len(G[0])
     if n == 0 or nG == 0:
         return _cut(F, 0, 1)
@@ -767,7 +794,17 @@ def _compose_laurent(field, F, G, limit):
     return R
 
 
-def _divide(field, N, D, L, exact):
+def _seed_precision(B, L, v):
+    """The relative t-precision of the lead's inverse that knows every row
+    of a quotient below z^L to t^(B + 1), for a numerator and a divisor
+    exact in t whose coefficients have valuation >= 0, the divisor's lead
+    valuation v.  With a seed of relative precision r, row m of 1/den has
+    valuation >= -(m+1)v and is known below r - (m+1)v (induction through
+    the Newton steps), so each row of the quotient is known below r - L*v."""
+    return B + 1 + L * v
+
+
+def _divide(field, N, D, L, exact, residue=False):
     """The packed quotient N/D below z^L, for packed N and D whose first
     row, the lead, is certified nonzero; for exact polynomials, the
     candidate exact quotient, which divide_exact certifies.  Both rings
@@ -777,7 +814,12 @@ def _divide(field, N, D, L, exact):
     The inverse of the lead, taken on its packed row (_inverse_row), seeds
     the Newton reciprocal of D, and one more product by N gives the quotient.
     Truncated inputs invert the lead to the precision it supports, so every
-    coefficient carries the precision its inputs support.
+    coefficient carries the precision its inputs support.  With residue,
+    for N and D exact in t with coefficients of valuation >= 0, the lead is
+    inverted only to the relative precision that knows every row of the
+    quotient to t^1 (_seed_precision, capped at DEFAULT_TPREC): the
+    quotient's reduction mod t is then that of the full expansion, and less
+    above it is known.
 
     Exact inputs with exact coefficients divide in F[t, 1/t][z].  Scaled by
     powers of t to num', den' in F[t][z] with some coefficient prime to t,
@@ -802,21 +844,25 @@ def _divide(field, N, D, L, exact):
         R = _reciprocal_newton(field, D, _inverse_row(field, lead, rel), L)
         return _mul_laurent(field, N, R, L)
 
-    if not (exact and _all_exact(N[2]) and _all_exact(D[2])):
+    # the lead's first live slot: v(lead) less the base of D
+    v1 = int(lead[0][0].any(axis=1).argmax())
+    t_exact = _all_exact(N[2]) and _all_exact(D[2])
+    if not (exact and t_exact):
         if exact and len(D[0]) > 1:
             raise IndeterminateValuation(
                 "exact division by a polynomial of several terms needs "
                 "coefficients known exactly, not to O(t^k)")
+        if residue and t_exact:
+            return quotient(min(DEFAULT_TPREC,
+                                _seed_precision(0, L, D[1] + v1)))
         return quotient()
     B = N[0].shape[1] - D[0].shape[1]
     if B < 0:
         raise NotDivisible("t-degree of the numerator below the denominator's")
     top = N[1] - D[1] + B + 1
-    # With v' = v(lead') and a seed of relative precision r, row m of 1/den'
-    # has valuation >= -(m+1)v' and is known below r - (m+1)v' (induction
-    # through the Newton steps), so each row of Q' is known below B + 1.
-    v1 = int(lead[0][0].any(axis=1).argmax())  # v', the lead's first live slot
-    M, base, _ = quotient(B + 1 + L * v1)
+    # num' and den' lie in F[t][z], and v1 is v(lead'): each row of Q' is
+    # known below B + 1
+    M, base, _ = quotient(_seed_precision(B, L, v1))
     M, base, _ = _clip(M, base, np.full(len(M), top, dtype=np.int64))
     return M, base, None
 
@@ -838,9 +884,7 @@ def _fit(arr, n_trunc):
         n_trunc = n
         if n and not np.count_nonzero(M[-1]) and (tp is None
                                                    or tp[-1] >= _EXACT):
-            live = np.flatnonzero(M.any(axis=(1, 2))
-                                  | (_precisions(arr) < _EXACT))
-            n_trunc = int(live[-1]) + 1 if len(live) else 0
+            n_trunc = _live_rows(arr)
     if n >= n_trunc:
         M = M[:n_trunc]
     else:
@@ -1020,7 +1064,10 @@ class TruncatedSeries:
         _compose_laurent over GF(p^d)((t)).  When a coefficient of either
         series below the window is known only to O(t^k), the Laurent
         routine takes blocks of one row, so it evaluates in Horner's order
-        and certifies the precision the scalar oracle gives.
+        and certifies the precision the scalar oracle gives.  Its blocks
+        are sized by self's rows up to the last live one (nonzero, or known
+        only to O(t^k)), not by the exact zero rows that pad self to its
+        window.
 
         Over GF(p^d), a truncated inner series z + B with ord B = r >= 2
         is composed by Taylor expansion, sum_(j<K) D^(j)self * B^j with
@@ -1147,7 +1194,8 @@ class TruncatedSeries:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, den: "TruncatedSeries") -> "TruncatedSeries":
+    def divide_exact(self, den: "TruncatedSeries", *,
+                     _residue=False) -> "TruncatedSeries":
         """Divide self by den from the bottom.
 
         Returns the quotient.  For truncated inputs it is computed modulo
@@ -1161,6 +1209,11 @@ class TruncatedSeries:
         divisibility in F[t, 1/t][z]; the quotient is then a polynomial in z
         and t whose t-degrees the inputs bound, so it is computed to that
         t-precision and made exact.
+
+        _residue, for self and den with coefficients of valuation >= 0,
+        asks only for a quotient whose reduction mod t is certified: when
+        both are exact in t, the divisor's lead is inverted only as far in t
+        as that needs (see _divide).
         """
         self._check_ring(den)
         b = den.order()
@@ -1190,7 +1243,7 @@ class TruncatedSeries:
         stop = None if exact else b + L
         N, D = (_trim(*_cut(s._arr, b, stop)) for s in (self, den))
         quot = TruncatedSeries._from_packed(self.ring, _divide(
-            self.ring.residue_field, N, D, L, exact), n_out)
+            self.ring.residue_field, N, D, L, exact, _residue), n_out)
         # with a coefficient known only to O(t^k) the divisor is a single
         # term, which divides every candidate numerator (_divide)
         if (exact and self._arr[2] is None and den._arr[2] is None

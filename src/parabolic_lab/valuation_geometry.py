@@ -179,7 +179,18 @@ def _wideg_verdict(wideg, expected: int, window: int | None):
 
 def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
     """The bound on points of minimal period q p^n, for a germ over the
-    valuation ring (NonIntegralGerm otherwise), with its equality case."""
+    valuation ring (NonIntegralGerm otherwise), with its equality case.
+
+    For n >= 1 the equality case reads only the reduction mod t of Q =
+    (f^(q p^n) - z)/(f^(q p^(n-1)) - z) in a window of W rows.  With L =
+    W - (i_(n-1) + 1) rows of Q and v the valuation of its divisor's lead,
+    a lead inverse of relative precision r = min(DEFAULT_TPREC, 1 + L*v)
+    knows every row of Q to at least t^1 when the germ is exact in t: row m
+    of the reciprocal has valuation >= -(m+1)v and is known below
+    r - (m+1)v, and the numerator is integral.  So Q is expanded in t only
+    that far (divide_exact's _residue), and its reduction and Weierstrass
+    degree are those of the DEFAULT_TPREC expansion.  A germ with a
+    coefficient known only to O(t^k) keeps the full expansion."""
     if not isinstance(f.ring, LaurentRing):
         raise ScalarRingMismatch("periodic point bounds live over a Laurent ring")
     if n < 0:
@@ -239,7 +250,7 @@ def periodic_valuation_bound(f: ParabolicGerm, n: int) -> BoundCertificate:
             details["i_n"] = i_n
             details["i_prev"] = i_prev
             expected = i_n - i_prev + q * p ** n
-            red, wideg = reduce_and_wideg(num.divide_exact(den))
+            red, wideg = reduce_and_wideg(num.divide_exact(den, _residue=True))
         details["wideg"] = index_to_jsonable(wideg)
         details["expected_wideg"] = expected
         verdict = _wideg_verdict(wideg, expected, red.n_trunc)

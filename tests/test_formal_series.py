@@ -172,8 +172,10 @@ def kernel_operands(draw):
                                      if i >= order_ge}, n_trunc)))
 
     # g's window may reach past its terms to a's length, so that long
-    # compositions are truncated as well as z-exact
-    a = operand(0, n_outer, n_outer, (n_outer, None))
+    # compositions are truncated as well as z-exact.  Over a Laurent ring
+    # a's window may also pass its terms, padding it with exact zero rows
+    pad = draw(st.sampled_from([0, k])) if isinstance(ring, LaurentRing) else 0
+    a = operand(0, n_outer, n_outer, (n_outer + pad, None))
     return ring, a, operand(0), operand(1, windows=(n, n_outer, None))
 
 
@@ -272,12 +274,43 @@ def test_truncated_laurent_composition_takes_one_row_blocks():
             assert calls["mul"] == min(N, window or N) - 1
             assert out == TruncatedSeries(
                 ring, _gcompose(ring, f.coeffs, g.coeffs, window), window)
-    # the GF(4) example of the Horner test below: F has 8 rows below z^8
+    # the GF(4) example of the Horner test below: F's last live row is z^2,
+    # so Horner runs on its rows 0 .. 2 only
     ring = LaurentRing(_kernel_field(2, 2))
     x = ring.embed(ring.field.gen())
     f = series(ring, {2: ring.element({}, 0)}, 8)
     g = series(ring, {1: x, 2: x}, 8)
-    assert _count_laurent_kernels(lambda: f.compose(g))[1]["mul"] == 7
+    assert _count_laurent_kernels(lambda: f.compose(g))[1]["mul"] == 2
+
+
+def test_laurent_composition_stops_at_the_last_live_row():
+    # a germ mod z^N is stored padded with exact zero rows to its window;
+    # the rows after the last live one add nothing, so it composes with the
+    # products of the exact germ, whatever N
+    ring = LaurentRing(F3)
+    c = ring.element({0: 2, 1: 1})
+    exact = series(ring, {1: 1, 2: c}, None)
+    for N in (10, 15, 25):
+        f = series(ring, {1: 1, 2: c}, N)
+        g = series(ring, {1: 1, 2: ring.t(), 3: ring.element({-1: 1, 0: 2}),
+                          N - 1: 1}, N)
+        want, calls = _count_laurent_kernels(lambda: exact.compose(g))
+        out, padded = _count_laurent_kernels(lambda: f.compose(g))
+        assert padded == calls
+        assert out == want == TruncatedSeries(
+            ring, _gcompose(ring, f.coeffs, g.coeffs, N), N)
+        # an outer series of exact zeros only is the zero series
+        zero, calls = _count_laurent_kernels(
+            lambda: zero_series(ring, N).compose(g))
+        assert zero == zero_series(ring, N)
+        assert calls == {"mul": 0, "minplus": 0}
+        # a trailing zero known only to O(t^2) is live: it stays, and its
+        # precision reaches the result as the scalar oracle's does
+        f = series(ring, {1: 1, 2: c, 5: ring.element({}, 2)}, N)
+        out = f.compose(g)
+        assert out == TruncatedSeries(
+            ring, _gcompose(ring, f.coeffs, g.coeffs, N), N)
+        assert out.coeff(5) == ring.element({0: 1, 1: 1}, 2)
 
 
 def test_horner_keeps_the_precision_of_truncated_rows():

@@ -6,8 +6,10 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from parabolic_lab import (
+    FiniteField,
     IndeterminateValuation,
     LaurentRing,
     NonIntegralCoefficient,
@@ -22,8 +24,10 @@ from parabolic_lab import (
     newton_polygon,
     parse_series,
     periodic_valuation_bound,
+    reduce_and_wideg,
+    series,
 )
-from parabolic_lab.ramification import _levels
+from parabolic_lab.ramification import _levels, ramification_lower_bound
 from parabolic_lab.samplers import random_minimal_polynomial_germ, random_polynomial_germ
 
 from conftest import germ
@@ -233,6 +237,65 @@ def test_bound_on_truncated_desk_germs(L3):
     # i_0 > q is certified once the window reaches z^(q + 2)
     with pytest.raises(ResitUndefined):
         periodic_valuation_bound(germ("z + z^3 mod z^3", L3), 1)
+
+
+def test_bound_documents_of_the_quadratic_family(L3):
+    # z + (a + b*t)*z^2 at levels 1 and 2, pinned to the documents of the
+    # quotient expanded to DEFAULT_TPREC; for a, b != 0 its divisor's lead
+    # is not a monomial in t
+    for a in range(3):
+        for b in range(3):
+            if (a, b) == (0, 0):
+                continue
+            f = germ(f"z + ({a} + {b}*t)*z^2", L3)
+            v = 0 if a else 1
+            for n, i_n, i_prev in ((1, 4, 1), (2, 13, 4)):
+                assert periodic_valuation_bound(f, n).to_jsonable() == {
+                    "n": n, "bound_valuation": f"{v}/1", "branch": "p-odd",
+                    "equality_condition_holds": "no",
+                    "details": {
+                        "i0": 1, "v_delta0": v, "v_resit": 0, "i_n": i_n,
+                        "i_prev": i_prev,
+                        "wideg": 3 ** n if a else "beyond-truncation",
+                        "expected_wideg": i_n - i_prev + 3 ** n}}
+
+
+@st.composite
+def bound_quotient_operands(draw):
+    """(num, den) of the bound's equality case at level n = 1 or 2 for an
+    integral germ z + c2*z^2 + c3*z^3 exact in t over Laurent(GF(p)), p in
+    {2, 3, 5}, in the bound's window; the divisor's lead is not a monomial
+    in t.  Over GF(5) the coefficients have t-degree at most 2, since the
+    level-2 tower mod z^59 grows with them past a second."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2))
+    ring = LaurentRing(FiniteField(p))
+    top = 1 if p == 5 else 2
+
+    def poly(lowest):
+        cs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=top))
+        return ring.element({draw(st.integers(0, top)) + i: c
+                             for i, c in enumerate([lowest] + cs)})
+
+    f = series(ring, {1: 1, 2: poly(draw(st.integers(1, p - 1))),
+                      3: poly(draw(st.integers(0, p - 1)))}, None)
+    W = ramification_lower_bound(p, 1, n) + p ** n + 3
+    den, num = islice(_levels(f.truncate(W), 1), n - 1, n + 1)
+    b = den.order()
+    assume(isinstance(b, int) and len(den.coeff(b).coeffs) > 1)
+    return num, den
+
+
+@given(ops=bound_quotient_operands())
+@settings(max_examples=100, deadline=None)
+def test_bound_quotient_is_expanded_to_its_residue(ops):
+    # the residue-precision quotient knows every row to t^1 at least, agrees
+    # with the full one below its own precision, and has its reduction
+    num, den = ops
+    full, quot = num.divide_exact(den), num.divide_exact(den, _residue=True)
+    for c, want in zip(quot.coeffs, full.coeffs, strict=True):
+        assert c.tprec is None or c.tprec >= 1
+        assert c == (want if c.tprec is None else want.clip(c.tprec))
+    assert reduce_and_wideg(quot) == reduce_and_wideg(full)
 
 
 # -- cycle reports ---------------------------------------------------------
